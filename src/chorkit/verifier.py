@@ -8,7 +8,6 @@ an actual firing sequence so they can be fed back through the semantics.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -155,20 +154,8 @@ def _mkey(labels: Iterable[cc.TransitionLabel]) -> MultisetKey:
     return tuple(sorted(labels, key=cc.label_key))
 
 
-def _tau_count(mk: MultisetKey) -> int:
-    return sum(1 for t in mk if isinstance(t, cc.TauEvent))
-
-
 def _nonsel(mk: MultisetKey) -> MultisetKey:
     return tuple(t for t in mk if not cc.is_selection(t))
-
-
-def _expansion_mkeys(base: MultisetKey, expanded: MultisetKey) -> bool:
-    missing = Counter(base) - Counter(expanded)
-    if missing:
-        return False
-    extra = Counter(expanded) - Counter(base)
-    return all(cc.is_selection(t) for t in extra)
 
 
 def _reach(
@@ -385,7 +372,9 @@ def check_amend_complete(
                         continue
                     for emk in extensions[cfg2]:
                         full = _mkey(mk + emk)
-                        if any(_expansion_mkeys(full, amk) for amk in candidates):
+                        if any(
+                            amendment.is_selection_expansion(full, amk) for amk in candidates
+                        ):
                             matched = True
                             break
                     if matched:
@@ -457,7 +446,9 @@ def check_amend_sound(
                         continue
                     for emk in extensions[cfg2]:
                         full = _mkey(mk + emk)
-                        if any(_expansion_mkeys(omk, full) for omk in originals):
+                        if any(
+                            amendment.is_selection_expansion(omk, full) for omk in originals
+                        ):
                             matched = True
                             break
                     if matched:
@@ -483,6 +474,24 @@ def check_amend_sound(
     return Report("amend-sound", HOLDS, None, stats)
 
 
+def _listed(
+    budget: _Budget,
+    defs: Mapping[cc.ProcName, cc.Procedure],
+    c: cc.Choreography,
+    s: cc.State,
+    depth: int,
+) -> list[cc.TraceEntry]:
+    """cc.traces charged to the budget; the listing stops as soon as it
+    outgrows what is left of the budget."""
+    try:
+        out = cc.traces(defs, c, s, depth, max_states=budget.limit - budget.used)
+    except cc.BudgetExceeded:
+        budget.used = budget.limit + 1
+        raise
+    budget.charge(len(out))
+    return out
+
+
 def check_intermediate_formulation(
     prog: cc.ChorProgram,
     state: cc.State | None = None,
@@ -506,8 +515,7 @@ def check_intermediate_formulation(
     stats = SearchStats(max_depth=depth)
     allowance = (search_bound + 1) * (1 + view.max_insertions)
     try:
-        reached = cc.traces(prog.procedures, prog.main, state, depth, max_states=state_budget)
-        budget.charge(len(reached))
+        reached = _listed(budget, prog.procedures, prog.main, state, depth)
         seen_cfgs = set()
         for prefix, c0, s0 in reached:
             if (c0, s0) in seen_cfgs:
@@ -534,14 +542,12 @@ def check_intermediate_formulation(
                     return Report(
                         "intermediate-formulation", COUNTEREXAMPLE, witness, stats
                     )
-                orig_ext = cc.traces(prog.procedures, c1, s1, search_bound)
-                budget.charge(len(orig_ext))
+                orig_ext = _listed(budget, prog.procedures, c1, s1, search_bound)
                 matched = False
                 for a1, as1 in starts:
-                    a_ext = cc.traces(
-                        view.amended_defs, a1, as1, search_bound + allowance
+                    a_ext = _listed(
+                        budget, view.amended_defs, a1, as1, search_bound + allowance
                     )
-                    budget.charge(len(a_ext))
                     by_cfg: dict = {}
                     for atl, ac2, as2 in a_ext:
                         by_cfg.setdefault((ac2, as2), []).append(atl)
@@ -571,6 +577,124 @@ def check_intermediate_formulation(
     return Report("intermediate-formulation", HOLDS, None, stats)
 
 
+class _Subsets:
+    """The determinised one-step relation of one side.
+
+    Configurations are numbered on first sight, and a set of configurations
+    reached by the same trace is a tuple of their numbers in first-reached
+    order, which is the order in which a breadth-first listing of traces
+    meets them.  Each configuration is stepped once, straight through the
+    space's step function, since the numbering already memoises it.
+    """
+
+    def __init__(self, space: _Space, start: Hashable):
+        self._step = space._step
+        self.cfgs = [start]
+        self._ids = {start: 0}
+        self._moves: list = [None]
+        self._succ: dict = {}
+
+    def _moves_of(self, i: int) -> list:
+        moves = self._moves[i]
+        if moves is None:
+            moves = []
+            for t, cfg in self._step(self.cfgs[i]):
+                j = self._ids.setdefault(cfg, len(self.cfgs))
+                if j == len(self.cfgs):
+                    self.cfgs.append(cfg)
+                    self._moves.append(None)
+                moves.append((t, j))
+            self._moves[i] = moves
+        return moves
+
+    def succ(self, cfgs: tuple) -> dict:
+        """Label -> the set of configurations `cfgs` reaches by it."""
+        out = self._succ.get(cfgs)
+        if out is None:
+            acc: dict = {}
+            for i in cfgs:
+                for t, j in self._moves_of(i):
+                    acc.setdefault(t, {})[j] = None
+            out = self._succ[cfgs] = {t: tuple(js) for t, js in acc.items()}
+        return out
+
+    def entries(self, depth: int, limit: int) -> int:
+        """The (trace, configuration) pairs within `depth` steps of the start,
+        counted without listing them: a set S with r steps left accounts for
+        |S| plus, for each label, its successor set with r - 1 steps left.
+
+        Raises BudgetExceeded as soon as a partial count passes `limit`.
+        """
+        memo: dict = {}
+        root = ((0,), depth)
+        stack = [root]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            cfgs, r = key
+            n = len(cfgs)
+            if r:
+                kids = [(c, r - 1) for c in self.succ(cfgs).values()]
+                todo = [k for k in kids if k not in memo]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                n += sum(memo[k] for k in kids)
+            if n > limit:
+                raise cc.BudgetExceeded(f"more than {limit} trace entries")
+            memo[key] = n
+            stack.pop()
+        return memo[root]
+
+
+def _first_divergence(chor: _Subsets, net: _Subsets, depth: int) -> Optional[Witness]:
+    """The first label trace, in `cc.label_key` order, that only one side has,
+    with the first configuration it reaches there; a choreography-only trace
+    wins over any network-only one.
+
+    Walks the product of configuration sets reached by the same trace
+    depth-first in pre-order, which visits traces in that order.
+    """
+
+    def witness(path, cfg, note: str) -> Witness:
+        trace = []
+        while path is not None:
+            t, path = path
+            trace.append(t)
+        return Witness(tuple(reversed(trace)), cfg[0], cfg[1], note)
+
+    done: dict = {}  # product node -> largest remaining depth fully searched
+    net_only = None
+    # (choreography set, network set, steps left, reversed trace, leaving)
+    stack = [((0,), (0,), depth, None, False)]
+    while stack:
+        cs, ns, r, path, leaving = stack.pop()
+        if leaving:
+            # Its own subtree only revisits it with fewer steps left.
+            done[(cs, ns)] = r
+            continue
+        if not ns:
+            return witness(
+                path, chor.cfgs[cs[0]], "choreography trace missing from the projection"
+            )
+        if not cs:
+            if net_only is None:
+                net_only = witness(
+                    path, net.cfgs[ns[0]], "projection trace missing from the choreography"
+                )
+            continue
+        if r == 0 or done.get((cs, ns), -1) >= r:
+            continue
+        stack.append((cs, ns, r, None, True))
+        c_succ = chor.succ(cs)
+        n_succ = net.succ(ns)
+        for t in sorted(c_succ.keys() | n_succ.keys(), key=cc.label_key, reverse=True):
+            stack.append((c_succ.get(t, ()), n_succ.get(t, ()), r - 1, (t, path), False))
+    return net_only
+
+
 def check_epp_correspondence(
     prog: cc.ChorProgram,
     state: cc.State | None = None,
@@ -578,52 +702,41 @@ def check_epp_correspondence(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> Report:
     """The projected network produces exactly the label traces of the
-    choreography, up to the bound."""
+    choreography, up to the bound.
+
+    Bounded trace equality is checked on pairs of configuration sets reached
+    by the same trace, so traces are never listed.  `states_explored` and the
+    budget still count (trace, configuration) entries on both sides.
+    """
     state = state if state is not None else cc.State()
     _require_wf(prog)
     compiled = projection.epp(prog)
     stats = SearchStats(max_depth=depth)
+    chor = _Subsets(_chor_space(prog.procedures), (prog.main, state))
+    net = _Subsets(_net_space(compiled.procedures), (compiled.net, state))
+    # The start entry alone never exhausts the budget.
+    limit = max(state_budget, 1)
     try:
-        chor_entries = cc.traces(
-            prog.procedures, prog.main, state, depth, max_states=state_budget
-        )
-        net_entries = sp.traces(
-            compiled.procedures, compiled.net, state, depth, max_states=state_budget
-        )
+        chor_entries = chor.entries(depth, limit)
+        if not sp.network_wf(compiled.net):
+            raise sp.IllFormedNetworkError("network contains a self-addressed action")
+        net_entries = net.entries(depth, limit)
     except cc.BudgetExceeded:
         return Report("epp-correspondence", EXHAUSTED, None, stats)
-    stats.states_explored = len(chor_entries) + len(net_entries)
-    chor_traces = {tl for tl, _, _ in chor_entries}
-    net_traces = {tl for tl, _, _ in net_entries}
-    key = lambda tl: tuple(cc.label_key(t) for t in tl)
-    only_chor = sorted(chor_traces - net_traces, key=key)
-    only_net = sorted(net_traces - chor_traces, key=key)
-    if only_chor:
-        tl = only_chor[0]
-        _, term, st = next(e for e in chor_entries if e[0] == tl)
-        return Report(
-            "epp-correspondence",
-            COUNTEREXAMPLE,
-            Witness(tl, term, st, "choreography trace missing from the projection"),
-            stats,
-        )
-    if only_net:
-        tl = only_net[0]
-        _, term, st = next(e for e in net_entries if e[0] == tl)
-        return Report(
-            "epp-correspondence",
-            COUNTEREXAMPLE,
-            Witness(tl, term, st, "projection trace missing from the choreography"),
-            stats,
-        )
-    return Report("epp-correspondence", HOLDS, None, stats)
+    stats.states_explored = chor_entries + net_entries
+    witness = _first_divergence(chor, net, depth)
+    verdict = HOLDS if witness is None else COUNTEREXAMPLE
+    return Report("epp-correspondence", verdict, witness, stats)
 
 
 def _terminal_analysis(space: _Space, start, bound: int, budget: _Budget):
     """Configurations reachable within `bound` steps, with a shortest trace to
-    each, plus the ones that are dead (no transitions)."""
+    each, the ones that are dead (no transitions), and whether the search
+    closed: its frontier emptied before the bound, so nothing else is
+    reachable."""
     reached = {start: ()}
     dead = []
+    closed = False
     budget.charge()
     if not space.enabled(start):
         dead.append(start)
@@ -639,9 +752,10 @@ def _terminal_analysis(space: _Space, start, bound: int, budget: _Budget):
                         dead.append(cfg2)
                     nxt.append(cfg2)
         if not nxt:
+            closed = True
             break
         frontier = nxt
-    return reached, dead
+    return reached, dead, closed
 
 
 def _implements_verdict(
@@ -664,7 +778,22 @@ def _implements_verdict(
         for ins in sorted(table.entries):
             expected = table.entries[ins]
             s0 = cc.State({(p, "x"): v for p, v in zip(inputs, ins)})
-            reached, dead = _terminal_analysis(space, start_of(s0), bound, budget)
+            start = start_of(s0)
+            reached, dead, closed = _terminal_analysis(space, start, bound, budget)
+            if expected is not None and closed and not dead:
+                stats.states_explored = budget.used
+                return Report(
+                    check_name,
+                    COUNTEREXAMPLE,
+                    Witness(
+                        (),
+                        start[0],
+                        s0,
+                        f"inputs {ins}: no run terminates ({len(reached)} reachable "
+                        f"configuration{'' if len(reached) == 1 else 's'}, none terminal)",
+                    ),
+                    stats,
+                )
             for cfg in dead:
                 term, s_end = cfg
                 trace = reached[cfg]

@@ -180,6 +180,28 @@ def test_implements_loop_table(capsys):
     assert "holds-within-bound" in capsys.readouterr().out
 
 
+def test_implements_defined_table_on_a_loop_fails(tmp_path, capsys):
+    table = tmp_path / "defined.table"
+    table.write_text("0 -> 1\n1 -> 2\n", encoding="utf-8")
+    code = main(
+        [
+            "implements",
+            _sample("endless_loop.chor"),
+            "--table",
+            str(table),
+            "--inputs",
+            "p",
+            "--output",
+            "p",
+            "--bound",
+            "50",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "counterexample" in out and "no run terminates" in out
+
+
 def test_implements_wrong_table_fails(tmp_path, capsys):
     table = tmp_path / "bad.table"
     table.write_text("0 -> 9\n", encoding="utf-8")

@@ -150,6 +150,26 @@ def test_blocked_selection_fails_strict_but_passes_relaxed_correspondence():
     assert check_amend_complete(prog, State(), 2, 4).verdict == HOLDS
 
 
+def test_intermediate_budget_stops_the_listing_that_outgrows_it(monkeypatch):
+    prog = corpus.blocked_selection()
+    full = check_intermediate_formulation(prog, State(), 2, 4)
+    assert full.verdict == COUNTEREXAMPLE
+    real = cc.traces
+    limits = []
+
+    def spy(defs, c, s, depth, max_states=None):
+        limits.append(max_states)
+        return real(defs, c, s, depth, max_states=max_states)
+
+    monkeypatch.setattr(cc, "traces", spy)
+    for budget in range(1, full.stats.states_explored):
+        limits.clear()
+        report = check_intermediate_formulation(prog, State(), 2, 4, state_budget=budget)
+        assert report.verdict == EXHAUSTED
+        assert report.stats.states_explored == budget + 1
+        assert None not in limits and limits[-1] <= budget
+
+
 # ---------------------------------------------------------------------------
 # EPP trace correspondence
 
@@ -197,6 +217,33 @@ def test_equality_program_implements_its_table():
 def test_looping_program_never_reaches_a_terminal():
     report = check_implements(corpus.endless_loop(), LOOP_TABLE, ["p"], "p", 50)
     assert report.verdict == HOLDS
+
+
+def test_defined_table_on_a_loop_is_a_counterexample():
+    # Every input has a result, yet the space closes without a terminal
+    # configuration: no run can ever deliver it.
+    table = FnTable(1, {(0,): 1, (1,): 2})
+    prog = corpus.endless_loop()
+    amended = amendment.amend_program(prog)
+    reports = [
+        check_implements(prog, table, ["p"], "p", 50),
+        check_implements(amended, table, ["p"], "p", 50),
+        check_implements_network(projection.epp(amended), table, ["p"], "p", 50),
+    ]
+    for report in reports:
+        assert report.verdict == COUNTEREXAMPLE
+        assert report.witness.trace == ()
+        assert report.witness.state == State()
+        assert report.witness.note == (
+            "inputs (0,): no run terminates (1 reachable configuration, none terminal)"
+        )
+    assert reports[0].witness.term == prog.main
+    assert reports[2].witness.term == projection.epp(amended).net
+
+
+def test_defined_table_on_a_loop_holds_when_the_bound_cuts_the_search():
+    table = FnTable(1, {(0,): 1, (1,): 2})
+    assert check_implements(corpus.endless_loop(), table, ["p"], "p", 0).verdict == HOLDS
 
 
 def test_wrong_table_is_a_counterexample_with_replayable_witness():
