@@ -12,7 +12,7 @@ from collections import Counter
 from typing import Mapping, Sequence
 
 from . import cc
-from .projection import projectable
+from .projection import Memo, projectable
 
 
 def needs_selection(
@@ -22,17 +22,19 @@ def needs_selection(
     pids: Sequence[cc.Pid],
     then_c: cc.Choreography,
     else_c: cc.Choreography,
+    memo: Memo | None = None,
 ) -> list[cc.Pid]:
     """Processes from `pids` (order kept) that cannot project the conditional.
 
     The deciding process is always excluded: it knows its own choice.
     """
     cond = cc.Cond(pid, guard, then_c, else_c)
+    memo = {} if memo is None else memo
     out = []
     for r in pids:
         if r == pid:
             continue
-        if not projectable(defs, cond, r):
+        if not projectable(defs, cond, r, memo):
             out.append(r)
     return out
 
@@ -54,18 +56,22 @@ def amend(
     defs: Mapping[cc.ProcName, cc.Procedure],
     pids: Sequence[cc.Pid],
     c: cc.Choreography,
+    memo: Memo | None = None,
 ) -> cc.Choreography:
     """Insert the selections needed to make c projectable on all of `pids`.
 
     Branches are repaired first; the processes still unable to project the
-    repaired conditional then receive a selection in both branches.
+    repaired conditional then receive a selection in both branches.  Calls
+    sharing the projection `memo` must share `defs`; each level then projects
+    only what the levels below did not.
     """
+    memo = {} if memo is None else memo
     if isinstance(c, cc.Prefix):
-        return cc.Prefix(c.action, amend(defs, pids, c.cont))
+        return cc.Prefix(c.action, amend(defs, pids, c.cont, memo))
     if isinstance(c, cc.Cond):
-        then_a = amend(defs, pids, c.then_c)
-        else_a = amend(defs, pids, c.else_c)
-        uninformed = needs_selection(defs, c.pid, c.guard, pids, then_a, else_a)
+        then_a = amend(defs, pids, c.then_c, memo)
+        else_a = amend(defs, pids, c.else_c, memo)
+        uninformed = needs_selection(defs, c.pid, c.guard, pids, then_a, else_a, memo)
         return cc.Cond(
             c.pid,
             c.guard,
@@ -73,16 +79,19 @@ def amend(
             add_selections(c.pid, cc.Label.RIGHT, uninformed, else_a),
         )
     if isinstance(c, cc.RunningCall):
-        return cc.RunningCall(c.name, c.pending, amend(defs, pids, c.body))
+        return cc.RunningCall(c.name, c.pending, amend(defs, pids, c.body, memo))
     return c  # Call, End
 
 
 def amend_defs(
-    defs: Mapping[cc.ProcName, cc.Procedure], pids: Sequence[cc.Pid]
+    defs: Mapping[cc.ProcName, cc.Procedure],
+    pids: Sequence[cc.Pid],
+    memo: Memo | None = None,
 ) -> dict[cc.ProcName, cc.Procedure]:
     """Amend every procedure body pointwise, against the original definitions."""
+    memo = {} if memo is None else memo
     return {
-        name: cc.Procedure(proc.pids, amend(defs, pids, proc.body))
+        name: cc.Procedure(proc.pids, amend(defs, pids, proc.body, memo))
         for name, proc in defs.items()
     }
 
@@ -99,9 +108,10 @@ def amend_program(prog: cc.ChorProgram) -> cc.ChorProgram:
     if problems:
         raise cc.IllFormedError("; ".join(problems))
     pids = amend_pids(prog)
+    memo: Memo = {}
     return cc.ChorProgram(
-        amend_defs(prog.procedures, pids),
-        amend(prog.procedures, pids, prog.main),
+        amend_defs(prog.procedures, pids, memo),
+        amend(prog.procedures, pids, prog.main, memo),
     )
 
 

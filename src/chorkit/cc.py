@@ -8,9 +8,11 @@ earlier ones (the delay rules), which gives choreographies genuine concurrency.
 
 from __future__ import annotations
 
+import sys
+import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 Pid = str
 VarName = str
@@ -28,24 +30,150 @@ class Label(Enum):
 
 
 # ---------------------------------------------------------------------------
+# Hash-consed nodes
+
+
+class _Node:
+    """Base of every hash-consed class; see `_node`."""
+
+    __slots__ = ()
+
+
+class _Ref(weakref.ref):
+    """A weak reference to a node that remembers its table key."""
+
+    __slots__ = ("key",)
+
+
+_NEW_TEMPLATE = """
+def __new__(cls, {params}):
+    args = ({params})
+    ref = get(args)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = new(cls)
+{assign}    ref = Ref(node, remove)
+    ref.key = args
+    table[args] = ref
+    return node
+"""
+
+
+def _node(cls=None, *, key=None):
+    """Hash-cons a class of immutable terms (Filliâtre & Conchon, "Type-safe
+    modular hash-consing", ML Workshop 2006).
+
+    The class becomes a frozen, slotted dataclass whose constructor looks its
+    field values up in a per-class table of live nodes and returns the node
+    already there on a hit.  Structurally equal nodes are therefore the same
+    object, and `==` and `hash` are the identity defaults.  The table holds
+    its nodes weakly.
+
+    A node's sort key is `sort_key`'s structural one, unless `key` is given:
+    then it is `key` called with the field values, when the node is created.
+    """
+    if cls is None:
+        return lambda c: _node(c, key=key)
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    ns = dict(cls.__dict__)
+    ns.pop("__dict__", None)
+    ns.pop("__weakref__", None)
+    ns["__slots__"] = names + ("_key", "__weakref__")
+    qualname = cls.__qualname__
+    cls = type(cls)(cls.__name__, (_Node,), ns)
+    cls.__qualname__ = qualname
+    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+
+    table: dict = {}
+
+    def remove(ref: _Ref) -> None:
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+    params = "".join(f"{n}, " for n in names)
+    stored = names + ("_key",) if key is not None else names
+    env = {
+        "get": table.get,
+        "table": table,
+        "new": object.__new__,
+        "Ref": _Ref,
+        "remove": remove,
+        "key": key,
+    }
+    # Fields are written through their slot descriptors, under the frozen
+    # dataclass's __setattr__.
+    for n in stored:
+        env[f"set_{n}"] = cls.__dict__[n].__set__
+    src = _NEW_TEMPLATE.format(
+        params=params,
+        assign="".join(f"    set_{n}(node, {n})\n" for n in names)
+        + (f"    set__key(node, key({params}))\n" if key is not None else ""),
+    )
+    exec(src, env)
+    cls.__new__ = env["__new__"]
+    return cls
+
+
+# None shares a field with nodes (a missing offer option), so its key is a
+# tuple too, and compares as its repr "None" does against a node's class name.
+_NONE_KEY = ("None",)
+
+
+def _field_key(value: object) -> object:
+    if isinstance(value, _Node):
+        return value._key
+    # Equal reprs share one string.
+    return _NONE_KEY if value is None else sys.intern(repr(value))
+
+
+def sort_key(node: _Node) -> tuple:
+    """The node's sort key: by default its class name followed, per field, by
+    the child node's key or the `repr` of a leaf value.  This orders nodes
+    exactly as their `repr` strings do (no class name is a prefix of another).
+
+    Computed once, on first use, and stored on the node: terms that are never
+    ordered carry no key.  Children are keyed bottom-up with an explicit
+    stack, so deep terms need no recursion.
+    """
+    try:
+        return node._key
+    except AttributeError:
+        pass
+    stack = [node]
+    while stack:
+        top = stack[-1]
+        values = [getattr(top, n) for n in top.__match_args__]
+        todo = [v for v in values if isinstance(v, _Node) and not hasattr(v, "_key")]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if not hasattr(top, "_key"):
+            object.__setattr__(top, "_key", (type(top).__name__, *map(_field_key, values)))
+    return node._key
+
+
+# ---------------------------------------------------------------------------
 # Expressions
 
 
-@dataclass(frozen=True)
+@_node
 class Lit:
     """Natural number literal."""
 
     value: int
 
 
-@dataclass(frozen=True)
+@_node
 class Ref:
     """Read of a local variable; unset variables read 0."""
 
     name: VarName
 
 
-@dataclass(frozen=True)
+@_node
 class Succ:
     """Successor of a sub-expression."""
 
@@ -55,18 +183,18 @@ class Succ:
 Expr = Union[Lit, Ref, Succ]
 
 
-@dataclass(frozen=True)
+@_node
 class BoolLit:
     value: bool
 
 
-@dataclass(frozen=True)
+@_node
 class Eq:
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Le:
     left: Expr
     right: Expr
@@ -79,7 +207,7 @@ BExpr = Union[BoolLit, Eq, Le]
 # Interactions and choreographies
 
 
-@dataclass(frozen=True)
+@_node
 class Com:
     """Value communication: sender evaluates expr, receiver stores it in var."""
 
@@ -89,7 +217,7 @@ class Com:
     var: VarName
 
 
-@dataclass(frozen=True)
+@_node
 class Sel:
     """Selection: sender tells receiver which branch of a choice was taken."""
 
@@ -101,12 +229,12 @@ class Sel:
 Eta = Union[Com, Sel]
 
 
-@dataclass(frozen=True)
+@_node
 class End:
     """The terminated choreography."""
 
 
-@dataclass(frozen=True)
+@_node
 class Prefix:
     """An interaction followed by a continuation."""
 
@@ -114,7 +242,7 @@ class Prefix:
     cont: "Choreography"
 
 
-@dataclass(frozen=True)
+@_node
 class Cond:
     """pid evaluates guard locally and the protocol branches on the outcome."""
 
@@ -124,14 +252,14 @@ class Cond:
     else_c: "Choreography"
 
 
-@dataclass(frozen=True)
+@_node
 class Call:
     """Invocation of a named procedure."""
 
     name: ProcName
 
 
-@dataclass(frozen=True)
+@_node
 class RunningCall:
     """A procedure call some participants have already entered.
 
@@ -164,6 +292,19 @@ class ChorProgram:
     main: Choreography
 
 
+@dataclass
+class FnTable:
+    """A finite, desk-scale function table: input tuples to result or None."""
+
+    arity: int
+    entries: dict[tuple[int, ...], Optional[int]]
+
+    def __post_init__(self) -> None:
+        for key in self.entries:
+            if len(key) != self.arity:
+                raise ValueError(f"entry {key} does not match arity {self.arity}")
+
+
 # ---------------------------------------------------------------------------
 # Stores
 
@@ -172,13 +313,19 @@ class State:
     """Store mapping (process, variable) pairs to naturals; absent entries read 0.
 
     Kept canonical: zero entries are never stored, so extensional equality
-    coincides with equality of the underlying maps.
+    coincides with equality of the underlying maps.  The sorted items and the
+    hash are computed once, when the store is made.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_items", "_hash")
 
     def __init__(self, entries: Mapping[tuple[Pid, VarName], int] | None = None):
-        self._entries = {k: v for k, v in (entries or {}).items() if v != 0}
+        self._seal({k: v for k, v in (entries or {}).items() if v != 0})
+
+    def _seal(self, entries: dict[tuple[Pid, VarName], int]) -> None:
+        self._entries = entries
+        self._items = tuple(sorted(entries.items()))
+        self._hash = hash(self._items)
 
     def get(self, p: Pid, x: VarName) -> int:
         return self._entries.get((p, x), 0)
@@ -190,20 +337,20 @@ class State:
         else:
             out[(p, x)] = v
         fresh = State.__new__(State)
-        fresh._entries = out
+        fresh._seal(out)
         return fresh
 
     def items(self) -> tuple[tuple[tuple[Pid, VarName], int], ...]:
-        return tuple(sorted(self._entries.items()))
+        return self._items
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, State) and self._entries == other._entries
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._entries.items()))
+        return self._hash
 
     def __repr__(self) -> str:
-        return f"State({dict(sorted(self._entries.items()))!r})"
+        return f"State({dict(self._items)!r})"
 
 
 def state_text(s: State) -> str:
@@ -216,7 +363,11 @@ def state_text(s: State) -> str:
 # Transition labels
 
 
-@dataclass(frozen=True)
+# Labels are keyed when made, in the order `label_key` documents rather than
+# in repr order.
+
+
+@_node(key=lambda sender, value, receiver: (0, sender, receiver, value))
 class CommEvent:
     """A value travelled over the network."""
 
@@ -225,7 +376,7 @@ class CommEvent:
     receiver: Pid
 
 
-@dataclass(frozen=True)
+@_node(key=lambda sender, receiver, label: (1, sender, receiver, label.value))
 class SelectEvent:
     """A selection label travelled over the network."""
 
@@ -234,7 +385,7 @@ class SelectEvent:
     label: Label
 
 
-@dataclass(frozen=True)
+@_node(key=lambda pid: (2, pid))
 class TauEvent:
     """An internal action of a single process (guard evaluation, call entry)."""
 
@@ -253,12 +404,9 @@ def label_processes(t: TransitionLabel) -> frozenset[Pid]:
 
 
 def label_key(t: TransitionLabel) -> tuple:
-    """Stable encoding used to order labels deterministically."""
-    if isinstance(t, CommEvent):
-        return (0, t.sender, t.receiver, t.value)
-    if isinstance(t, SelectEvent):
-        return (1, t.sender, t.receiver, t.label.value)
-    return (2, t.pid)
+    """Stable encoding used to order labels deterministically: kind, then the
+    processes, then the value or label.  Stored on the label."""
+    return t._key
 
 
 def label_text(t: TransitionLabel) -> str:
@@ -411,7 +559,11 @@ class BudgetExceeded(RuntimeError):
 
 
 def _transition_key(tr: Transition) -> tuple:
-    return (label_key(tr[0]), repr(tr[1]), tr[2].items())
+    try:
+        term_key = tr[1]._key
+    except AttributeError:
+        term_key = sort_key(tr[1])
+    return (tr[0]._key, term_key, tr[2]._items)
 
 
 def _ensure_program(defs: Mapping[ProcName, Procedure], c: Choreography) -> None:
@@ -423,6 +575,14 @@ def _ensure_program(defs: Mapping[ProcName, Procedure], c: Choreography) -> None
 def _enabled(
     defs: Mapping[ProcName, Procedure], c: Choreography, s: State
 ) -> tuple[Transition, ...]:
+    return tuple(sorted(set(_steps(defs, c, s)), key=_transition_key))
+
+
+def _steps(
+    defs: Mapping[ProcName, Procedure], c: Choreography, s: State
+) -> list[Transition]:
+    """The transitions of (defs, c, s), unordered and possibly repeated: only
+    the outermost call needs them deduplicated and ordered."""
     out: list[Transition] = []
     if isinstance(c, Prefix):
         eta = c.action
@@ -432,7 +592,7 @@ def _enabled(
         else:
             out.append((SelectEvent(eta.sender, eta.receiver, eta.label), c.cont, s))
         blocked = eta_processes(eta)
-        for t, c2, s2 in _enabled(defs, c.cont, s):
+        for t, c2, s2 in _steps(defs, c.cont, s):
             if label_processes(t).isdisjoint(blocked):
                 out.append((t, Prefix(eta, c2), s2))
     elif isinstance(c, Cond):
@@ -440,8 +600,8 @@ def _enabled(
         out.append((TauEvent(c.pid), branch, s))
         # Both branches must take the very same step for it to commute past
         # the conditional; the successors are recombined under the guard.
-        thens = _enabled(defs, c.then_c, s)
-        elses = _enabled(defs, c.else_c, s)
+        thens = _steps(defs, c.then_c, s)
+        elses = _steps(defs, c.else_c, s)
         for t, c1, s1 in thens:
             if c.pid in label_processes(t):
                 continue
@@ -460,10 +620,10 @@ def _enabled(
             succ = c.body if not rest else RunningCall(c.name, rest, c.body)
             out.append((TauEvent(p), succ, s))
         pending = frozenset(c.pending)
-        for t, b2, s2 in _enabled(defs, c.body, s):
+        for t, b2, s2 in _steps(defs, c.body, s):
             if label_processes(t).isdisjoint(pending):
                 out.append((t, RunningCall(c.name, c.pending, b2), s2))
-    return tuple(sorted(set(out), key=_transition_key))
+    return out
 
 
 def enabled(

@@ -101,6 +101,14 @@ def _one_line(term: cc.Choreography, limit: int = 72) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
+def _print_failures(failures: list[projection.ProjectionFailure]) -> None:
+    for f in failures:
+        print(
+            f"cannot project for {f.process} (in {f.site}): {_one_line(f.term)}",
+            file=sys.stderr,
+        )
+
+
 def _inline_state(s: cc.State) -> str:
     bindings = [f"{p}.{x} = {v}" for (p, x), v in s.items()]
     return ", ".join(bindings) if bindings else "(all zero)"
@@ -117,11 +125,7 @@ def _cmd_check(args) -> int:
         return FAIL
     failures = projection.project_failures(prog)
     if failures:
-        for f in failures:
-            print(
-                f"cannot project for {f.process} (in {f.site}): {_one_line(f.term)}",
-                file=sys.stderr,
-            )
+        _print_failures(failures)
         return FAIL
     print("ok: well-formed and projectable")
     return OK
@@ -137,11 +141,7 @@ def _cmd_project(args) -> int:
         print(f"not well-formed: {exc}", file=sys.stderr)
         return FAIL
     except projection.UnprojectableError as exc:
-        for f in exc.failures:
-            print(
-                f"cannot project for {f.process} (in {f.site}): {_one_line(f.term)}",
-                file=sys.stderr,
-            )
+        _print_failures(exc.failures)
         return FAIL
     if args.process is not None:
         print(syntax.render_behaviour(compiled.net.get(args.process)))
@@ -237,11 +237,7 @@ def _cmd_verify(args) -> int:
         print(f"not well-formed: {exc}", file=sys.stderr)
         return FAIL
     except projection.UnprojectableError as exc:
-        for f in exc.failures:
-            print(
-                f"cannot project for {f.process} (in {f.site}): {_one_line(f.term)}",
-                file=sys.stderr,
-            )
+        _print_failures(exc.failures)
         return FAIL
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True) if args.json else report.text())
     return OK if report.holds else FAIL

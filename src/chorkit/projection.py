@@ -20,6 +20,9 @@ class _Undefined(Exception):
 
 
 def _merge(b1: sp.Behaviour, b2: sp.Behaviour) -> sp.Behaviour:
+    if b1 is b2:
+        # Behaviours are hash-consed, and merging one with itself gives it back.
+        return b1
     if type(b1) is not type(b2):
         raise _Undefined
     if isinstance(b1, sp.End):
@@ -77,69 +80,92 @@ def merge(b1: sp.Behaviour, b2: sp.Behaviour) -> Optional[sp.Behaviour]:
         return None
 
 
+Memo = dict  # (term, process) -> its projection, or the conditional blamed
+
+
 def _bproj(
-    defs: Mapping[cc.ProcName, cc.Procedure], c: cc.Choreography, r: cc.Pid
+    defs: Mapping[cc.ProcName, cc.Procedure], c: cc.Choreography, r: cc.Pid, memo: Memo
 ) -> sp.Behaviour:
+    """Project c on r, raising _Undefined with the innermost conditional whose
+    branch merge fails.  `memo` belongs to one pass over fixed `defs`; since
+    terms are hash-consed its hits are exact."""
+    out = memo.get((c, r))
+    if out is not None:
+        if isinstance(out, cc.Cond):
+            raise _Undefined(out)
+        return out
     if isinstance(c, cc.Prefix):
         eta = c.action
-        cont = _bproj(defs, c.cont, r)
+        out = _bproj(defs, c.cont, r, memo)
         if isinstance(eta, cc.Com):
             if r == eta.sender:
-                return sp.Send(eta.receiver, eta.expr, cont)
-            if r == eta.receiver:
-                return sp.Recv(eta.sender, eta.var, cont)
-            return cont
-        if r == eta.sender:
-            return sp.Choose(eta.receiver, eta.label, cont)
-        if r == eta.receiver:
+                out = sp.Send(eta.receiver, eta.expr, out)
+            elif r == eta.receiver:
+                out = sp.Recv(eta.sender, eta.var, out)
+        elif r == eta.sender:
+            out = sp.Choose(eta.receiver, eta.label, out)
+        elif r == eta.receiver:
             if eta.label is cc.Label.LEFT:
-                return sp.Offer(eta.sender, cont, None)
-            return sp.Offer(eta.sender, None, cont)
-        return cont
-    if isinstance(c, cc.Cond):
+                out = sp.Offer(eta.sender, out, None)
+            else:
+                out = sp.Offer(eta.sender, None, out)
+    elif isinstance(c, cc.Cond):
+        then_b = _bproj(defs, c.then_c, r, memo)
+        else_b = _bproj(defs, c.else_c, r, memo)
         if r == c.pid:
-            return sp.Cond(c.guard, _bproj(defs, c.then_c, r), _bproj(defs, c.else_c, r))
-        merged = merge(_bproj(defs, c.then_c, r), _bproj(defs, c.else_c, r))
-        if merged is None:
-            raise _Undefined(c)
-        return merged
-    if isinstance(c, cc.Call):
+            out = sp.Cond(c.guard, then_b, else_b)
+        else:
+            out = merge(then_b, else_b)
+            if out is None:
+                memo[(c, r)] = c
+                raise _Undefined(c)
+    elif isinstance(c, cc.Call):
         proc = defs.get(c.name)
-        if proc is not None and r in proc.pids:
-            return sp.Call(c.name)
-        return sp.End()
-    if isinstance(c, cc.RunningCall):
-        if r in c.pending:
-            return sp.Call(c.name)
-        return _bproj(defs, c.body, r)
-    return sp.End()
+        out = sp.Call(c.name) if proc is not None and r in proc.pids else sp.End()
+    elif isinstance(c, cc.RunningCall):
+        out = sp.Call(c.name) if r in c.pending else _bproj(defs, c.body, r, memo)
+    else:
+        out = sp.End()
+    memo[(c, r)] = out
+    return out
 
 
 def bproj(
-    defs: Mapping[cc.ProcName, cc.Procedure], c: cc.Choreography, r: cc.Pid
+    defs: Mapping[cc.ProcName, cc.Procedure],
+    c: cc.Choreography,
+    r: cc.Pid,
+    memo: Memo | None = None,
 ) -> Optional[sp.Behaviour]:
-    """Project a choreography onto one process; None when unprojectable."""
+    """Project a choreography onto one process; None when unprojectable.
+
+    Calls sharing `memo` must share `defs`."""
     try:
-        return _bproj(defs, c, r)
+        return _bproj(defs, c, r, {} if memo is None else memo)
     except _Undefined:
         return None
 
 
 def blame(
-    defs: Mapping[cc.ProcName, cc.Procedure], c: cc.Choreography, r: cc.Pid
+    defs: Mapping[cc.ProcName, cc.Procedure],
+    c: cc.Choreography,
+    r: cc.Pid,
+    memo: Memo | None = None,
 ) -> Optional[cc.Choreography]:
     """The innermost conditional whose branch merge fails when projecting on r."""
     try:
-        _bproj(defs, c, r)
+        _bproj(defs, c, r, {} if memo is None else memo)
         return None
     except _Undefined as exc:
         return exc.args[0]
 
 
 def projectable(
-    defs: Mapping[cc.ProcName, cc.Procedure], c: cc.Choreography, r: cc.Pid
+    defs: Mapping[cc.ProcName, cc.Procedure],
+    c: cc.Choreography,
+    r: cc.Pid,
+    memo: Memo | None = None,
 ) -> bool:
-    return bproj(defs, c, r) is not None
+    return bproj(defs, c, r, memo) is not None
 
 
 def projectable_all(
@@ -147,7 +173,8 @@ def projectable_all(
     c: cc.Choreography,
     pids: Iterable[cc.Pid],
 ) -> bool:
-    return all(projectable(defs, c, p) for p in pids)
+    memo: Memo = {}
+    return all(projectable(defs, c, p, memo) for p in pids)
 
 
 @dataclass(frozen=True)
@@ -191,17 +218,20 @@ def _with_instances(b: sp.Behaviour, p: cc.Pid) -> sp.Behaviour:
     return b
 
 
-def project_failures(prog: cc.ChorProgram) -> list[ProjectionFailure]:
+def project_failures(
+    prog: cc.ChorProgram, memo: Memo | None = None
+) -> list[ProjectionFailure]:
     """Every (term, process) pair at which EPP of the program is undefined."""
+    memo = {} if memo is None else memo
     failures: list[ProjectionFailure] = []
     for p in sorted(cc.process_names(prog)):
-        term = blame(prog.procedures, prog.main, p)
+        term = blame(prog.procedures, prog.main, p, memo)
         if term is not None:
             failures.append(ProjectionFailure(p, term, "main"))
     for name in sorted(prog.procedures):
         proc = prog.procedures[name]
         for p in proc.pids:
-            term = blame(prog.procedures, proc.body, p)
+            term = blame(prog.procedures, proc.body, p, memo)
             if term is not None:
                 failures.append(ProjectionFailure(p, term, name))
     return failures
@@ -224,17 +254,18 @@ def epp(prog: cc.ChorProgram) -> sp.SPProgram:
     problems = cc.wf_violations(prog)
     if problems:
         raise cc.IllFormedError("; ".join(problems))
-    failures = project_failures(prog)
+    memo: Memo = {}
+    failures = project_failures(prog, memo)
     if failures:
         raise UnprojectableError(failures)
     net: dict[cc.Pid, sp.Behaviour] = {}
     for p in sorted(cc.process_names(prog)):
-        body = _bproj(prog.procedures, prog.main, p)
+        body = _bproj(prog.procedures, prog.main, p, memo)
         net[p] = _with_instances(body, p)
     procedures: dict[cc.ProcName, sp.Behaviour] = {}
     for name in sorted(prog.procedures):
         proc = prog.procedures[name]
         for p in proc.pids:
-            body = _bproj(prog.procedures, proc.body, p)
+            body = _bproj(prog.procedures, proc.body, p, memo)
             procedures[instance_name(name, p)] = _with_instances(body, p)
     return sp.SPProgram(procedures, sp.Network(net))

@@ -23,18 +23,19 @@ from .cc import (
     TauEvent,
     TransitionLabel,
     VarName,
+    _node,
     eval_bexpr,
     eval_expr,
     label_key,
 )
 
 
-@dataclass(frozen=True)
+@_node
 class End:
     """The terminated behaviour."""
 
 
-@dataclass(frozen=True)
+@_node
 class Send:
     """Evaluate expr locally and send the result to dst."""
 
@@ -43,7 +44,7 @@ class Send:
     cont: "Behaviour"
 
 
-@dataclass(frozen=True)
+@_node
 class Recv:
     """Receive a value from src into var."""
 
@@ -52,7 +53,7 @@ class Recv:
     cont: "Behaviour"
 
 
-@dataclass(frozen=True)
+@_node
 class Choose:
     """Send the selection label to dst."""
 
@@ -61,7 +62,7 @@ class Choose:
     cont: "Behaviour"
 
 
-@dataclass(frozen=True)
+@_node
 class Offer:
     """Wait for a selection label from src; either option may be missing."""
 
@@ -70,7 +71,7 @@ class Offer:
     right: Optional["Behaviour"]
 
 
-@dataclass(frozen=True)
+@_node
 class Cond:
     """Branch on a locally evaluated guard."""
 
@@ -79,7 +80,7 @@ class Cond:
     else_b: "Behaviour"
 
 
-@dataclass(frozen=True)
+@_node
 class Call:
     """Invocation of a named behaviour procedure."""
 
@@ -191,7 +192,9 @@ TraceEntry = tuple[tuple[TransitionLabel, ...], Network, State]
 
 
 def _transition_key(tr: Transition) -> tuple:
-    return (label_key(tr[0]), repr(tr[1].items()), tr[2].items())
+    # Each process contributes at most one transition, and its label names
+    # that process, so the label alone orders them.
+    return label_key(tr[0])
 
 
 def _enabled(
@@ -220,7 +223,7 @@ def _enabled(
             if b.name not in defs:
                 raise UndefinedProcedureError(f"procedure {b.name} is not defined")
             out.append((TauEvent(p), n.set(p, defs[b.name]), s))
-    return tuple(sorted(set(out), key=_transition_key))
+    return tuple(sorted(out, key=_transition_key))
 
 
 def enabled(

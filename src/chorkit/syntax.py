@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cc, sp
-from .verifier import FnTable
 
 KEYWORDS = {
     "def",
@@ -336,7 +335,7 @@ def parse_state_text(text: str) -> cc.State:
     return cc.State(entries)
 
 
-def parse_table_text(text: str) -> FnTable:
+def parse_table_text(text: str) -> cc.FnTable:
     entries: dict[tuple[int, ...], int | None] = {}
     diagnostics: list[Diagnostic] = []
     arity: int | None = None
@@ -372,7 +371,7 @@ def parse_table_text(text: str) -> FnTable:
         diagnostics.append(Diagnostic("error", 1, 1, "empty table"))
     if diagnostics:
         raise ParseError(diagnostics)
-    return FnTable(arity, entries)
+    return cc.FnTable(arity, entries)
 
 
 # ---------------------------------------------------------------------------

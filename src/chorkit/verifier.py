@@ -8,10 +8,12 @@ an actual firing sequence so they can be fed back through the semantics.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from . import amendment, cc, projection, sp
+from .cc import FnTable  # callers import it from here too
 
 HOLDS = "holds-within-bound"
 COUNTEREXAMPLE = "counterexample"
@@ -88,19 +90,6 @@ class Report:
         return "\n".join(lines)
 
 
-@dataclass
-class FnTable:
-    """A finite, desk-scale function table: input tuples to result or None."""
-
-    arity: int
-    entries: dict[tuple[int, ...], Optional[int]]
-
-    def __post_init__(self) -> None:
-        for key in self.entries:
-            if len(key) != self.arity:
-                raise ValueError(f"entry {key} does not match arity {self.arity}")
-
-
 class _Budget:
     __slots__ = ("limit", "used")
 
@@ -147,7 +136,9 @@ MultisetKey = tuple  # labels sorted by cc.label_key
 
 
 def _mkey_add(mk: MultisetKey, t: cc.TransitionLabel) -> MultisetKey:
-    return tuple(sorted(mk + (t,), key=cc.label_key))
+    out = list(mk)
+    insort(out, t, key=cc.label_key)
+    return tuple(out)
 
 
 def _mkey(labels: Iterable[cc.TransitionLabel]) -> MultisetKey:
@@ -189,7 +180,7 @@ def _reach(
 
 def _cfg_key(cfg) -> tuple:
     term, state = cfg
-    return (repr(term), state.items())
+    return (cc.sort_key(term), state.items())
 
 
 def _deletes_to(
@@ -221,33 +212,38 @@ def _max_insertions(
     defs: Mapping[cc.ProcName, cc.Procedure],
     pids: Sequence[cc.Pid],
     c: cc.Choreography,
+    memo: projection.Memo,
 ) -> int:
     if isinstance(c, cc.Prefix):
-        return _max_insertions(defs, pids, c.cont)
+        return _max_insertions(defs, pids, c.cont, memo)
     if isinstance(c, cc.Cond):
-        then_a = amendment.amend(defs, pids, c.then_c)
-        else_a = amendment.amend(defs, pids, c.else_c)
-        here = len(amendment.needs_selection(defs, c.pid, c.guard, pids, then_a, else_a))
+        then_a = amendment.amend(defs, pids, c.then_c, memo)
+        else_a = amendment.amend(defs, pids, c.else_c, memo)
+        here = len(
+            amendment.needs_selection(defs, c.pid, c.guard, pids, then_a, else_a, memo)
+        )
         return max(
             here,
-            _max_insertions(defs, pids, c.then_c),
-            _max_insertions(defs, pids, c.else_c),
+            _max_insertions(defs, pids, c.then_c, memo),
+            _max_insertions(defs, pids, c.else_c, memo),
         )
     if isinstance(c, cc.RunningCall):
-        return _max_insertions(defs, pids, c.body)
+        return _max_insertions(defs, pids, c.body, memo)
     return 0
 
 
-def _program_max_insertions(prog: cc.ChorProgram, pids: Sequence[cc.Pid]) -> int:
+def _program_max_insertions(
+    prog: cc.ChorProgram, pids: Sequence[cc.Pid], memo: projection.Memo
+) -> int:
     """Most selections amendment inserts at any single conditional.
 
     Every inserted selection fires after its conditional's internal action, so
     a trace with k internal actions carries at most k times this many extra
     selections; searches on the amended side are bounded accordingly.
     """
-    out = _max_insertions(prog.procedures, pids, prog.main)
+    out = _max_insertions(prog.procedures, pids, prog.main, memo)
     for proc in prog.procedures.values():
-        out = max(out, _max_insertions(prog.procedures, pids, proc.body))
+        out = max(out, _max_insertions(prog.procedures, pids, proc.body, memo))
     return out
 
 
@@ -258,22 +254,25 @@ class _AmendedView:
     amended_defs: dict[cc.ProcName, cc.Procedure]
     amended_main: cc.Choreography
     max_insertions: int
+    memo: projection.Memo
     _cache: dict = field(default_factory=dict)
 
     def amend_term(self, c: cc.Choreography) -> cc.Choreography:
         if c not in self._cache:
-            self._cache[c] = amendment.amend(self.defs, self.pids, c)
+            self._cache[c] = amendment.amend(self.defs, self.pids, c, self.memo)
         return self._cache[c]
 
 
 def _amended_view(prog: cc.ChorProgram) -> _AmendedView:
     pids = amendment.amend_pids(prog)
+    memo: projection.Memo = {}
     return _AmendedView(
         pids=pids,
         defs=prog.procedures,
-        amended_defs=amendment.amend_defs(prog.procedures, pids),
-        amended_main=amendment.amend(prog.procedures, pids, prog.main),
-        max_insertions=_program_max_insertions(prog, pids),
+        amended_defs=amendment.amend_defs(prog.procedures, pids, memo),
+        amended_main=amendment.amend(prog.procedures, pids, prog.main, memo),
+        max_insertions=_program_max_insertions(prog, pids, memo),
+        memo=memo,
     )
 
 

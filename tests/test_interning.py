@@ -1,0 +1,341 @@
+"""Hash-consed terms: sharing, unchanged repr, and a sort key that orders
+terms exactly as their repr strings do.
+
+Also checks that the projection memo leaves the CLI's output unchanged: the
+memo-free projection and amendment in `oracles` must print the same.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import itertools
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import corpus
+import oracles
+from chorkit import amendment, cc, projection, sp, syntax
+from chorkit.cc import (
+    BoolLit,
+    Call,
+    ChorProgram,
+    Com,
+    Cond,
+    End,
+    Eq,
+    Label,
+    Le,
+    Lit,
+    Prefix,
+    Ref,
+    RunningCall,
+    Sel,
+    State,
+    Succ,
+)
+from chorkit.cli import main
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+ACCEPTANCE_SEED = 20260808
+PIDS = ("p", "q", "r")
+
+
+def _corpus() -> list[tuple[str, ChorProgram]]:
+    return corpus.named_corpus() + [
+        (f"random_{i:02d}", prog)
+        for i, prog in enumerate(corpus.random_programs(ACCEPTANCE_SEED, 50))
+    ]
+
+
+def _rebuild(x):
+    """A structurally equal copy built bottom-up through the constructors."""
+    if isinstance(x, cc._Node):
+        return type(x)(*(_rebuild(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    return x
+
+
+def _subterms(x, out: list) -> list:
+    if isinstance(x, cc._Node):
+        out.append(x)
+        for f in dataclasses.fields(x):
+            _subterms(getattr(x, f.name), out)
+    return out
+
+
+def _dataclass_repr(x) -> str:
+    """The repr a plain dataclass of the same fields prints."""
+    if isinstance(x, cc._Node):
+        fields = ", ".join(
+            f"{f.name}={_dataclass_repr(getattr(x, f.name))}" for f in dataclasses.fields(x)
+        )
+        return f"{type(x).__qualname__}({fields})"
+    return repr(x)
+
+
+# ---------------------------------------------------------------------------
+# Generated terms
+
+names = st.sampled_from(PIDS)
+exprs = st.recursive(
+    st.one_of(st.builds(Lit, st.integers(0, 120)), st.builds(Ref, st.sampled_from("xy"))),
+    lambda inner: st.builds(Succ, inner),
+    max_leaves=3,
+)
+guards = st.one_of(
+    st.builds(BoolLit, st.booleans()), st.builds(Eq, exprs, exprs), st.builds(Le, exprs, exprs)
+)
+etas = st.one_of(
+    st.builds(Com, names, exprs, names, st.sampled_from("xy")),
+    st.builds(Sel, names, names, st.sampled_from(Label)),
+)
+pendings = st.lists(names, min_size=1, max_size=3, unique=True).map(tuple)
+chors = st.recursive(
+    st.one_of(st.just(End()), st.builds(Call, st.sampled_from("XY"))),
+    lambda inner: st.one_of(
+        st.builds(Prefix, etas, inner),
+        st.builds(Cond, names, guards, inner, inner),
+        st.builds(RunningCall, st.sampled_from("XY"), pendings, inner),
+    ),
+    max_leaves=8,
+)
+behaviours = st.recursive(
+    st.one_of(st.just(sp.End()), st.builds(sp.Call, st.sampled_from("XY"))),
+    lambda inner: st.one_of(
+        st.builds(sp.Send, names, exprs, inner),
+        st.builds(sp.Recv, names, st.sampled_from("xy"), inner),
+        st.builds(sp.Choose, names, st.sampled_from(Label), inner),
+        st.builds(sp.Offer, names, st.none() | inner, st.none() | inner),
+        st.builds(sp.Cond, guards, inner, inner),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(chors, behaviours))
+def test_equal_constructions_are_the_same_object(term):
+    assert _rebuild(term) is term
+    for sub in _subterms(term, []):
+        assert dataclasses.replace(sub) is sub
+        assert _rebuild(sub) == sub and hash(_rebuild(sub)) == hash(sub)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(chors, behaviours))
+def test_repr_is_the_dataclass_repr(term):
+    assert repr(term) == _dataclass_repr(term)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(chors, exprs, guards), st.one_of(chors, exprs, guards))
+def test_generated_terms_order_as_their_reprs(a, b):
+    assert (cc.sort_key(a) < cc.sort_key(b)) == (repr(a) < repr(b))
+    assert (cc.sort_key(a) == cc.sort_key(b)) == (a is b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(behaviours, behaviours)
+def test_generated_behaviours_order_as_their_reprs(a, b):
+    assert (cc.sort_key(a) < cc.sort_key(b)) == (repr(a) < repr(b))
+
+
+def test_replace_with_a_new_field_value_shares_too():
+    term = Prefix(Com("p", Lit(1), "q", "x"), End())
+    other = dataclasses.replace(term, cont=Call("X"))
+    assert other is Prefix(Com("p", Lit(1), "q", "x"), Call("X"))
+    assert dataclasses.replace(other, cont=End()) is term
+
+
+def test_repr_golden_strings():
+    assert repr(Prefix(Com("p", Lit(10), "q", "x"), End())) == (
+        "Prefix(action=Com(sender='p', expr=Lit(value=10), receiver='q', var='x'), cont=End())"
+    )
+    assert repr(RunningCall("X", ("p",), End())) == (
+        "RunningCall(name='X', pending=('p',), body=End())"
+    )
+    assert repr(sp.Offer("p", None, sp.End())) == "Offer(src='p', left=None, right=End())"
+    assert repr(cc.SelectEvent("p", "q", Label.LEFT)) == (
+        "SelectEvent(sender='p', receiver='q', label=Label.LEFT)"
+    )
+
+
+def test_nodes_are_frozen():
+    term = Lit(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        term.value = 2
+
+
+def _same_order(terms: list) -> None:
+    assert sorted(terms, key=cc.sort_key) == sorted(terms, key=repr)
+
+
+def test_literals_and_pending_lists_order_as_their_reprs():
+    # Literals compare as decimal strings: "10" < "100" < "9".  A one-element
+    # tuple's repr "('p',)" sorts after "('p', 'q')".
+    lits = [Prefix(Com("p", Lit(n), "q", "x"), End()) for n in (9, 10, 100, 1, 0)]
+    calls = [
+        RunningCall("X", pending, body)
+        for pending in (("p",), ("p", "q"), ("q",), ("q", "p"), ("p", "r"))
+        for body in (End(), Call("X"))
+    ]
+    _same_order(lits)
+    _same_order(calls)
+    _same_order(lits + calls + [Lit(9), Lit(10), Lit(100)])
+    _same_order([sp.Offer("p", left, right) for left, right in itertools.product(
+        (None, sp.End(), sp.Call("X")), repeat=2)])
+
+
+def test_corpus_terms_order_as_their_reprs():
+    terms: list = []
+    for _, prog in _corpus():
+        # Reached terms include entered calls.
+        for _, term, _ in cc.traces(prog.procedures, prog.main, State(), 3):
+            _subterms(term, terms)
+        for proc in prog.procedures.values():
+            _subterms(proc.body, terms)
+    distinct = list({id(t): t for t in terms}.values())
+    assert any(isinstance(t, RunningCall) for t in distinct)
+    _same_order(distinct)
+
+
+def test_sp_enabled_labels_are_unique_on_corpus_networks():
+    for name, prog in _corpus():
+        compiled = projection.epp(amendment.amend_program(prog))
+        frontier = [(compiled.net, State())]
+        seen = set(frontier)
+        for _ in range(4):
+            nxt = []
+            for net, s in frontier:
+                steps = sp._enabled(compiled.procedures, net, s)
+                keys = [cc.label_key(t) for t, _, _ in steps]
+                assert len(set(keys)) == len(keys), name
+                assert keys == sorted(keys), name
+                for _, net2, s2 in steps:
+                    if (net2, s2) not in seen:
+                        seen.add((net2, s2))
+                        nxt.append((net2, s2))
+            frontier = nxt
+
+
+def test_state_caches_items_and_hash():
+    s = State({("q", "x"): 2, ("p", "y"): 1, ("p", "z"): 0})
+    assert s.items() == ((("p", "y"), 1), (("q", "x"), 2))
+    t = State().set("q", "x", 2).set("p", "y", 1)
+    assert s == t and hash(s) == hash(t) and s.items() == t.items()
+    assert s.set("p", "y", 0).items() == ((("q", "x"), 2),)
+    assert repr(s) == "State({('p', 'y'): 1, ('q', 'x'): 2})"
+
+
+# ---------------------------------------------------------------------------
+# The projection memo against memo-free projection and amendment
+
+
+def test_amendment_and_projection_match_the_memo_free_oracles():
+    for name, prog in _corpus():
+        assert projection.project_failures(prog) == oracles.project_failures(prog), name
+        amended = amendment.amend_program(prog)
+        want = oracles.amend_program(prog)
+        assert amended == want, name
+        assert syntax.render_program(amended) == syntax.render_program(want), name
+        got, ref = projection.epp(amended), oracles.epp(amended)
+        assert (got.net, got.procedures) == (ref.net, ref.procedures), name
+
+
+def test_a_memoised_failure_fails_again():
+    main = corpus.purchase_unsafe().main
+    memo: dict = {}
+    blamed = projection.blame({}, main, "buyer", memo)
+    assert isinstance(blamed, Cond)
+    assert projection.blame({}, main, "buyer", memo) is blamed
+    assert not projection.projectable({}, main, "buyer", memo)
+    assert not projection.projectable({}, blamed, "buyer", memo)
+    assert projection.projectable({}, main, "seller", memo)
+
+
+def _chain(d: int) -> ChorProgram:
+    """d nested conditionals; the third process of each level acts differently
+    in the two branches, so every level needs amending."""
+    c = End()
+    for i in reversed(range(d)):
+        a, b, o = PIDS[i % 3], PIDS[(i + 1) % 3], PIDS[(i + 2) % 3]
+        c = Prefix(
+            Com(b, Lit(i % 10), a, "x"),
+            Cond(
+                a,
+                Le(Ref("x"), Lit(i)),
+                Prefix(Com(a, Lit((i + 3) % 10), o, "y"), c),
+                Prefix(Com(o, Lit((i + 7) % 10), b, "y"), End()),
+            ),
+        )
+    return ChorProgram({}, c)
+
+
+def _line(n: int) -> ChorProgram:
+    """n interactions passed round a ring of four processes."""
+    ring = ("a", "b", "c", "d")
+    c = End()
+    for i in reversed(range(n)):
+        c = Prefix(Com(ring[i % 4], Lit(i % 10), ring[(i + 1) % 4], "x"), c)
+    return ChorProgram({}, c)
+
+
+def _sources(tmp_path: Path) -> list[Path]:
+    out = sorted(SAMPLES.glob("*.chor"))
+    for name, prog in [(f"chain{d}", _chain(d)) for d in (3, 25, 60)] + [
+        (f"line{n}", _line(n)) for n in (10, 200)
+    ]:
+        path = tmp_path / f"{name}.chor"
+        path.write_text(syntax.render_program(prog), encoding="utf-8")
+        out.append(path)
+    return out
+
+
+def _run(capsys, argv: list[str]) -> tuple:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_output_matches_the_memo_free_oracles(tmp_path, capsys, monkeypatch):
+    sources = _sources(tmp_path)
+    assert len(sources) == 10 + 5
+    commands = []
+    for src in sources:
+        amended = tmp_path / f"{src.stem}.amended.chor"
+        commands += [
+            ["check", str(src)],
+            ["amend", str(src)],
+            ["amend", str(src), "-o", str(amended)],
+            ["project", str(src)],
+            ["project", str(amended)],
+            ["check", str(amended)],
+        ]
+    got = [_run(capsys, argv) for argv in commands]
+    for path in tmp_path.glob("*.amended.chor"):
+        path.unlink()
+    monkeypatch.setattr(projection, "project_failures", oracles.project_failures)
+    monkeypatch.setattr(projection, "epp", oracles.epp)
+    monkeypatch.setattr(amendment, "amend_program", oracles.amend_program)
+    want = [_run(capsys, argv) for argv in commands]
+    for argv, g, w in zip(commands, got, want):
+        assert g == w, argv
+    assert any(code == 1 and "cannot project for" in err for code, _, err in got)
+
+
+def test_line400_epp_at_depth_2_holds(tmp_path, capsys):
+    # Ordering transitions by repr of the whole continuation used to recurse
+    # 400 terms deep and crash with a RecursionError.
+    path = tmp_path / "line400.chor"
+    path.write_text(syntax.render_program(_line(400)), encoding="utf-8")
+    code, out, err = _run(capsys, ["verify", "epp", str(path), "--depth", "2"])
+    assert code == 0, err
+    assert "verdict: holds-within-bound" in out
+
+
+def test_sort_key_of_a_deep_term_needs_no_recursion():
+    term = _line(5000).main
+    key = cc.sort_key(term)
+    assert key[0] == "Prefix" and cc.sort_key(term.cont) is key[2]
