@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Union
 
+from . import explore
+from .explore import BudgetExceeded  # callers catch it as cc.BudgetExceeded
+
 Pid = str
 VarName = str
 ProcName = str
@@ -395,12 +398,10 @@ class TauEvent:
 TransitionLabel = Union[CommEvent, SelectEvent, TauEvent]
 
 
-def label_processes(t: TransitionLabel) -> frozenset[Pid]:
-    if isinstance(t, CommEvent):
-        return frozenset((t.sender, t.receiver))
-    if isinstance(t, SelectEvent):
-        return frozenset((t.sender, t.receiver))
-    return frozenset((t.pid,))
+def label_processes(t: TransitionLabel) -> tuple[Pid, ...]:
+    if isinstance(t, TauEvent):
+        return (t.pid,)
+    return (t.sender, t.receiver)
 
 
 def label_key(t: TransitionLabel) -> tuple:
@@ -554,10 +555,6 @@ class IllFormedError(ValueError):
     """An operation was handed a program that fails well-formedness."""
 
 
-class BudgetExceeded(RuntimeError):
-    """A bounded exploration hit its configuration budget."""
-
-
 def _transition_key(tr: Transition) -> tuple:
     try:
         term_key = tr[1]._key
@@ -593,7 +590,7 @@ def _steps(
             out.append((SelectEvent(eta.sender, eta.receiver, eta.label), c.cont, s))
         blocked = eta_processes(eta)
         for t, c2, s2 in _steps(defs, c.cont, s):
-            if label_processes(t).isdisjoint(blocked):
+            if blocked.isdisjoint(label_processes(t)):
                 out.append((t, Prefix(eta, c2), s2))
     elif isinstance(c, Cond):
         branch = c.then_c if eval_bexpr(c.guard, s, c.pid) else c.else_c
@@ -621,7 +618,7 @@ def _steps(
             out.append((TauEvent(p), succ, s))
         pending = frozenset(c.pending)
         for t, b2, s2 in _steps(defs, c.body, s):
-            if label_processes(t).isdisjoint(pending):
+            if pending.isdisjoint(label_processes(t)):
                 out.append((t, RunningCall(c.name, c.pending, b2), s2))
     return out
 
@@ -637,12 +634,19 @@ def enabled(
     return _enabled(defs, c, s)
 
 
+def successors(defs: Mapping[ProcName, Procedure]) -> explore.Step:
+    """The one-step relation of `defs` over (choreography, store)
+    configurations, in the form `explore.Space` takes."""
+
+    def step(cfg: tuple[Choreography, State]) -> tuple:
+        c, s = cfg
+        return tuple((t, (c2, s2)) for t, c2, s2 in _enabled(defs, c, s))
+
+    return step
+
+
 def traces(
-    defs: Mapping[ProcName, Procedure],
-    c: Choreography,
-    s: State,
-    depth: int,
-    max_states: int | None = None,
+    defs: Mapping[ProcName, Procedure], c: Choreography, s: State, depth: int
 ) -> list[TraceEntry]:
     """All (trace, configuration) pairs reachable in at most `depth` steps.
 
@@ -650,30 +654,6 @@ def traces(
     ordered transitions.
     """
     _ensure_program(defs, c)
-    memo: dict[tuple[Choreography, State], tuple[Transition, ...]] = {}
-
-    def step(c0: Choreography, s0: State) -> tuple[Transition, ...]:
-        key = (c0, s0)
-        if key not in memo:
-            memo[key] = _enabled(defs, c0, s0)
-        return memo[key]
-
-    start: TraceEntry = ((), c, s)
-    out = [start]
-    seen = {start}
-    frontier = [start]
-    for _ in range(depth):
-        nxt: list[TraceEntry] = []
-        for tl, c0, s0 in frontier:
-            for t, c1, s1 in step(c0, s0):
-                entry = (tl + (t,), c1, s1)
-                if entry not in seen:
-                    seen.add(entry)
-                    if max_states is not None and len(seen) > max_states:
-                        raise BudgetExceeded(f"more than {max_states} trace entries")
-                    out.append(entry)
-                    nxt.append(entry)
-        if not nxt:
-            break
-        frontier = nxt
-    return out
+    space = explore.Space(successors(defs))
+    _, order, _ = explore.bfs(space, (c, s), depth, explore.Budget(), explore.per_trace)
+    return [(tl, c1, s1) for (c1, s1), _, tl in order]

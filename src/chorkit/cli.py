@@ -13,11 +13,22 @@ import random
 import sys
 from pathlib import Path
 
-from . import amendment, cc, projection, sp, syntax, verifier
+from . import amendment, cc, explore, projection, sp, syntax, verifier
 
 OK = 0
 FAIL = 1
 USAGE = 2
+
+
+def _bound(text: str) -> int:
+    """A depth, bound or step count: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p_run.add_mutually_exclusive_group(required=True)
     mode.add_argument("--all", action="store_true", help="enumerate all runs")
     mode.add_argument("--seed", type=int, help="one random run with this seed")
-    p_run.add_argument("--steps", type=int, default=25)
+    p_run.add_argument("--steps", type=_bound, default=25)
 
     p_verify = sub.add_parser("verify", help="bounded correspondence checks")
     p_verify.add_argument(
@@ -52,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("file")
     p_verify.add_argument("--state", help="initial state file")
-    p_verify.add_argument("--depth", type=int, default=verifier.DEFAULT_DEPTH)
-    p_verify.add_argument("--bound", type=int, default=verifier.DEFAULT_SEARCH_BOUND)
+    p_verify.add_argument("--depth", type=_bound, default=verifier.DEFAULT_DEPTH)
+    p_verify.add_argument("--bound", type=_bound, default=verifier.DEFAULT_SEARCH_BOUND)
     p_verify.add_argument("--json", action="store_true", help="machine-readable report")
 
     p_impl = sub.add_parser("implements", help="check a program against a function table")
@@ -61,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_impl.add_argument("--table", required=True)
     p_impl.add_argument("--inputs", required=True, help="comma-separated input processes")
     p_impl.add_argument("--output", required=True, help="output process")
-    p_impl.add_argument("--bound", type=int, default=50)
+    p_impl.add_argument("--bound", type=_bound, default=50)
     p_impl.add_argument("--json", action="store_true", help="machine-readable report")
 
     return parser
@@ -176,23 +187,19 @@ def _cmd_run(args) -> int:
         return USAGE
     try:
         if args.all:
-            entries = cc.traces(prog.procedures, prog.main, state, args.steps)
-            memo: dict = {}
-
-            def dead(c0, s0):
-                key = (c0, s0)
-                if key not in memo:
-                    memo[key] = not cc._enabled(prog.procedures, c0, s0)
-                return memo[key]
-
+            cc._ensure_program(prog.procedures, prog.main)
+            space = explore.Space(cc.successors(prog.procedures))
+            _, order, _ = explore.bfs(
+                space, (prog.main, state), args.steps, explore.Budget(), explore.per_trace
+            )
             shown = 0
-            for tl, c0, s0 in entries:
-                if not dead(c0, s0):
+            for cfg, _, tl in order:
+                if space.enabled(cfg):
                     continue
                 shown += 1
                 pretty = ", ".join(cc.label_text(t) for t in tl) or "(empty)"
                 print(f"run {shown}: {pretty}")
-                print(f"  final state: {_inline_state(s0)}")
+                print(f"  final state: {_inline_state(cfg[1])}")
             if shown == 0:
                 print(f"no run finishes within {args.steps} steps")
         else:

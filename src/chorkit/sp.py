@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
+from . import explore
 from .cc import (
     BExpr,
-    BudgetExceeded,
     CommEvent,
     Expr,
     Label,
@@ -235,40 +235,23 @@ def enabled(
     return _enabled(defs, n, s)
 
 
+def successors(defs: Mapping[ProcName, Behaviour]) -> explore.Step:
+    """The one-step relation of `defs` over (network, store) configurations,
+    in the form `explore.Space` takes."""
+
+    def step(cfg: tuple[Network, State]) -> tuple:
+        n, s = cfg
+        return tuple((t, (n2, s2)) for t, n2, s2 in _enabled(defs, n, s))
+
+    return step
+
+
 def traces(
-    defs: Mapping[ProcName, Behaviour],
-    n: Network,
-    s: State,
-    depth: int,
-    max_states: int | None = None,
+    defs: Mapping[ProcName, Behaviour], n: Network, s: State, depth: int
 ) -> list[TraceEntry]:
     """All (trace, configuration) pairs reachable in at most `depth` steps."""
     if not network_wf(n):
         raise IllFormedNetworkError("network contains a self-addressed action")
-    memo: dict[tuple[Network, State], tuple[Transition, ...]] = {}
-
-    def step(n0: Network, s0: State) -> tuple[Transition, ...]:
-        key = (n0, s0)
-        if key not in memo:
-            memo[key] = _enabled(defs, n0, s0)
-        return memo[key]
-
-    start: TraceEntry = ((), n, s)
-    out = [start]
-    seen = {start}
-    frontier = [start]
-    for _ in range(depth):
-        nxt: list[TraceEntry] = []
-        for tl, n0, s0 in frontier:
-            for t, n1, s1 in step(n0, s0):
-                entry = (tl + (t,), n1, s1)
-                if entry not in seen:
-                    seen.add(entry)
-                    if max_states is not None and len(seen) > max_states:
-                        raise BudgetExceeded(f"more than {max_states} trace entries")
-                    out.append(entry)
-                    nxt.append(entry)
-        if not nxt:
-            break
-        frontier = nxt
-    return out
+    space = explore.Space(successors(defs))
+    _, order, _ = explore.bfs(space, (n, s), depth, explore.Budget(), explore.per_trace)
+    return [(tl, n1, s1) for (n1, s1), _, tl in order]

@@ -12,7 +12,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
-from . import amendment, cc, projection, sp
+from . import amendment, cc, explore, projection, sp
 from .cc import FnTable  # callers import it from here too
 
 HOLDS = "holds-within-bound"
@@ -90,48 +90,6 @@ class Report:
         return "\n".join(lines)
 
 
-class _Budget:
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def charge(self, n: int = 1) -> None:
-        self.used += n
-        if self.used > self.limit:
-            raise cc.BudgetExceeded(f"more than {self.limit} configurations explored")
-
-
-class _Space:
-    """Memoized one-step relation over hashable configurations."""
-
-    def __init__(self, step: Callable[[Hashable], tuple]):
-        self._step = step
-        self._memo: dict = {}
-
-    def enabled(self, cfg: Hashable) -> tuple:
-        if cfg not in self._memo:
-            self._memo[cfg] = self._step(cfg)
-        return self._memo[cfg]
-
-
-def _chor_space(defs: Mapping[cc.ProcName, cc.Procedure]) -> _Space:
-    def step(cfg):
-        c, s = cfg
-        return tuple((t, (c2, s2)) for t, c2, s2 in cc._enabled(defs, c, s))
-
-    return _Space(step)
-
-
-def _net_space(defs: Mapping[cc.ProcName, sp.Behaviour]) -> _Space:
-    def step(cfg):
-        n, s = cfg
-        return tuple((t, (n2, s2)) for t, n2, s2 in sp._enabled(defs, n, s))
-
-    return _Space(step)
-
-
 MultisetKey = tuple  # labels sorted by cc.label_key
 
 
@@ -150,7 +108,7 @@ def _nonsel(mk: MultisetKey) -> MultisetKey:
 
 
 def _reach(
-    space: _Space, start: Hashable, depth: int, budget: _Budget
+    space: explore.Space, start: Hashable, depth: int, budget: explore.Budget
 ) -> dict[Hashable, dict[MultisetKey, tuple]]:
     """Bounded reachability keyed by the multiset of fired labels.
 
@@ -158,24 +116,8 @@ def _reach(
     configuration collapse into one entry; the stored representative is an
     actual firing sequence, so counterexamples stay replayable.
     """
-    out: dict[Hashable, dict[MultisetKey, tuple]] = {start: {(): ()}}
-    frontier = [(start, (), ())]
-    budget.charge()
-    for _ in range(depth):
-        nxt = []
-        for cfg, mk, rep in frontier:
-            for t, cfg2 in space.enabled(cfg):
-                mk2 = _mkey_add(mk, t)
-                bucket = out.setdefault(cfg2, {})
-                if mk2 not in bucket:
-                    budget.charge()
-                    rep2 = rep + (t,)
-                    bucket[mk2] = rep2
-                    nxt.append((cfg2, mk2, rep2))
-        if not nxt:
-            break
-        frontier = nxt
-    return out
+    found, _, _ = explore.bfs(space, start, depth, budget, _mkey_add)
+    return found
 
 
 def _cfg_key(cfg) -> tuple:
@@ -293,15 +235,15 @@ def check_naive_correspondence(
     state = state if state is not None else cc.State()
     _require_wf(prog)
     view = _amended_view(prog)
-    budget = _Budget(state_budget)
+    budget = explore.Budget(state_budget)
     stats = SearchStats(max_depth=depth)
     try:
-        orig = _reach(_chor_space(prog.procedures), (prog.main, state), depth, budget)
+        orig_space = explore.Space(cc.successors(prog.procedures))
+        orig = _reach(orig_space, (prog.main, state), depth, budget)
         depth_a = depth + depth * (1 + view.max_insertions)
         stats.max_depth = max(stats.max_depth, depth_a)
-        amended = _reach(
-            _chor_space(view.amended_defs), (view.amended_main, state), depth_a, budget
-        )
+        amended_space = explore.Space(cc.successors(view.amended_defs))
+        amended = _reach(amended_space, (view.amended_main, state), depth_a, budget)
         for cfg in sorted(orig, key=_cfg_key):
             c1, s1 = cfg
             target = (view.amend_term(c1), s1)
@@ -322,7 +264,7 @@ def check_naive_correspondence(
                         ),
                         stats,
                     )
-    except cc.BudgetExceeded:
+    except explore.BudgetExceeded:
         stats.states_explored = budget.used
         return Report("naive-correspondence", EXHAUSTED, None, stats)
     stats.states_explored = budget.used
@@ -346,11 +288,11 @@ def check_amend_complete(
     state = state if state is not None else cc.State()
     _require_wf(prog)
     view = _amended_view(prog)
-    budget = _Budget(state_budget)
+    budget = explore.Budget(state_budget)
     stats = SearchStats()
     try:
-        orig_space = _chor_space(prog.procedures)
-        amended_space = _chor_space(view.amended_defs)
+        orig_space = explore.Space(cc.successors(prog.procedures))
+        amended_space = explore.Space(cc.successors(view.amended_defs))
         orig = _reach(orig_space, (prog.main, state), depth, budget)
         total = depth + search_bound
         depth_a = total + total * view.max_insertions
@@ -392,7 +334,7 @@ def check_amend_complete(
                         ),
                         stats,
                     )
-    except cc.BudgetExceeded:
+    except explore.BudgetExceeded:
         stats.states_explored = budget.used
         return Report("amend-complete", EXHAUSTED, None, stats)
     stats.states_explored = budget.used
@@ -416,11 +358,11 @@ def check_amend_sound(
     state = state if state is not None else cc.State()
     _require_wf(prog)
     view = _amended_view(prog)
-    budget = _Budget(state_budget)
+    budget = explore.Budget(state_budget)
     stats = SearchStats()
     try:
-        orig_space = _chor_space(prog.procedures)
-        amended_space = _chor_space(view.amended_defs)
+        orig_space = explore.Space(cc.successors(prog.procedures))
+        amended_space = explore.Space(cc.successors(view.amended_defs))
         # The amended run of length <= depth is the premise; the extension that
         # discharges lingering selections is existential, so only it gets the
         # insertion allowance.
@@ -466,29 +408,11 @@ def check_amend_sound(
                         ),
                         stats,
                     )
-    except cc.BudgetExceeded:
+    except explore.BudgetExceeded:
         stats.states_explored = budget.used
         return Report("amend-sound", EXHAUSTED, None, stats)
     stats.states_explored = budget.used
     return Report("amend-sound", HOLDS, None, stats)
-
-
-def _listed(
-    budget: _Budget,
-    defs: Mapping[cc.ProcName, cc.Procedure],
-    c: cc.Choreography,
-    s: cc.State,
-    depth: int,
-) -> list[cc.TraceEntry]:
-    """cc.traces charged to the budget; the listing stops as soon as it
-    outgrows what is left of the budget."""
-    try:
-        out = cc.traces(defs, c, s, depth, max_states=budget.limit - budget.used)
-    except cc.BudgetExceeded:
-        budget.used = budget.limit + 1
-        raise
-    budget.charge(len(out))
-    return out
 
 
 def check_intermediate_formulation(
@@ -510,25 +434,22 @@ def check_intermediate_formulation(
     state = state if state is not None else cc.State()
     _require_wf(prog)
     view = _amended_view(prog)
-    budget = _Budget(state_budget)
+    budget = explore.Budget(state_budget)
     stats = SearchStats(max_depth=depth)
     allowance = (search_bound + 1) * (1 + view.max_insertions)
+    orig = explore.Space(cc.successors(prog.procedures))
+    amended = explore.Space(cc.successors(view.amended_defs))
+
+    def listed(space: explore.Space, start, bound: int) -> dict:
+        found, _, _ = explore.bfs(space, start, bound, budget, explore.per_trace)
+        return found
+
     try:
-        reached = _listed(budget, prog.procedures, prog.main, state, depth)
-        seen_cfgs = set()
-        for prefix, c0, s0 in reached:
-            if (c0, s0) in seen_cfgs:
-                continue
-            seen_cfgs.add((c0, s0))
-            a0 = view.amend_term(c0)
-            first_steps = cc._enabled(prog.procedures, c0, s0)
-            amended_firsts = cc._enabled(view.amended_defs, a0, s0)
-            for t, c1, s1 in first_steps:
-                starts = [
-                    (ac1, as1)
-                    for at, ac1, as1 in amended_firsts
-                    if at == t and as1 == s1
-                ]
+        for (c0, s0), prefixes in listed(orig, (prog.main, state), depth).items():
+            prefix = next(iter(prefixes))
+            amended_firsts = amended.enabled((view.amend_term(c0), s0))
+            for t, (c1, s1) in orig.enabled((c0, s0)):
+                starts = [a1 for at, a1 in amended_firsts if at == t and a1[1] == s1]
                 witness = Witness(
                     prefix + (t,),
                     c1,
@@ -541,26 +462,17 @@ def check_intermediate_formulation(
                     return Report(
                         "intermediate-formulation", COUNTEREXAMPLE, witness, stats
                     )
-                orig_ext = _listed(budget, prog.procedures, c1, s1, search_bound)
-                matched = False
-                for a1, as1 in starts:
-                    a_ext = _listed(
-                        budget, view.amended_defs, a1, as1, search_bound + allowance
-                    )
-                    by_cfg: dict = {}
-                    for atl, ac2, as2 in a_ext:
-                        by_cfg.setdefault((ac2, as2), []).append(atl)
-                    for tl, c2, s2 in orig_ext:
-                        target = (view.amend_term(c2), s2)
-                        for atl in by_cfg.get(target, []):
-                            if _deletes_to(tuple(tl), tuple(atl)):
-                                matched = True
-                                break
-                        if matched:
-                            break
-                    if matched:
+                orig_ext = listed(orig, (c1, s1), search_bound)
+                for a1 in starts:
+                    a_ext = listed(amended, a1, search_bound + allowance)
+                    if any(
+                        _deletes_to(tl, atl)
+                        for (c2, s2), tls in orig_ext.items()
+                        for atl in a_ext.get((view.amend_term(c2), s2), ())
+                        for tl in tls
+                    ):
                         break
-                if not matched:
+                else:
                     witness.note = (
                         "the amendment matches this step but cannot catch up "
                         "by inserting selections in order"
@@ -569,7 +481,7 @@ def check_intermediate_formulation(
                     return Report(
                         "intermediate-formulation", COUNTEREXAMPLE, witness, stats
                     )
-    except cc.BudgetExceeded:
+    except explore.BudgetExceeded:
         stats.states_explored = budget.used
         return Report("intermediate-formulation", EXHAUSTED, None, stats)
     stats.states_explored = budget.used
@@ -583,11 +495,11 @@ class _Subsets:
     reached by the same trace is a tuple of their numbers in first-reached
     order, which is the order in which a breadth-first listing of traces
     meets them.  Each configuration is stepped once, straight through the
-    space's step function, since the numbering already memoises it.
+    step function, since the numbering already memoises it.
     """
 
-    def __init__(self, space: _Space, start: Hashable):
-        self._step = space._step
+    def __init__(self, step: explore.Step, start: Hashable):
+        self._step = step
         self.cfgs = [start]
         self._ids = {start: 0}
         self._moves: list = [None]
@@ -642,7 +554,7 @@ class _Subsets:
                     continue
                 n += sum(memo[k] for k in kids)
             if n > limit:
-                raise cc.BudgetExceeded(f"more than {limit} trace entries")
+                raise explore.BudgetExceeded(f"more than {limit} trace entries")
             memo[key] = n
             stack.pop()
         return memo[root]
@@ -711,8 +623,8 @@ def check_epp_correspondence(
     _require_wf(prog)
     compiled = projection.epp(prog)
     stats = SearchStats(max_depth=depth)
-    chor = _Subsets(_chor_space(prog.procedures), (prog.main, state))
-    net = _Subsets(_net_space(compiled.procedures), (compiled.net, state))
+    chor = _Subsets(cc.successors(prog.procedures), (prog.main, state))
+    net = _Subsets(sp.successors(compiled.procedures), (compiled.net, state))
     # The start entry alone never exhausts the budget.
     limit = max(state_budget, 1)
     try:
@@ -720,7 +632,7 @@ def check_epp_correspondence(
         if not sp.network_wf(compiled.net):
             raise sp.IllFormedNetworkError("network contains a self-addressed action")
         net_entries = net.entries(depth, limit)
-    except cc.BudgetExceeded:
+    except explore.BudgetExceeded:
         return Report("epp-correspondence", EXHAUSTED, None, stats)
     stats.states_explored = chor_entries + net_entries
     witness = _first_divergence(chor, net, depth)
@@ -728,33 +640,16 @@ def check_epp_correspondence(
     return Report("epp-correspondence", verdict, witness, stats)
 
 
-def _terminal_analysis(space: _Space, start, bound: int, budget: _Budget):
+def _terminal_analysis(
+    space: explore.Space, start: Hashable, bound: int, budget: explore.Budget
+):
     """Configurations reachable within `bound` steps, with a shortest trace to
     each, the ones that are dead (no transitions), and whether the search
     closed: its frontier emptied before the bound, so nothing else is
     reachable."""
-    reached = {start: ()}
-    dead = []
-    closed = False
-    budget.charge()
-    if not space.enabled(start):
-        dead.append(start)
-    frontier = [start]
-    for _ in range(bound):
-        nxt = []
-        for cfg in frontier:
-            for t, cfg2 in space.enabled(cfg):
-                if cfg2 not in reached:
-                    budget.charge()
-                    reached[cfg2] = reached[cfg] + (t,)
-                    if not space.enabled(cfg2):
-                        dead.append(cfg2)
-                    nxt.append(cfg2)
-        if not nxt:
-            closed = True
-            break
-        frontier = nxt
-    return reached, dead, closed
+    found, _, closed = explore.bfs(space, start, bound, budget, explore.per_config)
+    reached = {cfg: traces[()] for cfg, traces in found.items()}
+    return reached, [cfg for cfg in reached if not space.enabled(cfg)], closed
 
 
 def _implements_verdict(
@@ -764,15 +659,15 @@ def _implements_verdict(
     output: cc.Pid,
     bound: int,
     state_budget: int,
-    space_of: Callable[[], _Space],
+    step: explore.Step,
     start_of: Callable[[cc.State], Hashable],
     is_done: Callable[[object], bool],
 ) -> Report:
     if len(inputs) != table.arity:
         raise ValueError(f"{len(inputs)} input processes for arity {table.arity}")
-    budget = _Budget(state_budget)
+    budget = explore.Budget(state_budget)
     stats = SearchStats(max_depth=bound)
-    space = space_of()
+    space = explore.Space(step)
     try:
         for ins in sorted(table.entries):
             expected = table.entries[ins]
@@ -834,7 +729,7 @@ def _implements_verdict(
                         ),
                         stats,
                     )
-    except cc.BudgetExceeded:
+    except explore.BudgetExceeded:
         stats.states_explored = budget.used
         return Report(check_name, EXHAUSTED, None, stats)
     stats.states_explored = budget.used
@@ -863,7 +758,7 @@ def check_implements(
         output,
         bound,
         state_budget,
-        lambda: _chor_space(prog.procedures),
+        cc.successors(prog.procedures),
         lambda s0: (prog.main, s0),
         lambda term: term == cc.End(),
     )
@@ -887,7 +782,7 @@ def check_implements_network(
         output,
         bound,
         state_budget,
-        lambda: _net_space(program.procedures),
+        sp.successors(program.procedures),
         lambda s0: (program.net, s0),
         lambda term: not term.support(),
     )

@@ -6,10 +6,11 @@ differential tests assert the two agree byte for byte on `Report.to_dict()`.
 
 from __future__ import annotations
 
-from chorkit import amendment, cc, projection, sp
+from chorkit import amendment, cc, projection, sp, verifier
 from chorkit.verifier import (
     COUNTEREXAMPLE,
     DEFAULT_DEPTH,
+    DEFAULT_SEARCH_BOUND,
     DEFAULT_STATE_BUDGET,
     EXHAUSTED,
     HOLDS,
@@ -17,6 +18,243 @@ from chorkit.verifier import (
     SearchStats,
     Witness,
 )
+
+
+# ---------------------------------------------------------------------------
+# Bounded exploration, one loop per search, as each search used to be written
+
+
+def label_processes(t: cc.TransitionLabel) -> frozenset:
+    """`cc.label_processes` as a set built per call."""
+    if isinstance(t, cc.TauEvent):
+        return frozenset((t.pid,))
+    return frozenset((t.sender, t.receiver))
+
+
+class Budget:
+    __slots__ = ("limit", "used")
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+
+    def charge(self, n: int = 1) -> None:
+        self.used += n
+        if self.used > self.limit:
+            raise cc.BudgetExceeded(f"more than {self.limit} configurations explored")
+
+
+class Space:
+    """Memoized one-step relation over hashable configurations."""
+
+    def __init__(self, step):
+        self._step = step
+        self._memo: dict = {}
+
+    def enabled(self, cfg):
+        if cfg not in self._memo:
+            self._memo[cfg] = self._step(cfg)
+        return self._memo[cfg]
+
+
+def traces(enabled, defs, c, s, depth: int, max_states: int | None = None) -> list:
+    """`cc.traces` or `sp.traces` (by `enabled`), without the well-formedness
+    check: all (trace, term, store) entries within `depth` steps, breadth-first
+    over canonically ordered transitions."""
+    memo: dict = {}
+
+    def step(c0, s0):
+        key = (c0, s0)
+        if key not in memo:
+            memo[key] = enabled(defs, c0, s0)
+        return memo[key]
+
+    start = ((), c, s)
+    out = [start]
+    seen = {start}
+    frontier = [start]
+    for _ in range(depth):
+        nxt = []
+        for tl, c0, s0 in frontier:
+            for t, c1, s1 in step(c0, s0):
+                entry = (tl + (t,), c1, s1)
+                if entry not in seen:
+                    seen.add(entry)
+                    if max_states is not None and len(seen) > max_states:
+                        raise cc.BudgetExceeded(f"more than {max_states} trace entries")
+                    out.append(entry)
+                    nxt.append(entry)
+        if not nxt:
+            break
+        frontier = nxt
+    return out
+
+
+def reach(space, start, depth: int, budget) -> dict:
+    """`verifier._reach`: bounded reachability keyed by the multiset of fired
+    labels, with the first trace to each (configuration, multiset) pair."""
+    out: dict = {start: {(): ()}}
+    frontier = [(start, (), ())]
+    budget.charge()
+    for _ in range(depth):
+        nxt = []
+        for cfg, mk, rep in frontier:
+            for t, cfg2 in space.enabled(cfg):
+                mk2 = verifier._mkey_add(mk, t)
+                bucket = out.setdefault(cfg2, {})
+                if mk2 not in bucket:
+                    budget.charge()
+                    rep2 = rep + (t,)
+                    bucket[mk2] = rep2
+                    nxt.append((cfg2, mk2, rep2))
+        if not nxt:
+            break
+        frontier = nxt
+    return out
+
+
+def terminal_analysis(space, start, bound: int, budget):
+    """`verifier._terminal_analysis`: reached configurations with a shortest
+    trace to each, the dead ones, and whether the frontier emptied."""
+    reached = {start: ()}
+    dead = []
+    closed = False
+    budget.charge()
+    if not space.enabled(start):
+        dead.append(start)
+    frontier = [start]
+    for _ in range(bound):
+        nxt = []
+        for cfg in frontier:
+            for t, cfg2 in space.enabled(cfg):
+                if cfg2 not in reached:
+                    budget.charge()
+                    reached[cfg2] = reached[cfg] + (t,)
+                    if not space.enabled(cfg2):
+                        dead.append(cfg2)
+                    nxt.append(cfg2)
+        if not nxt:
+            closed = True
+            break
+        frontier = nxt
+    return reached, dead, closed
+
+
+def _listed(budget: Budget, defs, c, s, depth: int) -> list:
+    try:
+        out = traces(cc._enabled, defs, c, s, depth, max_states=budget.limit - budget.used)
+    except cc.BudgetExceeded:
+        budget.used = budget.limit + 1
+        raise
+    budget.charge(len(out))
+    return out
+
+
+def intermediate_by_traces(
+    prog: cc.ChorProgram,
+    state: cc.State | None = None,
+    depth: int = DEFAULT_DEPTH,
+    search_bound: int = DEFAULT_SEARCH_BOUND,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> Report:
+    """The intermediate formulation by a fresh trace listing per extension,
+    each charged to the budget in full."""
+    state = state if state is not None else cc.State()
+    verifier._require_wf(prog)
+    view = verifier._amended_view(prog)
+    budget = Budget(state_budget)
+    stats = SearchStats(max_depth=depth)
+    allowance = (search_bound + 1) * (1 + view.max_insertions)
+    try:
+        reached = _listed(budget, prog.procedures, prog.main, state, depth)
+        seen_cfgs = set()
+        for prefix, c0, s0 in reached:
+            if (c0, s0) in seen_cfgs:
+                continue
+            seen_cfgs.add((c0, s0))
+            a0 = view.amend_term(c0)
+            first_steps = cc._enabled(prog.procedures, c0, s0)
+            amended_firsts = cc._enabled(view.amended_defs, a0, s0)
+            for t, c1, s1 in first_steps:
+                starts = [
+                    (ac1, as1)
+                    for at, ac1, as1 in amended_firsts
+                    if at == t and as1 == s1
+                ]
+                witness = Witness(
+                    prefix + (t,),
+                    c1,
+                    s1,
+                    "the amendment of the reached configuration cannot take "
+                    "this step first",
+                )
+                if not starts:
+                    stats.states_explored = budget.used
+                    return Report(
+                        "intermediate-formulation", COUNTEREXAMPLE, witness, stats
+                    )
+                orig_ext = _listed(budget, prog.procedures, c1, s1, search_bound)
+                matched = False
+                for a1, as1 in starts:
+                    a_ext = _listed(
+                        budget, view.amended_defs, a1, as1, search_bound + allowance
+                    )
+                    by_cfg: dict = {}
+                    for atl, ac2, as2 in a_ext:
+                        by_cfg.setdefault((ac2, as2), []).append(atl)
+                    for tl, c2, s2 in orig_ext:
+                        target = (view.amend_term(c2), s2)
+                        for atl in by_cfg.get(target, []):
+                            if verifier._deletes_to(tuple(tl), tuple(atl)):
+                                matched = True
+                                break
+                        if matched:
+                            break
+                    if matched:
+                        break
+                if not matched:
+                    witness.note = (
+                        "the amendment matches this step but cannot catch up "
+                        "by inserting selections in order"
+                    )
+                    stats.states_explored = budget.used
+                    return Report(
+                        "intermediate-formulation", COUNTEREXAMPLE, witness, stats
+                    )
+    except cc.BudgetExceeded:
+        stats.states_explored = budget.used
+        return Report("intermediate-formulation", EXHAUSTED, None, stats)
+    stats.states_explored = budget.used
+    return Report("intermediate-formulation", HOLDS, None, stats)
+
+
+def run_all(prog: cc.ChorProgram, state: cc.State, steps: int) -> str:
+    """What `chorkit run --all` prints: every listed entry whose configuration
+    is dead, in listing order."""
+    entries = traces(cc._enabled, prog.procedures, prog.main, state, steps)
+    memo: dict = {}
+
+    def dead(c0, s0):
+        key = (c0, s0)
+        if key not in memo:
+            memo[key] = not cc._enabled(prog.procedures, c0, s0)
+        return memo[key]
+
+    lines = []
+    for tl, c0, s0 in entries:
+        if not dead(c0, s0):
+            continue
+        pretty = ", ".join(cc.label_text(t) for t in tl) or "(empty)"
+        bindings = ", ".join(f"{p}.{x} = {v}" for (p, x), v in s0.items())
+        lines.append(f"run {len(lines) // 2 + 1}: {pretty}")
+        lines.append(f"  final state: {bindings or '(all zero)'}")
+    if not lines:
+        lines.append(f"no run finishes within {steps} steps")
+    return "".join(line + "\n" for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# EPP trace correspondence
 
 
 def epp_by_traces(
@@ -34,11 +272,13 @@ def epp_by_traces(
     compiled = projection.epp(prog)
     stats = SearchStats(max_depth=depth)
     try:
-        chor_entries = cc.traces(
-            prog.procedures, prog.main, state, depth, max_states=state_budget
+        chor_entries = traces(
+            cc._enabled, prog.procedures, prog.main, state, depth, state_budget
         )
-        net_entries = sp.traces(
-            compiled.procedures, compiled.net, state, depth, max_states=state_budget
+        if not sp.network_wf(compiled.net):
+            raise sp.IllFormedNetworkError("network contains a self-addressed action")
+        net_entries = traces(
+            sp._enabled, compiled.procedures, compiled.net, state, depth, state_budget
         )
     except cc.BudgetExceeded:
         return Report("epp-correspondence", EXHAUSTED, None, stats)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import corpus
-from chorkit import cc
+from chorkit import cc, explore
 from chorkit.cc import (
     BoolLit,
     Call,
@@ -240,8 +240,11 @@ def test_traces_of_end_is_only_the_empty_trace():
 
 def test_traces_budget_is_enforced():
     prog = corpus.parallel_orders()
+    space = explore.Space(cc.successors(prog.procedures))
+    budget = explore.Budget(2)
     with pytest.raises(cc.BudgetExceeded):
-        cc.traces(prog.procedures, prog.main, State(), 4, max_states=2)
+        explore.bfs(space, (prog.main, State()), 4, budget, explore.per_trace)
+    assert budget.used == 3
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +276,7 @@ def test_labels_mention_only_program_processes():
         names = cc.process_names(prog)
         for tl, _, _ in cc.traces(prog.procedures, prog.main, State(), 4):
             for t in tl:
-                assert cc.label_processes(t) <= names
+                assert set(cc.label_processes(t)) <= names
 
 
 def test_branching_is_finite_and_exploration_terminates():

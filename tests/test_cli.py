@@ -254,3 +254,35 @@ def test_output_is_stable_across_runs(capsys):
     main(["verify", "amend-sound", _sample("proxy_choice.chor"), "--depth", "3"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_negative_bounds_are_usage_errors(capsys):
+    impl = ["implements", _sample("endless_loop.chor"), "--table",
+            _sample("endless_loop.table"), "--inputs", "a", "--output", "b"]
+    verify = ["verify", "amend-sound", _sample("delayed_choice.chor")]
+    run = ["run", _sample("parallel_orders.chor"), "--all"]
+    for argv, option in (
+        (impl + ["--bound", "-1"], "--bound"),
+        (verify + ["--depth", "-2"], "--depth"),
+        (verify + ["--bound", "-2"], "--bound"),
+        (run + ["--steps", "-1"], "--steps"),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            f"error: argument {option}: must be at least 0, got {argv[-1]}"
+        ), argv
+
+
+def test_bounds_of_zero_are_accepted_and_non_integers_rejected(capsys):
+    verify = ["verify", "naive", _sample("delayed_choice.chor")]
+    assert main(verify + ["--depth", "0"]) == 0
+    assert "max depth 0" in capsys.readouterr().out
+    assert main(["run", _sample("parallel_orders.chor"), "--all", "--steps", "0"]) == 0
+    assert capsys.readouterr().out == "no run finishes within 0 steps\n"
+    assert main(verify + ["--depth", "two"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "error: argument --depth: invalid int value: 'two'"
+    )

@@ -16,7 +16,7 @@ import pytest
 
 import corpus
 import oracles
-from chorkit import amendment, cc, projection, sp, verifier
+from chorkit import amendment, cc, explore, projection, sp, verifier
 from chorkit.cc import ChorProgram, Com, End, Label, Lit, Prefix, State
 from chorkit.cli import main
 
@@ -210,15 +210,15 @@ def _random_nfa(rng, n: int) -> dict:
     }
 
 
-def _nfa_space(nfa: dict, prefix: str) -> verifier._Space:
+def _nfa_step(nfa: dict, prefix: str) -> explore.Step:
     def step(cfg):
         i = int(cfg[0][len(prefix):])
         return tuple((NFA_LABELS[t], (f"{prefix}{j}", State())) for t, j in nfa[i])
 
-    return verifier._Space(step)
+    return step
 
 
-def _list_entries(space, start, depth: int) -> list:
+def _list_entries(step, start, depth: int) -> list:
     """(trace, configuration) pairs, breadth-first, as `cc.traces` lists them."""
     out = [((), start)]
     seen = set(out)
@@ -226,7 +226,7 @@ def _list_entries(space, start, depth: int) -> list:
     for _ in range(depth):
         nxt = []
         for tl, cfg in frontier:
-            for t, cfg2 in space._step(cfg):
+            for t, cfg2 in step(cfg):
                 entry = (tl + (t,), cfg2)
                 if entry not in seen:
                     seen.add(entry)
@@ -257,19 +257,19 @@ def test_nondeterministic_sides_agree_with_trace_listing():
             net_nfa[i].pop(rng.randrange(len(net_nfa[i])))
         elif edit == 2:
             net_nfa[i].insert(0, (rng.randrange(len(NFA_LABELS)), rng.randrange(len(net_nfa))))
-        chor_space, net_space = _nfa_space(chor_nfa, "c"), _nfa_space(net_nfa, "n")
+        chor_step, net_step = _nfa_step(chor_nfa, "c"), _nfa_step(net_nfa, "n")
         start_c, start_n = ("c0", State()), ("n0", State())
         for depth in range(6):
-            chor_listed = _list_entries(chor_space, start_c, depth)
-            net_listed = _list_entries(net_space, start_n, depth)
+            chor_listed = _list_entries(chor_step, start_c, depth)
+            net_listed = _list_entries(net_step, start_n, depth)
             shared_traces += len(chor_listed) - len({tl for tl, _ in chor_listed})
             want = _first_only(
                 chor_listed, net_listed, "choreography trace missing from the projection"
             ) or _first_only(
                 net_listed, chor_listed, "projection trace missing from the choreography"
             )
-            chor = verifier._Subsets(chor_space, start_c)
-            net = verifier._Subsets(net_space, start_n)
+            chor = verifier._Subsets(chor_step, start_c)
+            net = verifier._Subsets(net_step, start_n)
             assert chor.entries(depth, len(chor_listed)) == len(chor_listed)
             assert net.entries(depth, len(net_listed)) == len(net_listed)
             assert verifier._first_divergence(chor, net, depth) == want

@@ -1,0 +1,244 @@
+"""The exploration engine agrees with the loops it replaced.
+
+`oracles` keeps each bounded search as it was written before `explore.bfs`
+took them over: the trace listing of `cc.traces`/`sp.traces`, the
+multiset-keyed `_reach` and the terminal analysis behind `implements`, each
+with its own memo and budget.  The engine-backed versions must return the same
+entries in the same order, the same dead lists and closure flags, and run out
+of budget at the same entry.  The checkers and the CLI built on them must
+print the same, byte for byte.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import corpus
+import oracles
+from chorkit import amendment, cc, explore, projection, sp, syntax, verifier
+from chorkit.cc import ChorProgram, Com, Prefix, Ref, State
+from chorkit.cli import main
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+ACCEPTANCE_SEED = 20260808
+
+
+def _samples() -> list[tuple[str, ChorProgram]]:
+    return [
+        (path.name, syntax.parse_source(path.read_text(encoding="utf-8")).to_program())
+        for path in sorted(SAMPLES.glob("*.chor"))
+    ]
+
+
+def _blocked_late() -> ChorProgram:
+    """`blocked_selection` behind two independent communications of q and r:
+    its failing configuration is reached by two traces, in either order."""
+    main = corpus.blocked_selection().main
+    main = Prefix(Com("q", Ref("e"), "s", "x"), Prefix(Com("r", Ref("e"), "t", "x"), main))
+    return ChorProgram({}, main)
+
+
+def _programs() -> list[tuple[str, ChorProgram]]:
+    """The corpus, plain and amended, and every sample."""
+    plain = corpus.named_corpus() + [("blocked_late", _blocked_late())] + [
+        (f"random_{i:02d}", prog)
+        for i, prog in enumerate(corpus.random_programs(ACCEPTANCE_SEED, 50))
+    ]
+    amended = [(f"{name}/amended", amendment.amend_program(p)) for name, p in plain]
+    return plain + amended + _samples()
+
+
+def _outcome(search, limit):
+    """What a search gives under a budget of `limit`: its result, or None when
+    it ran out, with the budget used either way."""
+    budget = explore.Budget(limit)
+    try:
+        result = search(budget)
+    except explore.BudgetExceeded:
+        result = None
+    return result, budget.used
+
+
+def _same_under_budgets(new, old, normalise) -> None:
+    """`new` and `old` (functions of a budget) agree without a budget, with
+    just enough budget, and at budgets that cut the search short."""
+    _, total = _outcome(old, math.inf)
+    for limit in {math.inf, 0, 1, total // 2, total - 1, total}:
+        got, used = _outcome(new, limit)
+        want, want_used = _outcome(old, limit)
+        assert used == want_used, limit
+        assert (got is None) == (want is None) == (limit < total), limit
+        if got is not None:
+            assert normalise(got) == normalise(want), limit
+
+
+def _in_order(found: dict) -> list:
+    return [(cfg, list(bucket.items())) for cfg, bucket in found.items()]
+
+
+def _terminal(result) -> tuple:
+    reached, dead, closed = result
+    return list(reached.items()), dead, closed
+
+
+def _same_searches(step, start, depth: int) -> None:
+    _same_under_budgets(
+        lambda b: verifier._reach(explore.Space(step), start, depth, b),
+        lambda b: oracles.reach(oracles.Space(step), start, depth, b),
+        _in_order,
+    )
+    _same_under_budgets(
+        lambda b: verifier._terminal_analysis(explore.Space(step), start, depth, b),
+        lambda b: oracles.terminal_analysis(oracles.Space(step), start, depth, b),
+        _terminal,
+    )
+
+
+def _check_engine(prog: ChorProgram, depth: int) -> None:
+    """Trace listings, `_reach` and the terminal analysis of `prog`, and of
+    its projected amendment, against the oracles."""
+    defs = prog.procedures
+    assert cc.traces(defs, prog.main, State(), depth) == oracles.traces(
+        cc._enabled, defs, prog.main, State(), depth
+    )
+    compiled = projection.epp(amendment.amend_program(prog))
+    assert sp.traces(compiled.procedures, compiled.net, State(), depth) == oracles.traces(
+        sp._enabled, compiled.procedures, compiled.net, State(), depth
+    )
+    _same_searches(cc.successors(defs), (prog.main, State()), depth)
+    _same_searches(sp.successors(compiled.procedures), (compiled.net, State()), depth)
+
+
+def test_engine_matches_the_old_loops_on_the_corpus_and_samples():
+    for _, prog in _programs():
+        for depth in (0, 1, 4):
+            _check_engine(prog, depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 5))
+def test_engine_matches_the_old_loops_on_generated_programs(seed, depth):
+    _check_engine(corpus.random_programs(seed, 1)[0], depth)
+
+
+LABELS = (cc.TauEvent("a"), cc.TauEvent("b"), cc.CommEvent("a", 0, "b"))
+
+
+def test_engine_matches_the_old_loops_on_random_automata():
+    """Label-nondeterministic automata with several dead states: one trace
+    reaches several configurations and searches end in several ways."""
+    rng = random.Random(ACCEPTANCE_SEED)
+    for _ in range(200):
+        n = rng.randrange(1, 7)
+        moves = {
+            i: sorted({(rng.randrange(len(LABELS)), rng.randrange(n))
+                       for _ in range(rng.randrange(4))})
+            for i in range(n)
+        }
+
+        def step(i, moves=moves):
+            return tuple((LABELS[t], j) for t, j in moves[i])
+
+        def enabled(defs, i, s, step=step):
+            return tuple((t, j, s) for t, j in step(i))
+
+        for depth in range(6):
+            entries = explore.bfs(explore.Space(step), 0, depth, explore.Budget(),
+                                  explore.per_trace)[1]
+            want = oracles.traces(enabled, {}, 0, None, depth)
+            assert [(tl, i, None) for i, _, tl in entries] == want
+            _same_searches(step, 0, depth)
+
+
+# ---------------------------------------------------------------------------
+# Reports and the CLI, against the checkers as they were
+
+
+def _as_before(monkeypatch) -> None:
+    """Route the checkers through the old loops and the old intermediate
+    check, and give the semantics the old `label_processes`."""
+    monkeypatch.setattr(cc, "label_processes", oracles.label_processes)
+    monkeypatch.setattr(verifier, "_reach", oracles.reach)
+    monkeypatch.setattr(verifier, "_terminal_analysis", oracles.terminal_analysis)
+    monkeypatch.setattr(
+        verifier, "check_intermediate_formulation", oracles.intermediate_by_traces
+    )
+
+
+def _reports(prog: ChorProgram) -> list:
+    out = []
+    for depth, bound in ((3, 3), (2, 4)):
+        out.append(verifier.check_naive_correspondence(prog, State(), depth))
+        out.append(verifier.check_amend_complete(prog, State(), depth, bound))
+        out.append(verifier.check_amend_sound(prog, State(), depth, bound))
+    for depth, bound in ((3, 1), (1, 2)):
+        out.append(verifier.check_intermediate_formulation(prog, State(), depth, bound))
+    for budget in (0, 5, 37):
+        out.append(verifier.check_naive_correspondence(prog, State(), 3, budget))
+        out.append(verifier.check_amend_complete(prog, State(), 3, 3, budget))
+        out.append(verifier.check_amend_sound(prog, State(), 3, 3, budget))
+        out.append(verifier.check_intermediate_formulation(prog, State(), 3, 1, budget))
+    return [(r.to_dict(), r.text()) for r in out]
+
+
+def test_reports_are_unchanged_on_the_corpus_and_samples(monkeypatch):
+    programs = _programs()
+    got = [_reports(prog) for _, prog in programs]
+    with monkeypatch.context() as m:
+        _as_before(m)
+        want = [_reports(prog) for _, prog in programs]
+    for (name, _), g, w in zip(programs, got, want):
+        assert g == w, name
+
+
+IMPLEMENTS = (
+    ("successor_fn.table", "p", "q", "8"),
+    ("equality_fn.table", "p,q", "r", "8"),
+    ("endless_loop.table", "p", "p", "50"),
+)
+
+
+def _commands(sample: Path) -> list[list[str]]:
+    out = [["run", str(sample), "--seed", seed] for seed in ("1", "7")]
+    for kind in ("naive", "amend-complete", "amend-sound", "intermediate", "epp"):
+        for extra in ([], ["--json"], ["--depth", "3", "--bound", "2"]):
+            out.append(["verify", kind, str(sample), *extra])
+    for table, inputs, output, bound in IMPLEMENTS:
+        for extra in ([], ["--json"], ["--bound", "0"]):
+            out.append([
+                "implements", str(sample), "--table", str(SAMPLES / table),
+                "--inputs", inputs, "--output", output, "--bound", bound, *extra,
+            ])
+    return out
+
+
+def _run(capsys, argv) -> tuple:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_is_unchanged_on_every_sample(monkeypatch, capsys):
+    for sample in sorted(SAMPLES.glob("*.chor")):
+        for argv in _commands(sample):
+            got = _run(capsys, argv)
+            with monkeypatch.context() as m:
+                _as_before(m)
+                want = _run(capsys, argv)
+            assert got == want, argv
+
+
+def test_run_all_is_unchanged_on_every_sample(capsys):
+    offer = syntax.parse_state_text((SAMPLES / "offer.state").read_text(encoding="utf-8"))
+    for name, prog in _samples():
+        for steps, state in ((0, None), (3, None), (25, None), (25, offer)):
+            argv = ["run", str(SAMPLES / name), "--all", "--steps", str(steps)]
+            if state is not None:
+                argv += ["--state", str(SAMPLES / "offer.state")]
+            want = oracles.run_all(prog, state or State(), steps)
+            assert _run(capsys, argv) == (0, want, ""), argv
