@@ -8,8 +8,7 @@ process the repair was asked to cover.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import cc
 from .projection import Memo, projectable
@@ -57,30 +56,41 @@ def amend(
     pids: Sequence[cc.Pid],
     c: cc.Choreography,
     memo: Memo | None = None,
+    done: dict | None = None,
 ) -> cc.Choreography:
     """Insert the selections needed to make c projectable on all of `pids`.
 
     Branches are repaired first; the processes still unable to project the
     repaired conditional then receive a selection in both branches.  Calls
     sharing the projection `memo` must share `defs`; each level then projects
-    only what the levels below did not.
+    only what the levels below did not.  `done`, when given, maps terms to
+    their amendments; calls sharing it must share `defs` and `pids` too, and
+    then amend a shared subterm once.
     """
     memo = {} if memo is None else memo
+    if done is not None:
+        out = done.get(c)
+        if out is not None:
+            return out
     if isinstance(c, cc.Prefix):
-        return cc.Prefix(c.action, amend(defs, pids, c.cont, memo))
-    if isinstance(c, cc.Cond):
-        then_a = amend(defs, pids, c.then_c, memo)
-        else_a = amend(defs, pids, c.else_c, memo)
+        out = cc.Prefix(c.action, amend(defs, pids, c.cont, memo, done))
+    elif isinstance(c, cc.Cond):
+        then_a = amend(defs, pids, c.then_c, memo, done)
+        else_a = amend(defs, pids, c.else_c, memo, done)
         uninformed = needs_selection(defs, c.pid, c.guard, pids, then_a, else_a, memo)
-        return cc.Cond(
+        out = cc.Cond(
             c.pid,
             c.guard,
             add_selections(c.pid, cc.Label.LEFT, uninformed, then_a),
             add_selections(c.pid, cc.Label.RIGHT, uninformed, else_a),
         )
-    if isinstance(c, cc.RunningCall):
-        return cc.RunningCall(c.name, c.pending, amend(defs, pids, c.body, memo))
-    return c  # Call, End
+    elif isinstance(c, cc.RunningCall):
+        out = cc.RunningCall(c.name, c.pending, amend(defs, pids, c.body, memo, done))
+    else:
+        out = c  # Call, End
+    if done is not None:
+        done[c] = out
+    return out
 
 
 def amend_defs(
@@ -115,16 +125,42 @@ def amend_program(prog: cc.ChorProgram) -> cc.ChorProgram:
     )
 
 
+def _split_selections(labels: Iterable[cc.TransitionLabel]) -> tuple[tuple, tuple]:
+    """A multiset of labels as its non-selection part and its selection part,
+    each a tuple of label keys in order."""
+    rest: list = []
+    sels: list = []
+    for t in labels:
+        (sels if cc.is_selection(t) else rest).append(cc.label_key(t))
+    return tuple(sorted(rest)), tuple(sorted(sels))
+
+
+def sub_multiset(small: Sequence, big: Sequence) -> bool:
+    """True when every item of `small` occurs in `big` at least as often; both
+    are sorted."""
+    if not small:
+        return True
+    n = len(big)
+    if len(small) > n:
+        return False
+    j = 0
+    for x in small:
+        while j < n and big[j] < x:
+            j += 1
+        if j == n or big[j] != x:
+            return False
+        j += 1
+    return True
+
+
 def is_selection_expansion(
     base: Sequence[cc.TransitionLabel], expanded: Sequence[cc.TransitionLabel]
 ) -> bool:
     """True when `expanded` is a permutation of `base` plus extra selections.
 
-    Equivalently: the multiset difference expanded - base is well-defined and
-    contains selection labels only.
+    Equivalently: both have the same non-selection part, and the selections of
+    `base` are a sub-multiset of those of `expanded`.
     """
-    missing = Counter(base) - Counter(expanded)
-    if missing:
-        return False
-    extra = Counter(expanded) - Counter(base)
-    return all(cc.is_selection(t) for t in extra)
+    base_rest, base_sels = _split_selections(base)
+    rest, sels = _split_selections(expanded)
+    return base_rest == rest and sub_multiset(base_sels, sels)

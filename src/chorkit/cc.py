@@ -579,7 +579,9 @@ def _steps(
     defs: Mapping[ProcName, Procedure], c: Choreography, s: State
 ) -> list[Transition]:
     """The transitions of (defs, c, s), unordered and possibly repeated: only
-    the outermost call needs them deduplicated and ordered."""
+    the outermost call needs them deduplicated and ordered.  When `defs` is an
+    `_Entered`, an entered call's body is looked up in its memo; the lists
+    kept there are shared, so no caller may change them."""
     out: list[Transition] = []
     if isinstance(c, Prefix):
         eta = c.action
@@ -616,8 +618,16 @@ def _steps(
             rest = tuple(x for x in c.pending if x != p)
             succ = c.body if not rest else RunningCall(c.name, rest, c.body)
             out.append((TauEvent(p), succ, s))
+        bodies = getattr(defs, "bodies", None)
+        if bodies is None:
+            inner = _steps(defs, c.body, s)
+        else:
+            key = (c.body, s)
+            inner = bodies.get(key)
+            if inner is None:
+                inner = bodies[key] = _steps(defs, c.body, s)
         pending = frozenset(c.pending)
-        for t, b2, s2 in _steps(defs, c.body, s):
+        for t, b2, s2 in inner:
             if pending.isdisjoint(label_processes(t)):
                 out.append((t, RunningCall(c.name, c.pending, b2), s2))
     return out
@@ -634,13 +644,28 @@ def enabled(
     return _enabled(defs, c, s)
 
 
+class _Entered(dict):
+    """Procedure definitions that remember the transitions of entered call
+    bodies, per (body, store), for `_steps` to reuse.  A configuration with
+    nested entered calls then costs its own transitions, not its nesting
+    depth; one without any never looks at the memo."""
+
+    __slots__ = ("bodies",)
+
+    def __init__(self, defs: Mapping[ProcName, Procedure]):
+        super().__init__(defs)
+        self.bodies: dict = {}
+
+
 def successors(defs: Mapping[ProcName, Procedure]) -> explore.Step:
     """The one-step relation of `defs` over (choreography, store)
-    configurations, in the form `explore.Space` takes."""
+    configurations, in the form `explore.Space` takes.  The bodies of entered
+    calls are stepped once per store for the life of the relation."""
+    table = _Entered(defs)
 
     def step(cfg: tuple[Choreography, State]) -> tuple:
         c, s = cfg
-        return tuple((t, (c2, s2)) for t, c2, s2 in _enabled(defs, c, s))
+        return tuple((t, (c2, s2)) for t, c2, s2 in _enabled(table, c, s))
 
     return step
 

@@ -186,37 +186,35 @@ def _cmd_run(args) -> int:
     if state is None:
         return USAGE
     try:
-        if args.all:
-            cc._ensure_program(prog.procedures, prog.main)
-            space = explore.Space(cc.successors(prog.procedures))
-            _, order, _ = explore.bfs(
-                space, (prog.main, state), args.steps, explore.Budget(), explore.per_trace
-            )
-            shown = 0
-            for cfg, _, tl in order:
-                if space.enabled(cfg):
-                    continue
-                shown += 1
-                pretty = ", ".join(cc.label_text(t) for t in tl) or "(empty)"
-                print(f"run {shown}: {pretty}")
-                print(f"  final state: {_inline_state(cfg[1])}")
-            if shown == 0:
-                print(f"no run finishes within {args.steps} steps")
-        else:
-            rng = random.Random(args.seed)
-            c0, s0 = prog.main, state
-            fired: list[cc.TransitionLabel] = []
-            for _ in range(args.steps):
-                options = cc._enabled(prog.procedures, c0, s0)
-                if not options:
-                    break
-                t, c0, s0 = options[rng.randrange(len(options))]
-                fired.append(t)
-                print(cc.label_text(t))
-            print(f"final state: {_inline_state(s0)}")
+        cc._ensure_program(prog.procedures, prog.main)
     except cc.IllFormedError as exc:
         print(f"not well-formed: {exc}", file=sys.stderr)
         return FAIL
+    if args.all:
+        space = explore.Space(cc.successors(prog.procedures))
+        _, order, _ = explore.bfs(
+            space, (prog.main, state), args.steps, explore.Budget(), explore.per_trace
+        )
+        shown = 0
+        for cfg, _, tl in order:
+            if space.enabled(cfg):
+                continue
+            shown += 1
+            pretty = ", ".join(cc.label_text(t) for t in tl) or "(empty)"
+            print(f"run {shown}: {pretty}")
+            print(f"  final state: {_inline_state(cfg[1])}")
+        if shown == 0:
+            print(f"no run finishes within {args.steps} steps")
+    else:
+        rng = random.Random(args.seed)
+        c0, s0 = prog.main, state
+        for _ in range(args.steps):
+            options = cc._enabled(prog.procedures, c0, s0)
+            if not options:
+                break
+            t, c0, s0 = options[rng.randrange(len(options))]
+            print(cc.label_text(t))
+        print(f"final state: {_inline_state(s0)}")
     return OK
 
 

@@ -8,7 +8,7 @@ an actual firing sequence so they can be fed back through the semantics.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -90,33 +90,86 @@ class Report:
         return "\n".join(lines)
 
 
-MultisetKey = tuple  # labels sorted by cc.label_key
+MultisetKey = tuple  # label ranks, sorted
 
 
-def _mkey_add(mk: MultisetKey, t: cc.TransitionLabel) -> MultisetKey:
-    out = list(mk)
-    insort(out, t, key=cc.label_key)
-    return tuple(out)
+class _Ranks:
+    """One check's numbering of transition labels, on first sight: selections
+    count down from -1, every other label up from 0.  A multiset of labels is
+    a sorted tuple of ranks, so its selections come first and the rest of it
+    starts at the first rank of at least 0."""
+
+    __slots__ = ("of", "labels", "sels")
+
+    def __init__(self) -> None:
+        self.of: dict = {}
+        self.labels: dict = {}
+        self.sels = 0
+
+    def add(self, mk: MultisetKey, t: cc.TransitionLabel) -> MultisetKey:
+        """`mk` with one more `t`: the tag of the multiset-keyed search."""
+        r = self.of.get(t)
+        if r is None:
+            if cc.is_selection(t):
+                self.sels += 1
+                r = -self.sels
+            else:
+                r = len(self.of) - self.sels
+            self.of[t] = r
+            self.labels[r] = t
+        out = list(mk)
+        insort(out, r)
+        return tuple(out)
+
+    def decode(self, mk: MultisetKey) -> tuple:
+        """The labels of `mk` in `cc.label_key` order."""
+        return tuple(sorted((self.labels[r] for r in mk), key=cc.label_key))
+
+    def first(self, entries: Iterable[tuple[MultisetKey, tuple]]) -> tuple:
+        """The first (multiset, trace) entry in the order of the `repr` of its
+        decoded form, which is how witnesses have always been chosen."""
+        return min(entries, key=lambda e: repr((self.decode(e[0]), e[1])))
 
 
-def _mkey(labels: Iterable[cc.TransitionLabel]) -> MultisetKey:
-    return tuple(sorted(labels, key=cc.label_key))
+def _split(mk: MultisetKey) -> tuple[MultisetKey, MultisetKey]:
+    """`mk` as its non-selection part and its selection part."""
+    i = bisect_left(mk, 0)
+    return mk[i:], mk[:i]
 
 
-def _nonsel(mk: MultisetKey) -> MultisetKey:
-    return tuple(t for t in mk if not cc.is_selection(t))
+def _index(mks: Iterable[MultisetKey], out: dict | None = None) -> dict:
+    """Multisets by their non-selection part: {rest: {selection parts}}.
+
+    With the split, `amendment.is_selection_expansion(base, exp)` is one
+    lookup of base's rest in exp's index (or the other way round) and a
+    sub-multiset test of the selection parts.
+    """
+    out = {} if out is None else out
+    for mk in mks:
+        rest, sels = _split(mk)
+        found = out.get(rest)
+        if found is None:
+            out[rest] = {sels}
+        else:
+            found.add(sels)
+    return out
 
 
 def _reach(
-    space: explore.Space, start: Hashable, depth: int, budget: explore.Budget
+    space: explore.Space,
+    start: Hashable,
+    depth: int,
+    budget: explore.Budget,
+    ranks: _Ranks,
 ) -> dict[Hashable, dict[MultisetKey, tuple]]:
-    """Bounded reachability keyed by the multiset of fired labels.
+    """Bounded reachability keyed by the multiset of fired labels, in the
+    ranks of `ranks`.
 
     Trace orderings that fire the same labels and land in the same
     configuration collapse into one entry; the stored representative is an
     actual firing sequence, so counterexamples stay replayable.
     """
-    found, _, _ = explore.bfs(space, start, depth, budget, _mkey_add)
+    found, _, _ = explore.bfs(space, start, depth, budget, ranks.add)
     return found
 
 
@@ -197,24 +250,30 @@ class _AmendedView:
     amended_main: cc.Choreography
     max_insertions: int
     memo: projection.Memo
-    _cache: dict = field(default_factory=dict)
+    # Every term amended so far, subterms included, to its amendment.
+    _done: dict = field(default_factory=dict)
 
     def amend_term(self, c: cc.Choreography) -> cc.Choreography:
-        if c not in self._cache:
-            self._cache[c] = amendment.amend(self.defs, self.pids, c, self.memo)
-        return self._cache[c]
+        out = self._done.get(c)
+        if out is None:
+            out = self._done[c] = amendment.amend(
+                self.defs, self.pids, c, self.memo, self._done
+            )
+        return out
 
 
 def _amended_view(prog: cc.ChorProgram) -> _AmendedView:
     pids = amendment.amend_pids(prog)
     memo: projection.Memo = {}
+    done: dict = {}
     return _AmendedView(
         pids=pids,
         defs=prog.procedures,
         amended_defs=amendment.amend_defs(prog.procedures, pids, memo),
-        amended_main=amendment.amend(prog.procedures, pids, prog.main, memo),
+        amended_main=amendment.amend(prog.procedures, pids, prog.main, memo, done),
         max_insertions=_program_max_insertions(prog, pids, memo),
         memo=memo,
+        _done=done,
     )
 
 
@@ -237,38 +296,63 @@ def check_naive_correspondence(
     view = _amended_view(prog)
     budget = explore.Budget(state_budget)
     stats = SearchStats(max_depth=depth)
+    ranks = _Ranks()
     try:
         orig_space = explore.Space(cc.successors(prog.procedures))
-        orig = _reach(orig_space, (prog.main, state), depth, budget)
+        orig = _reach(orig_space, (prog.main, state), depth, budget, ranks)
         depth_a = depth + depth * (1 + view.max_insertions)
         stats.max_depth = max(stats.max_depth, depth_a)
         amended_space = explore.Space(cc.successors(view.amended_defs))
-        amended = _reach(amended_space, (view.amended_main, state), depth_a, budget)
+        amended = _reach(amended_space, (view.amended_main, state), depth_a, budget, ranks)
         for cfg in sorted(orig, key=_cfg_key):
             c1, s1 = cfg
-            target = (view.amend_term(c1), s1)
-            candidates = amended.get(target, {})
-            for mk, rep in sorted(orig[cfg].items(), key=repr):
-                want = _nonsel(mk)
-                if not any(_nonsel(amk) == want for amk in candidates):
-                    stats.states_explored = budget.used
-                    return Report(
-                        "naive-correspondence",
-                        COUNTEREXAMPLE,
-                        Witness(
-                            rep,
-                            c1,
-                            s1,
-                            "the amended program cannot reach the amendment of "
-                            "this configuration with the same non-selection events",
-                        ),
-                        stats,
-                    )
+            index = _index(amended.get((view.amend_term(c1), s1), ()))
+            missed = [e for e in orig[cfg].items() if _split(e[0])[0] not in index]
+            if missed:
+                stats.states_explored = budget.used
+                return Report(
+                    "naive-correspondence",
+                    COUNTEREXAMPLE,
+                    Witness(
+                        ranks.first(missed)[1],
+                        c1,
+                        s1,
+                        "the amended program cannot reach the amendment of "
+                        "this configuration with the same non-selection events",
+                    ),
+                    stats,
+                )
     except explore.BudgetExceeded:
         stats.states_explored = budget.used
         return Report("naive-correspondence", EXHAUSTED, None, stats)
     stats.states_explored = budget.used
     return Report("naive-correspondence", HOLDS, None, stats)
+
+
+def _matched(mk: MultisetKey, extensions: Iterable, index_of, fits) -> bool:
+    """Whether `mk` followed by some extension is matched on the other side.
+
+    `extensions` gives, per configuration an extension reaches, the multisets
+    of the extensions to it; `index_of` maps that configuration to the other
+    side's `_index` there, or to nothing.  A match has the same non-selection
+    part, and selections `sels` with `fits(sels, other)` for the other side's.
+    """
+    for cfg2, emks in extensions:
+        index = index_of(cfg2)
+        if not index:
+            continue
+        for emk in emks:
+            rest, sels = _split(tuple(sorted(mk + emk)) if emk else mk)
+            others = index.get(rest)
+            if others is not None and (
+                sels in others or any(fits(sels, o) for o in others)
+            ):
+                return True
+    return False
+
+
+def _covers(sels: MultisetKey, other: MultisetKey) -> bool:
+    return amendment.sub_multiset(other, sels)
 
 
 def check_amend_complete(
@@ -290,50 +374,44 @@ def check_amend_complete(
     view = _amended_view(prog)
     budget = explore.Budget(state_budget)
     stats = SearchStats()
+    ranks = _Ranks()
     try:
         orig_space = explore.Space(cc.successors(prog.procedures))
         amended_space = explore.Space(cc.successors(view.amended_defs))
-        orig = _reach(orig_space, (prog.main, state), depth, budget)
+        orig = _reach(orig_space, (prog.main, state), depth, budget, ranks)
         total = depth + search_bound
         depth_a = total + total * view.max_insertions
         stats.max_depth = depth_a
-        amended = _reach(amended_space, (view.amended_main, state), depth_a, budget)
-        ext_cache: dict = {}
+        amended = _reach(amended_space, (view.amended_main, state), depth_a, budget, ranks)
+        indexes: dict = {}
+
+        def index_of(cfg2) -> dict:
+            index = indexes.get(cfg2)
+            if index is None:
+                c2, s2 = cfg2
+                index = indexes[cfg2] = _index(amended.get((view.amend_term(c2), s2), ()))
+            return index
+
         for cfg in sorted(orig, key=_cfg_key):
-            if cfg not in ext_cache:
-                ext_cache[cfg] = _reach(orig_space, cfg, search_bound, budget)
-            extensions = ext_cache[cfg]
-            for mk, rep in sorted(orig[cfg].items(), key=repr):
-                matched = False
-                for cfg2 in sorted(extensions, key=_cfg_key):
-                    c2, s2 = cfg2
-                    target = (view.amend_term(c2), s2)
-                    candidates = amended.get(target)
-                    if not candidates:
-                        continue
-                    for emk in extensions[cfg2]:
-                        full = _mkey(mk + emk)
-                        if any(
-                            amendment.is_selection_expansion(full, amk) for amk in candidates
-                        ):
-                            matched = True
-                            break
-                    if matched:
-                        break
-                if not matched:
-                    stats.states_explored = budget.used
-                    return Report(
-                        "amend-complete",
-                        COUNTEREXAMPLE,
-                        Witness(
-                            rep,
-                            cfg[0],
-                            cfg[1],
-                            "no extension of this run is matched by the amended "
-                            "program up to extra selections and reordering",
-                        ),
-                        stats,
-                    )
+            extensions = _reach(orig_space, cfg, search_bound, budget, ranks).items()
+            missed = [
+                e for e in orig[cfg].items()
+                if not _matched(e[0], extensions, index_of, amendment.sub_multiset)
+            ]
+            if missed:
+                stats.states_explored = budget.used
+                return Report(
+                    "amend-complete",
+                    COUNTEREXAMPLE,
+                    Witness(
+                        ranks.first(missed)[1],
+                        cfg[0],
+                        cfg[1],
+                        "no extension of this run is matched by the amended "
+                        "program up to extra selections and reordering",
+                    ),
+                    stats,
+                )
     except explore.BudgetExceeded:
         stats.states_explored = budget.used
         return Report("amend-complete", EXHAUSTED, None, stats)
@@ -360,6 +438,7 @@ def check_amend_sound(
     view = _amended_view(prog)
     budget = explore.Budget(state_budget)
     stats = SearchStats()
+    ranks = _Ranks()
     try:
         orig_space = explore.Space(cc.successors(prog.procedures))
         amended_space = explore.Space(cc.successors(view.amended_defs))
@@ -368,46 +447,32 @@ def check_amend_sound(
         # insertion allowance.
         e_depth = search_bound + (depth + search_bound) * view.max_insertions
         stats.max_depth = depth + e_depth
-        orig = _reach(orig_space, (prog.main, state), depth + e_depth, budget)
-        index: dict = {}
+        orig = _reach(orig_space, (prog.main, state), depth + e_depth, budget, ranks)
+        indexes: dict = {}
         for (c3, s3), buckets in orig.items():
             key = (view.amend_term(c3), s3)
-            index.setdefault(key, []).extend(buckets.keys())
-        a_reach = _reach(amended_space, (view.amended_main, state), depth, budget)
-        ext_cache: dict = {}
+            indexes[key] = _index(buckets, indexes.get(key))
+        a_reach = _reach(amended_space, (view.amended_main, state), depth, budget, ranks)
         for cfg in sorted(a_reach, key=_cfg_key):
-            if cfg not in ext_cache:
-                ext_cache[cfg] = _reach(amended_space, cfg, e_depth, budget)
-            extensions = ext_cache[cfg]
-            for mk, rep in sorted(a_reach[cfg].items(), key=repr):
-                matched = False
-                for cfg2 in sorted(extensions, key=_cfg_key):
-                    originals = index.get(cfg2)
-                    if not originals:
-                        continue
-                    for emk in extensions[cfg2]:
-                        full = _mkey(mk + emk)
-                        if any(
-                            amendment.is_selection_expansion(omk, full) for omk in originals
-                        ):
-                            matched = True
-                            break
-                    if matched:
-                        break
-                if not matched:
-                    stats.states_explored = budget.used
-                    return Report(
-                        "amend-sound",
-                        COUNTEREXAMPLE,
-                        Witness(
-                            rep,
-                            cfg[0],
-                            cfg[1],
-                            "no extension of this amended run lands on the "
-                            "amendment of a configuration the original reaches",
-                        ),
-                        stats,
-                    )
+            extensions = _reach(amended_space, cfg, e_depth, budget, ranks).items()
+            missed = [
+                e for e in a_reach[cfg].items()
+                if not _matched(e[0], extensions, indexes.get, _covers)
+            ]
+            if missed:
+                stats.states_explored = budget.used
+                return Report(
+                    "amend-sound",
+                    COUNTEREXAMPLE,
+                    Witness(
+                        ranks.first(missed)[1],
+                        cfg[0],
+                        cfg[1],
+                        "no extension of this amended run lands on the "
+                        "amendment of a configuration the original reaches",
+                    ),
+                    stats,
+                )
     except explore.BudgetExceeded:
         stats.states_explored = budget.used
         return Report("amend-sound", EXHAUSTED, None, stats)

@@ -6,6 +6,9 @@ differential tests assert the two agree byte for byte on `Report.to_dict()`.
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import Counter
+
 from chorkit import amendment, cc, projection, sp, verifier
 from chorkit.verifier import (
     COUNTEREXAMPLE,
@@ -90,9 +93,17 @@ def traces(enabled, defs, c, s, depth: int, max_states: int | None = None) -> li
     return out
 
 
+def mkey_add(mk: tuple, t: cc.TransitionLabel) -> tuple:
+    """A multiset of labels as the tuple of them in `cc.label_key` order."""
+    out = list(mk)
+    insort(out, t, key=cc.label_key)
+    return tuple(out)
+
+
 def reach(space, start, depth: int, budget) -> dict:
-    """`verifier._reach`: bounded reachability keyed by the multiset of fired
-    labels, with the first trace to each (configuration, multiset) pair."""
+    """`verifier._reach` with label tuples for multisets: bounded reachability
+    keyed by the multiset of fired labels, with the first trace to each
+    (configuration, multiset) pair."""
     out: dict = {start: {(): ()}}
     frontier = [(start, (), ())]
     budget.charge()
@@ -100,7 +111,7 @@ def reach(space, start, depth: int, budget) -> dict:
         nxt = []
         for cfg, mk, rep in frontier:
             for t, cfg2 in space.enabled(cfg):
-                mk2 = verifier._mkey_add(mk, t)
+                mk2 = mkey_add(mk, t)
                 bucket = out.setdefault(cfg2, {})
                 if mk2 not in bucket:
                     budget.charge()
@@ -251,6 +262,269 @@ def run_all(prog: cc.ChorProgram, state: cc.State, steps: int) -> str:
     if not lines:
         lines.append(f"no run finishes within {steps} steps")
     return "".join(line + "\n" for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# The amendment checkers, stepping every entered call body afresh and matching
+# label tuples with Counters
+
+
+def steps(defs, c: cc.Choreography, s: cc.State) -> list:
+    """`cc._steps` without the memo of entered call bodies."""
+    out = []
+    if isinstance(c, cc.Prefix):
+        eta = c.action
+        if isinstance(eta, cc.Com):
+            v = cc.eval_expr(eta.expr, s, eta.sender)
+            out.append((cc.CommEvent(eta.sender, v, eta.receiver), c.cont,
+                        s.set(eta.receiver, eta.var, v)))
+        else:
+            out.append((cc.SelectEvent(eta.sender, eta.receiver, eta.label), c.cont, s))
+        blocked = cc.eta_processes(eta)
+        for t, c2, s2 in steps(defs, c.cont, s):
+            if blocked.isdisjoint(cc.label_processes(t)):
+                out.append((t, cc.Prefix(eta, c2), s2))
+    elif isinstance(c, cc.Cond):
+        branch = c.then_c if cc.eval_bexpr(c.guard, s, c.pid) else c.else_c
+        out.append((cc.TauEvent(c.pid), branch, s))
+        thens = steps(defs, c.then_c, s)
+        elses = steps(defs, c.else_c, s)
+        for t, c1, s1 in thens:
+            if c.pid in cc.label_processes(t):
+                continue
+            for t2, c2, s2 in elses:
+                if t2 == t and s2 == s1:
+                    out.append((t, cc.Cond(c.pid, c.guard, c1, c2), s1))
+    elif isinstance(c, cc.Call):
+        proc = defs[c.name]
+        for p in proc.pids:
+            rest = tuple(x for x in proc.pids if x != p)
+            succ = proc.body if not rest else cc.RunningCall(c.name, rest, proc.body)
+            out.append((cc.TauEvent(p), succ, s))
+    elif isinstance(c, cc.RunningCall):
+        for p in c.pending:
+            rest = tuple(x for x in c.pending if x != p)
+            succ = c.body if not rest else cc.RunningCall(c.name, rest, c.body)
+            out.append((cc.TauEvent(p), succ, s))
+        pending = frozenset(c.pending)
+        for t, b2, s2 in steps(defs, c.body, s):
+            if pending.isdisjoint(cc.label_processes(t)):
+                out.append((t, cc.RunningCall(c.name, c.pending, b2), s2))
+    return out
+
+
+def successors(defs):
+    """`cc.successors` over the memo-free `steps`."""
+
+    def step(cfg) -> tuple:
+        c, s = cfg
+        moves = sorted(set(steps(defs, c, s)), key=cc._transition_key)
+        return tuple((t, (c2, s2)) for t, c2, s2 in moves)
+
+    return step
+
+
+def mkey(labels) -> tuple:
+    return tuple(sorted(labels, key=cc.label_key))
+
+
+def nonsel(mk: tuple) -> tuple:
+    return tuple(t for t in mk if not cc.is_selection(t))
+
+
+def is_selection_expansion(base, expanded) -> bool:
+    """`amendment.is_selection_expansion` by Counter differences."""
+    missing = Counter(base) - Counter(expanded)
+    if missing:
+        return False
+    extra = Counter(expanded) - Counter(base)
+    return all(cc.is_selection(t) for t in extra)
+
+
+class AmendedView:
+    """`verifier._AmendedView`, amending each distinct term in one call."""
+
+    def __init__(self, prog: cc.ChorProgram):
+        self.pids = amendment.amend_pids(prog)
+        self.defs = prog.procedures
+        self.memo: dict = {}
+        self.amended_defs = amendment.amend_defs(prog.procedures, self.pids, self.memo)
+        self.amended_main = amendment.amend(prog.procedures, self.pids, prog.main, self.memo)
+        self.max_insertions = verifier._program_max_insertions(prog, self.pids, self.memo)
+        self._cache: dict = {}
+
+    def amend_term(self, c: cc.Choreography) -> cc.Choreography:
+        if c not in self._cache:
+            self._cache[c] = amendment.amend(self.defs, self.pids, c, self.memo)
+        return self._cache[c]
+
+
+def naive_correspondence(
+    prog: cc.ChorProgram,
+    state: cc.State | None = None,
+    depth: int = DEFAULT_DEPTH,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> Report:
+    state = state if state is not None else cc.State()
+    verifier._require_wf(prog)
+    view = AmendedView(prog)
+    budget = Budget(state_budget)
+    stats = SearchStats(max_depth=depth)
+    try:
+        orig_space = Space(successors(prog.procedures))
+        orig = reach(orig_space, (prog.main, state), depth, budget)
+        depth_a = depth + depth * (1 + view.max_insertions)
+        stats.max_depth = max(stats.max_depth, depth_a)
+        amended_space = Space(successors(view.amended_defs))
+        amended = reach(amended_space, (view.amended_main, state), depth_a, budget)
+        for cfg in sorted(orig, key=verifier._cfg_key):
+            c1, s1 = cfg
+            target = (view.amend_term(c1), s1)
+            candidates = amended.get(target, {})
+            for mk, rep in sorted(orig[cfg].items(), key=repr):
+                want = nonsel(mk)
+                if not any(nonsel(amk) == want for amk in candidates):
+                    stats.states_explored = budget.used
+                    return Report(
+                        "naive-correspondence",
+                        COUNTEREXAMPLE,
+                        Witness(
+                            rep,
+                            c1,
+                            s1,
+                            "the amended program cannot reach the amendment of "
+                            "this configuration with the same non-selection events",
+                        ),
+                        stats,
+                    )
+    except cc.BudgetExceeded:
+        stats.states_explored = budget.used
+        return Report("naive-correspondence", EXHAUSTED, None, stats)
+    stats.states_explored = budget.used
+    return Report("naive-correspondence", HOLDS, None, stats)
+
+
+def amend_complete(
+    prog: cc.ChorProgram,
+    state: cc.State | None = None,
+    depth: int = DEFAULT_DEPTH,
+    search_bound: int = DEFAULT_SEARCH_BOUND,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> Report:
+    state = state if state is not None else cc.State()
+    verifier._require_wf(prog)
+    view = AmendedView(prog)
+    budget = Budget(state_budget)
+    stats = SearchStats()
+    try:
+        orig_space = Space(successors(prog.procedures))
+        amended_space = Space(successors(view.amended_defs))
+        orig = reach(orig_space, (prog.main, state), depth, budget)
+        total = depth + search_bound
+        depth_a = total + total * view.max_insertions
+        stats.max_depth = depth_a
+        amended = reach(amended_space, (view.amended_main, state), depth_a, budget)
+        ext_cache: dict = {}
+        for cfg in sorted(orig, key=verifier._cfg_key):
+            if cfg not in ext_cache:
+                ext_cache[cfg] = reach(orig_space, cfg, search_bound, budget)
+            extensions = ext_cache[cfg]
+            for mk, rep in sorted(orig[cfg].items(), key=repr):
+                matched = False
+                for cfg2 in sorted(extensions, key=verifier._cfg_key):
+                    c2, s2 = cfg2
+                    target = (view.amend_term(c2), s2)
+                    candidates = amended.get(target)
+                    if not candidates:
+                        continue
+                    for emk in extensions[cfg2]:
+                        full = mkey(mk + emk)
+                        if any(is_selection_expansion(full, amk) for amk in candidates):
+                            matched = True
+                            break
+                    if matched:
+                        break
+                if not matched:
+                    stats.states_explored = budget.used
+                    return Report(
+                        "amend-complete",
+                        COUNTEREXAMPLE,
+                        Witness(
+                            rep,
+                            cfg[0],
+                            cfg[1],
+                            "no extension of this run is matched by the amended "
+                            "program up to extra selections and reordering",
+                        ),
+                        stats,
+                    )
+    except cc.BudgetExceeded:
+        stats.states_explored = budget.used
+        return Report("amend-complete", EXHAUSTED, None, stats)
+    stats.states_explored = budget.used
+    return Report("amend-complete", HOLDS, None, stats)
+
+
+def amend_sound(
+    prog: cc.ChorProgram,
+    state: cc.State | None = None,
+    depth: int = DEFAULT_DEPTH,
+    search_bound: int = DEFAULT_SEARCH_BOUND,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> Report:
+    state = state if state is not None else cc.State()
+    verifier._require_wf(prog)
+    view = AmendedView(prog)
+    budget = Budget(state_budget)
+    stats = SearchStats()
+    try:
+        orig_space = Space(successors(prog.procedures))
+        amended_space = Space(successors(view.amended_defs))
+        e_depth = search_bound + (depth + search_bound) * view.max_insertions
+        stats.max_depth = depth + e_depth
+        orig = reach(orig_space, (prog.main, state), depth + e_depth, budget)
+        index: dict = {}
+        for (c3, s3), buckets in orig.items():
+            key = (view.amend_term(c3), s3)
+            index.setdefault(key, []).extend(buckets.keys())
+        a_reach = reach(amended_space, (view.amended_main, state), depth, budget)
+        ext_cache: dict = {}
+        for cfg in sorted(a_reach, key=verifier._cfg_key):
+            if cfg not in ext_cache:
+                ext_cache[cfg] = reach(amended_space, cfg, e_depth, budget)
+            extensions = ext_cache[cfg]
+            for mk, rep in sorted(a_reach[cfg].items(), key=repr):
+                matched = False
+                for cfg2 in sorted(extensions, key=verifier._cfg_key):
+                    originals = index.get(cfg2)
+                    if not originals:
+                        continue
+                    for emk in extensions[cfg2]:
+                        full = mkey(mk + emk)
+                        if any(is_selection_expansion(omk, full) for omk in originals):
+                            matched = True
+                            break
+                    if matched:
+                        break
+                if not matched:
+                    stats.states_explored = budget.used
+                    return Report(
+                        "amend-sound",
+                        COUNTEREXAMPLE,
+                        Witness(
+                            rep,
+                            cfg[0],
+                            cfg[1],
+                            "no extension of this amended run lands on the "
+                            "amendment of a configuration the original reaches",
+                        ),
+                        stats,
+                    )
+    except cc.BudgetExceeded:
+        stats.states_explored = budget.used
+        return Report("amend-sound", EXHAUSTED, None, stats)
+    stats.states_explored = budget.used
+    return Report("amend-sound", HOLDS, None, stats)
 
 
 # ---------------------------------------------------------------------------

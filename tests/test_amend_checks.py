@@ -1,0 +1,229 @@
+"""The amendment checkers agree with the ones they replaced.
+
+`oracles` keeps the naive, amend-complete and amend-sound checkers as they
+were before label ranks, indexed matching and the memo of entered call bodies:
+multisets are label tuples, matching goes through Counters, every entered
+call body is stepped afresh, and the entries of a configuration are tried in
+`repr` order.  Both must give the same `Report.to_dict()` and `text()`:
+verdict, witness and states explored, exhausted runs included.
+"""
+
+from __future__ import annotations
+
+import math
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import corpus
+import oracles
+from chorkit import amendment, cc, explore, syntax, verifier
+from chorkit.cc import ChorProgram, State
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+ACCEPTANCE_SEED = 20260808
+
+CHECKS = (
+    ("naive", verifier.check_naive_correspondence, oracles.naive_correspondence),
+    ("amend-complete", verifier.check_amend_complete, oracles.amend_complete),
+    ("amend-sound", verifier.check_amend_sound, oracles.amend_sound),
+)
+
+
+def _programs() -> list[tuple[str, ChorProgram]]:
+    """The acceptance corpus and every sample."""
+    randoms = [
+        (f"random_{i:02d}", prog)
+        for i, prog in enumerate(corpus.random_programs(ACCEPTANCE_SEED, 50))
+    ]
+    samples = [
+        (path.name, syntax.parse_source(path.read_text(encoding="utf-8")).to_program())
+        for path in sorted(SAMPLES.glob("*.chor"))
+    ]
+    return corpus.named_corpus() + randoms + samples
+
+
+PROGRAMS = _programs()
+
+
+def _report(check, prog: ChorProgram, depth: int, bound: int, budget: float):
+    if check in (verifier.check_naive_correspondence, oracles.naive_correspondence):
+        report = check(prog, State(), depth, state_budget=budget)
+    else:
+        report = check(prog, State(), depth, bound, state_budget=budget)
+    return report.to_dict(), report.text()
+
+
+def _same(prog: ChorProgram, depth: int, bound: int, budget: float = math.inf) -> list:
+    """Each check's report on `prog`, asserted equal to its oracle's."""
+    out = []
+    for kind, new, old in CHECKS:
+        got = _report(new, prog, depth, bound, budget)
+        assert got == _report(old, prog, depth, bound, budget), (kind, depth, bound, budget)
+        out.append(got[0])
+    return out
+
+
+@pytest.mark.parametrize("depth,bound", [(6, 6), (4, 3)])
+def test_reports_match_the_oracles_on_the_corpus_and_samples(depth, bound):
+    for name, prog in PROGRAMS:
+        _same(prog, depth, bound)
+
+
+def test_reports_match_the_oracles_under_budgets():
+    exhausted = 0
+    for name, prog in PROGRAMS:
+        totals = [r["stats"]["states_explored"] for r in _same(prog, 4, 3)]
+        # Just below each check's own count, too.
+        for budget in sorted({0, 1, 50, 500} | {t - 1 for t in totals if t}):
+            reports = _same(prog, 4, 3, budget)
+            exhausted += sum(r["verdict"] == verifier.EXHAUSTED for r in reports)
+    assert exhausted > 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 3))
+def test_reports_match_the_oracles_on_generated_programs(seed, depth, bound):
+    _same(corpus.random_programs(seed, 1)[0], depth, bound)
+
+
+# ---------------------------------------------------------------------------
+# Counterexamples, from an amendment broken on purpose
+
+
+def _break(c: cc.Choreography, flip: bool) -> cc.Choreography:
+    """`c` with the first selection a conditional's then-branch starts with,
+    in pre-order, dropped or (`flip`) sent with the other label."""
+
+    def walk(c):
+        if isinstance(c, cc.Prefix):
+            cont = walk(c.cont)
+            return None if cont is None else cc.Prefix(c.action, cont)
+        if isinstance(c, cc.Cond):
+            head = c.then_c
+            if isinstance(head, cc.Prefix) and isinstance(head.action, cc.Sel):
+                sel = head.action
+                then_c = (
+                    cc.Prefix(cc.Sel(sel.sender, sel.receiver, cc.Label.RIGHT), head.cont)
+                    if flip
+                    else head.cont
+                )
+                return cc.Cond(c.pid, c.guard, then_c, c.else_c)
+            then_c = walk(c.then_c)
+            if then_c is not None:
+                return cc.Cond(c.pid, c.guard, then_c, c.else_c)
+            else_c = walk(c.else_c)
+            return None if else_c is None else cc.Cond(c.pid, c.guard, c.then_c, else_c)
+        if isinstance(c, cc.RunningCall):
+            body = walk(c.body)
+            return None if body is None else cc.RunningCall(c.name, c.pending, body)
+        return None
+
+    broken = walk(c)
+    return c if broken is None else broken
+
+
+# A loop whose conditional already carries its selection: the broken
+# amendment drops it in the amended procedure, so later iterations reach one
+# configuration by several multisets, and all of them fail.
+SELECTING_LOOP = syntax.parse_source(
+    "def X(p, q) = if p.e == 0 then { p -> q[left]; p.0 -> q.x; call X }"
+    " else { p -> q[right]; end }\nmain = call X\n"
+).to_program()
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_counterexamples_match_the_oracles_under_a_broken_amendment(monkeypatch, flip):
+    """The broken amendment is not compositional, so the amendment of a
+    reached configuration drifts from where the amended program went: every
+    check finds counterexamples, several entries of one configuration fail,
+    and the witness is the first of them in `repr` order."""
+
+    def broken_amend(defs, pids, c, memo=None, done=None):
+        return _break(oracles._amend(defs, pids, c), flip)
+
+    failing: list = []
+    first = verifier._Ranks.first
+
+    def recording_first(ranks, entries):
+        entries = list(entries)
+        failing.append(len(entries))
+        return first(ranks, entries)
+
+    monkeypatch.setattr(amendment, "amend", broken_amend)
+    monkeypatch.setattr(verifier._Ranks, "first", recording_first)
+    found = set()
+    for name, prog in PROGRAMS:
+        for depth, bound in ((4, 3), (3, 2)):
+            for report in _same(prog, depth, bound):
+                if report["verdict"] == verifier.COUNTEREXAMPLE:
+                    found.add(report["check"])
+    assert {"amend-complete", "amend-sound"} <= found
+    for depth, bound in ((10, 0), (10, 2), (11, 1)):
+        failing.clear()
+        reports = _same(SELECTING_LOOP, depth, bound)
+        assert all(r["verdict"] == verifier.COUNTEREXAMPLE for r in reports)
+        assert failing == [2, 2, 2], (depth, bound)
+
+
+# ---------------------------------------------------------------------------
+# Machine-independent counts, and the memoised step function
+
+
+PINNED = {  # random_NN: (amend-complete, amend-sound) states explored at (6, 6)
+    4: (7104, 36331),
+    5: (2324, 2324),
+    6: (6688, 40593),
+}
+
+
+def _nesting(c: cc.Choreography) -> int:
+    """Entered calls nested inside one another at the deepest point of `c`."""
+    if isinstance(c, cc.Prefix):
+        return _nesting(c.cont)
+    if isinstance(c, cc.Cond):
+        return max(_nesting(c.then_c), _nesting(c.else_c))
+    if isinstance(c, cc.RunningCall):
+        return 1 + _nesting(c.body)
+    return 0
+
+
+def test_states_explored_are_pinned_and_steps_match_the_memo_free_oracle(monkeypatch):
+    """Every configuration the searches reached, through one memoised step
+    function per side, has the transitions the memo-free oracle gives it, in
+    the same order."""
+    defs_of: dict = {}
+    spaces: list = []
+    successors = cc.successors
+
+    def recording_successors(defs):
+        step = successors(defs)
+        defs_of[step] = defs
+        return step
+
+    class RecordingSpace(explore.Space):
+        __slots__ = ()
+
+        def __init__(self, step):
+            super().__init__(step)
+            spaces.append(self)
+
+    monkeypatch.setattr(cc, "successors", recording_successors)
+    monkeypatch.setattr(explore, "Space", RecordingSpace)
+    randoms = corpus.random_programs(ACCEPTANCE_SEED, 50)
+    deepest = 0
+    for i, pinned in PINNED.items():
+        spaces.clear()
+        complete = verifier.check_amend_complete(randoms[i], State(), 6, 6)
+        sound = verifier.check_amend_sound(randoms[i], State(), 6, 6)
+        assert (complete.verdict, sound.verdict) == (verifier.HOLDS, verifier.HOLDS)
+        assert (complete.stats.states_explored, sound.stats.states_explored) == pinned
+        for space in spaces:
+            want = oracles.successors(defs_of[space.step])
+            for cfg, moves in space.memo.items():
+                assert moves == want(cfg), cfg
+                deepest = max(deepest, _nesting(cfg[0]))
+    # Entered calls nest 33 deep in the configurations these searches reach.
+    assert deepest == 33

@@ -286,3 +286,27 @@ def test_bounds_of_zero_are_accepted_and_non_integers_rejected(capsys):
     assert capsys.readouterr().err.splitlines()[-1].endswith(
         "error: argument --depth: invalid int value: 'two'"
     )
+
+
+def test_both_run_modes_reject_ill_formed_programs_alike(tmp_path, capsys):
+    cases = {
+        "undefined.chor": (
+            "main = call Foo\n",
+            "not well-formed: main calls undefined procedure Foo\n",
+        ),
+        "self.chor": (
+            "main = p.e -> p.x; end\n",
+            "not well-formed: the main choreography is not well-formed\n",
+        ),
+        "undeclared.chor": (
+            "def X(p) = p.e -> q.x; end\nmain = call X\n",
+            "not well-formed: the body of procedure X uses undeclared processes: q\n",
+        ),
+    }
+    for name, (text, message) in cases.items():
+        src = tmp_path / name
+        src.write_text(text, encoding="utf-8")
+        for mode in (["--all"], ["--seed", "1"]):
+            code = main(["run", str(src), *mode])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (1, "", message), (name, mode)

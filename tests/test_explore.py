@@ -86,9 +86,20 @@ def _terminal(result) -> tuple:
     return list(reached.items()), dead, closed
 
 
+def _reach_as_labels(step, start, depth: int, budget) -> dict:
+    """`verifier._reach` with its multisets of ranks read back as label
+    tuples in `cc.label_key` order, the oracle's keys."""
+    ranks = verifier._Ranks()
+    found = verifier._reach(explore.Space(step), start, depth, budget, ranks)
+    return {
+        cfg: {ranks.decode(mk): trace for mk, trace in bucket.items()}
+        for cfg, bucket in found.items()
+    }
+
+
 def _same_searches(step, start, depth: int) -> None:
     _same_under_budgets(
-        lambda b: verifier._reach(explore.Space(step), start, depth, b),
+        lambda b: _reach_as_labels(step, start, depth, b),
         lambda b: oracles.reach(oracles.Space(step), start, depth, b),
         _in_order,
     )
@@ -160,11 +171,13 @@ def test_engine_matches_the_old_loops_on_random_automata():
 
 
 def _as_before(monkeypatch) -> None:
-    """Route the checkers through the old loops and the old intermediate
-    check, and give the semantics the old `label_processes`."""
+    """Route the checkers through the old loops and the old amendment and
+    intermediate checks, and give the semantics the old `label_processes`."""
     monkeypatch.setattr(cc, "label_processes", oracles.label_processes)
-    monkeypatch.setattr(verifier, "_reach", oracles.reach)
     monkeypatch.setattr(verifier, "_terminal_analysis", oracles.terminal_analysis)
+    monkeypatch.setattr(verifier, "check_naive_correspondence", oracles.naive_correspondence)
+    monkeypatch.setattr(verifier, "check_amend_complete", oracles.amend_complete)
+    monkeypatch.setattr(verifier, "check_amend_sound", oracles.amend_sound)
     monkeypatch.setattr(
         verifier, "check_intermediate_formulation", oracles.intermediate_by_traces
     )
