@@ -261,6 +261,11 @@ class _AmendedView:
             )
         return out
 
+    def amend_cfg(self, cfg: tuple) -> tuple:
+        """`cfg` with its term amended."""
+        c, s = cfg
+        return self.amend_term(c), s
+
 
 def _amended_view(prog: cc.ChorProgram) -> _AmendedView:
     pids = amendment.amend_pids(prog)
@@ -306,7 +311,7 @@ def check_naive_correspondence(
         amended = _reach(amended_space, (view.amended_main, state), depth_a, budget, ranks)
         for cfg in sorted(orig, key=_cfg_key):
             c1, s1 = cfg
-            index = _index(amended.get((view.amend_term(c1), s1), ()))
+            index = _index(amended.get(view.amend_cfg(cfg), ()))
             missed = [e for e in orig[cfg].items() if _split(e[0])[0] not in index]
             if missed:
                 stats.states_explored = budget.used
@@ -332,23 +337,58 @@ def check_naive_correspondence(
 def _matched(mk: MultisetKey, extensions: Iterable, index_of, fits) -> bool:
     """Whether `mk` followed by some extension is matched on the other side.
 
-    `extensions` gives, per configuration an extension reaches, the multisets
-    of the extensions to it; `index_of` maps that configuration to the other
-    side's `_index` there, or to nothing.  A match has the same non-selection
-    part, and selections `sels` with `fits(sels, other)` for the other side's.
+    `extensions` are (configuration, multiset, trace) entries of an extension
+    search; `index_of` maps a configuration to the other side's `_index`
+    there, or to nothing.  A match has the same non-selection part, and
+    selections `sels` with `fits(sels, other)` for the other side's.
     """
-    for cfg2, emks in extensions:
+    for cfg2, emk, _ in extensions:
         index = index_of(cfg2)
         if not index:
             continue
-        for emk in emks:
-            rest, sels = _split(tuple(sorted(mk + emk)) if emk else mk)
-            others = index.get(rest)
-            if others is not None and (
-                sels in others or any(fits(sels, o) for o in others)
-            ):
-                return True
+        rest, sels = _split(tuple(sorted(mk + emk)) if emk else mk)
+        others = index.get(rest)
+        if others is not None and (sels in others or any(fits(sels, o) for o in others)):
+            return True
     return False
+
+
+def _unmatched(
+    entries: Iterable, start: Hashable, bound: int, extend, grow_other, index_of, fits
+) -> list:
+    """The (multiset, trace) entries of configuration `start` that no
+    extension within `bound` steps gets matched (`_matched`).
+
+    Matching only gains from deeper searches, so extensions are tried one
+    level at a time, `grow_other(k)` growing the other side to what a level-k
+    extension can match, and an entry is dropped once matched.  Most
+    configurations are done at level 0, the empty extension, before
+    `extend(start)` starts an extension search.  At `bound`, where the other
+    side must be grown in full, the entries left are tried against every
+    extension, which is what one search to the bound would do.
+    """
+    grow_other(0)
+    empty = ((start, (), ()),)
+    pending = [e for e in entries if not _matched(e[0], empty, index_of, fits)]
+    if pending and bound:
+        extensions = extend(start)
+        for k in range(1, bound + 1):
+            new = extensions.grow(k)
+            grow_other(k)
+            if k == bound:
+                new = extensions.order
+            pending = [e for e in pending if not _matched(e[0], new, index_of, fits)]
+            if not pending:
+                break
+    return pending
+
+
+def _grow_index(search: explore.Search, depth: int, indexes: dict, key) -> None:
+    """Grow the other side's `search` to `depth`, adding the multisets it finds
+    to `indexes`, the `_index` of each `key(configuration)`."""
+    for cfg, mk, _ in search.grow(depth):
+        k = key(cfg)
+        indexes[k] = _index((mk,), indexes.get(k))
 
 
 def _covers(sels: MultisetKey, other: MultisetKey) -> bool:
@@ -382,22 +422,27 @@ def check_amend_complete(
         total = depth + search_bound
         depth_a = total + total * view.max_insertions
         stats.max_depth = depth_a
-        amended = _reach(amended_space, (view.amended_main, state), depth_a, budget, ranks)
+        amended = explore.Search(amended_space, (view.amended_main, state), budget, ranks.add)
         indexes: dict = {}
 
-        def index_of(cfg2) -> dict:
-            index = indexes.get(cfg2)
-            if index is None:
-                c2, s2 = cfg2
-                index = indexes[cfg2] = _index(amended.get((view.amend_term(c2), s2), ()))
-            return index
+        def grow_amended(k: int) -> None:
+            # A level-k extension completes a run of at most depth + k
+            # labels, which amendment gives at most max_insertions selections
+            # each, as in depth_a.
+            depth_k = min((depth + k) * (1 + view.max_insertions), depth_a)
+            _grow_index(amended, depth_k, indexes, lambda cfg: cfg)
+
+        def index_of(cfg2) -> dict | None:
+            return indexes.get(view.amend_cfg(cfg2))
+
+        def extend(cfg) -> explore.Search:
+            return explore.Search(orig_space, cfg, budget, ranks.add)
 
         for cfg in sorted(orig, key=_cfg_key):
-            extensions = _reach(orig_space, cfg, search_bound, budget, ranks).items()
-            missed = [
-                e for e in orig[cfg].items()
-                if not _matched(e[0], extensions, index_of, amendment.sub_multiset)
-            ]
+            missed = _unmatched(
+                orig[cfg].items(), cfg, search_bound, extend, grow_amended, index_of,
+                amendment.sub_multiset,
+            )
             if missed:
                 stats.states_explored = budget.used
                 return Report(
@@ -447,18 +492,23 @@ def check_amend_sound(
         # insertion allowance.
         e_depth = search_bound + (depth + search_bound) * view.max_insertions
         stats.max_depth = depth + e_depth
-        orig = _reach(orig_space, (prog.main, state), depth + e_depth, budget, ranks)
+        orig = explore.Search(orig_space, (prog.main, state), budget, ranks.add)
         indexes: dict = {}
-        for (c3, s3), buckets in orig.items():
-            key = (view.amend_term(c3), s3)
-            indexes[key] = _index(buckets, indexes.get(key))
+
+        def grow_orig(k: int) -> None:
+            # A match fires the non-selection labels of the amended run and its
+            # level-k extension and only some of their selections, so it is
+            # no longer than depth + k.
+            _grow_index(orig, depth + k, indexes, view.amend_cfg)
+
+        def extend(cfg) -> explore.Search:
+            return explore.Search(amended_space, cfg, budget, ranks.add)
+
         a_reach = _reach(amended_space, (view.amended_main, state), depth, budget, ranks)
         for cfg in sorted(a_reach, key=_cfg_key):
-            extensions = _reach(amended_space, cfg, e_depth, budget, ranks).items()
-            missed = [
-                e for e in a_reach[cfg].items()
-                if not _matched(e[0], extensions, indexes.get, _covers)
-            ]
+            missed = _unmatched(
+                a_reach[cfg].items(), cfg, e_depth, extend, grow_orig, indexes.get, _covers
+            )
             if missed:
                 stats.states_explored = budget.used
                 return Report(

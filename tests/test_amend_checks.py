@@ -1,16 +1,20 @@
 """The amendment checkers agree with the ones they replaced.
 
 `oracles` keeps the naive, amend-complete and amend-sound checkers as they
-were before label ranks, indexed matching and the memo of entered call bodies:
-multisets are label tuples, matching goes through Counters, every entered
-call body is stepped afresh, and the entries of a configuration are tried in
-`repr` order.  Both must give the same `Report.to_dict()` and `text()`:
-verdict, witness and states explored, exhausted runs included.
+were before label ranks, indexed matching, the memo of entered call bodies and
+extension searches deepened only until every run is matched: multisets are
+label tuples, matching goes through Counters, every entered call body is
+stepped afresh, every extension is searched to the full bound, and the
+entries of a configuration are tried in `repr` order.  The naive check must
+give the same `Report.to_dict()` and `text()`, exhausted runs included.
+amend-complete and amend-sound must give the same verdict, witness and
+`max_depth`, with no more states explored (see `assert_deepened`).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -30,6 +34,7 @@ CHECKS = (
     ("amend-complete", verifier.check_amend_complete, oracles.amend_complete),
     ("amend-sound", verifier.check_amend_sound, oracles.amend_sound),
 )
+DEEPENED = {"amend-complete", "amend-sound"}
 
 
 def _programs() -> list[tuple[str, ChorProgram]]:
@@ -47,6 +52,31 @@ def _programs() -> list[tuple[str, ChorProgram]]:
 
 PROGRAMS = _programs()
 
+STATES_TEXT = re.compile(r"^stats: \d+ states explored", re.M)
+
+
+def _masked(report: tuple) -> tuple:
+    """A report's `to_dict()` and `text()` with the states explored left out."""
+    record, text = report
+    record = {**record, "stats": {**record["stats"], "states_explored": None}}
+    return record, STATES_TEXT.sub("stats: states explored", text)
+
+
+def assert_deepened(got: tuple, want: tuple, unbudgeted: tuple) -> None:
+    """`got`, the (`to_dict()`, `text()`) of a check that deepens extension
+    searches only until every run is matched, against the oracle's `want`
+    under the same budget and its `unbudgeted` report.
+
+    The oracle searches a superset of the entries, so it explores no fewer
+    states and runs out wherever the new check does; a conclusive report has
+    the unbudgeted oracle's verdict, witness and `max_depth`.
+    """
+    assert got[0]["stats"]["states_explored"] <= want[0]["stats"]["states_explored"]
+    if got[0]["verdict"] == verifier.EXHAUSTED:
+        assert _masked(got) == _masked(want)
+    else:
+        assert _masked(got) == _masked(unbudgeted)
+
 
 def _report(check, prog: ChorProgram, depth: int, bound: int, budget: float):
     if check in (verifier.check_naive_correspondence, oracles.naive_correspondence):
@@ -56,14 +86,23 @@ def _report(check, prog: ChorProgram, depth: int, bound: int, budget: float):
     return report.to_dict(), report.text()
 
 
-def _same(prog: ChorProgram, depth: int, bound: int, budget: float = math.inf) -> list:
-    """Each check's report on `prog`, asserted equal to its oracle's."""
-    out = []
-    for kind, new, old in CHECKS:
-        got = _report(new, prog, depth, bound, budget)
-        assert got == _report(old, prog, depth, bound, budget), (kind, depth, bound, budget)
-        out.append(got[0])
-    return out
+def _same(
+    prog: ChorProgram, depth: int, bound: int, budget: float = math.inf,
+    unbudgeted: list | None = None,
+) -> tuple[list, list]:
+    """Each check's `to_dict()` on `prog`, and its oracle's (`to_dict()`,
+    `text()`), asserted to agree; `unbudgeted` has the oracles' reports
+    without a budget, if known."""
+    got = [_report(new, prog, depth, bound, budget) for _, new, _ in CHECKS]
+    want = [_report(old, prog, depth, bound, budget) for _, _, old in CHECKS]
+    if unbudgeted is None:
+        unbudgeted = want if budget == math.inf else _same(prog, depth, bound)[1]
+    for (kind, _, _), g, w, full in zip(CHECKS, got, want, unbudgeted):
+        if kind in DEEPENED:
+            assert_deepened(g, w, full)
+        else:
+            assert g == w, (kind, depth, bound, budget)
+    return [g[0] for g in got], want
 
 
 @pytest.mark.parametrize("depth,bound", [(6, 6), (4, 3)])
@@ -75,10 +114,11 @@ def test_reports_match_the_oracles_on_the_corpus_and_samples(depth, bound):
 def test_reports_match_the_oracles_under_budgets():
     exhausted = 0
     for name, prog in PROGRAMS:
-        totals = [r["stats"]["states_explored"] for r in _same(prog, 4, 3)]
-        # Just below each check's own count, too.
+        got, want = _same(prog, 4, 3)
+        totals = [r["stats"]["states_explored"] for r in got + [w[0] for w in want]]
+        # Just below each check's own count and its oracle's, too.
         for budget in sorted({0, 1, 50, 500} | {t - 1 for t in totals if t}):
-            reports = _same(prog, 4, 3, budget)
+            reports = _same(prog, 4, 3, budget, want)[0]
             exhausted += sum(r["verdict"] == verifier.EXHAUSTED for r in reports)
     assert exhausted > 100
 
@@ -157,15 +197,41 @@ def test_counterexamples_match_the_oracles_under_a_broken_amendment(monkeypatch,
     found = set()
     for name, prog in PROGRAMS:
         for depth, bound in ((4, 3), (3, 2)):
-            for report in _same(prog, depth, bound):
+            for report in _same(prog, depth, bound)[0]:
                 if report["verdict"] == verifier.COUNTEREXAMPLE:
                     found.add(report["check"])
     assert {"amend-complete", "amend-sound"} <= found
     for depth, bound in ((10, 0), (10, 2), (11, 1)):
         failing.clear()
-        reports = _same(SELECTING_LOOP, depth, bound)
+        reports = _same(SELECTING_LOOP, depth, bound)[0]
         assert all(r["verdict"] == verifier.COUNTEREXAMPLE for r in reports)
         assert failing == [2, 2, 2], (depth, bound)
+
+
+# A line with no conditional, so amendment inserts no selection anywhere.
+LINE = syntax.parse_source("main = p.e -> q.x; q.e -> r.y; end\n").to_program()
+
+
+def test_a_match_the_per_level_growth_misses_is_found_at_the_bound(monkeypatch):
+    """An amendment that puts one selection in front of every term but `end`
+    gives the amended program one step more than `max_insertions` (0 here)
+    allows for, and only `end` and `main` are amendments the amended program
+    reaches.  So amend-complete matches the run to the middle of the line
+    only by its level-1 extension to `end`, and only once the amended side is
+    searched to the full bound, at level 2.  The runs still unmatched there
+    are tried against every extension, the earlier levels' too, so the check
+    holds as the oracle does."""
+    sel = cc.Sel("p", "q", cc.Label.LEFT)
+    amend = amendment.amend
+
+    def amend_with_a_first_selection(defs, pids, c, memo=None, done=None):
+        return cc.Prefix(sel, c) if isinstance(c, cc.Prefix) else amend(defs, pids, c, memo)
+
+    monkeypatch.setattr(amendment, "amend", amend_with_a_first_selection)
+    for depth, bound in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        reports = _same(LINE, depth, bound)[0]
+        if (depth, bound) == (1, 2):
+            assert [r["verdict"] for r in reports[1:]] == [verifier.HOLDS] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +239,9 @@ def test_counterexamples_match_the_oracles_under_a_broken_amendment(monkeypatch,
 
 
 PINNED = {  # random_NN: (amend-complete, amend-sound) states explored at (6, 6)
-    4: (7104, 36331),
-    5: (2324, 2324),
-    6: (6688, 40593),
+    4: (750, 120),
+    5: (54, 54),
+    6: (491, 57),
 }
 
 
@@ -191,9 +257,11 @@ def _nesting(c: cc.Choreography) -> int:
 
 
 def test_states_explored_are_pinned_and_steps_match_the_memo_free_oracle(monkeypatch):
-    """Every configuration the searches reached, through one memoised step
-    function per side, has the transitions the memo-free oracle gives it, in
-    the same order."""
+    """Every configuration the checks reached, and every one within their
+    declared depth on either side, through one memoised step function per
+    side, has the transitions the memo-free oracle gives it, in the same
+    order.  The checks stop deepening once every run is matched, so the
+    configurations within the bound are searched here outright."""
     defs_of: dict = {}
     spaces: list = []
     successors = cc.successors
@@ -220,10 +288,32 @@ def test_states_explored_are_pinned_and_steps_match_the_memo_free_oracle(monkeyp
         sound = verifier.check_amend_sound(randoms[i], State(), 6, 6)
         assert (complete.verdict, sound.verdict) == (verifier.HOLDS, verifier.HOLDS)
         assert (complete.stats.states_explored, sound.stats.states_explored) == pinned
+        view = verifier._amended_view(randoms[i])
+        for defs, main in (
+            (randoms[i].procedures, randoms[i].main),
+            (view.amended_defs, view.amended_main),
+        ):
+            space = explore.Space(cc.successors(defs))
+            explore.bfs(space, (main, State()), sound.stats.max_depth, explore.Budget(),
+                        explore.per_config)
         for space in spaces:
             want = oracles.successors(defs_of[space.step])
             for cfg, moves in space.memo.items():
                 assert moves == want(cfg), cfg
                 deepest = max(deepest, _nesting(cfg[0]))
-    # Entered calls nest 33 deep in the configurations these searches reach.
+    # Entered calls nest 33 deep in the configurations within the bound.
     assert deepest == 33
+
+
+def test_amend_sound_reaches_depth_ten_on_random_04():
+    """The extension searches stop at the level where every amended run is
+    matched, so the cost no longer triples per two levels of depth: the full
+    searches explored 321,347 states at depth 10, bound 6."""
+    prog = corpus.random_programs(ACCEPTANCE_SEED, 50)[4]
+    report = verifier.check_amend_sound(prog, State(), 10, 6)
+    assert (report.verdict, report.stats.states_explored, report.stats.max_depth) == (
+        verifier.HOLDS, 362, 48,
+    )
+    got = _report(verifier.check_amend_sound, prog, 8, 6, math.inf)
+    want = _report(oracles.amend_sound, prog, 8, 6, math.inf)
+    assert_deepened(got, want, want)

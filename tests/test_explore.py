@@ -5,14 +5,18 @@ took them over: the trace listing of `cc.traces`/`sp.traces`, the
 multiset-keyed `_reach` and the terminal analysis behind `implements`, each
 with its own memo and budget.  The engine-backed versions must return the same
 entries in the same order, the same dead lists and closure flags, and run out
-of budget at the same entry.  The checkers and the CLI built on them must
-print the same, byte for byte.
+of budget at the same entry, and a search grown a level at a time must do all
+of that as one `explore.bfs` call does.  The checkers and the CLI built on
+them must print the same, byte for byte, except that amend-complete and
+amend-sound deepen their extension searches only until every run is matched,
+so they explore fewer states (`test_amend_checks.assert_deepened`).
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -23,6 +27,7 @@ import oracles
 from chorkit import amendment, cc, explore, projection, sp, syntax, verifier
 from chorkit.cc import ChorProgram, Com, Prefix, Ref, State
 from chorkit.cli import main
+from test_amend_checks import DEEPENED, assert_deepened
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 ACCEPTANCE_SEED = 20260808
@@ -140,20 +145,23 @@ def test_engine_matches_the_old_loops_on_generated_programs(seed, depth):
 LABELS = (cc.TauEvent("a"), cc.TauEvent("b"), cc.CommEvent("a", 0, "b"))
 
 
-def test_engine_matches_the_old_loops_on_random_automata():
-    """Label-nondeterministic automata with several dead states: one trace
-    reaches several configurations and searches end in several ways."""
+def _automata(count: int):
+    """Step functions of `count` label-nondeterministic automata with several
+    dead states: one trace reaches several configurations and searches end
+    in several ways.  State 0 is the start."""
     rng = random.Random(ACCEPTANCE_SEED)
-    for _ in range(200):
+    for _ in range(count):
         n = rng.randrange(1, 7)
         moves = {
             i: sorted({(rng.randrange(len(LABELS)), rng.randrange(n))
                        for _ in range(rng.randrange(4))})
             for i in range(n)
         }
+        yield lambda i, moves=moves: tuple((LABELS[t], j) for t, j in moves[i])
 
-        def step(i, moves=moves):
-            return tuple((LABELS[t], j) for t, j in moves[i])
+
+def test_engine_matches_the_old_loops_on_random_automata():
+    for step in _automata(200):
 
         def enabled(defs, i, s, step=step):
             return tuple((t, j, s) for t, j in step(i))
@@ -164,6 +172,38 @@ def test_engine_matches_the_old_loops_on_random_automata():
             want = oracles.traces(enabled, {}, 0, None, depth)
             assert [(tl, i, None) for i, _, tl in entries] == want
             _same_searches(step, 0, depth)
+
+
+def _grown_in_steps(space, start, depth: int, budget, tag) -> tuple:
+    """`explore.bfs`, but from a search grown one level at a time, with the
+    entries each level returns checked against its insertion order."""
+    search = explore.Search(space, start, budget, tag)
+    entries = []
+    for k in range(depth + 1):
+        entries += search.grow(k)
+    assert search.grow(depth) == []
+    assert entries == search.order
+    return search.found, search.order, search.closed
+
+
+def _same_growth(step, start, depth: int) -> None:
+    for tag in (explore.per_trace, explore.per_config, oracles.mkey_add):
+        for bound in (depth, depth + 1):
+            _same_under_budgets(
+                lambda b: _grown_in_steps(explore.Space(step), start, bound, b, tag),
+                lambda b: explore.bfs(explore.Space(step), start, bound, b, tag),
+                lambda r: (_in_order(r[0]), r[1], r[2]),
+            )
+
+
+def test_a_search_grown_in_steps_matches_one_bfs_call():
+    """The same entries, tags, traces, order, closure and budget use, and
+    out of budget at the same entry, over the corpus and random automata."""
+    for _, prog in _programs():
+        _same_growth(cc.successors(prog.procedures), (prog.main, State()), 3)
+    for step in _automata(100):
+        for depth in range(5):
+            _same_growth(step, 0, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -183,20 +223,37 @@ def _as_before(monkeypatch) -> None:
     )
 
 
-def _reports(prog: ChorProgram) -> list:
-    out = []
+CHECKERS = {
+    "naive": "check_naive_correspondence",
+    "amend-complete": "check_amend_complete",
+    "amend-sound": "check_amend_sound",
+    "intermediate": "check_intermediate_formulation",
+}
+
+
+def _reports(prog: ChorProgram) -> dict:
+    """Each check's (`to_dict()`, `text()`) on `prog`, by (check, depth,
+    bound, budget)."""
+    full = verifier.DEFAULT_STATE_BUDGET
+    runs = []
     for depth, bound in ((3, 3), (2, 4)):
-        out.append(verifier.check_naive_correspondence(prog, State(), depth))
-        out.append(verifier.check_amend_complete(prog, State(), depth, bound))
-        out.append(verifier.check_amend_sound(prog, State(), depth, bound))
+        runs += [(name, depth, bound, full)
+                 for name in ("naive", "amend-complete", "amend-sound")]
     for depth, bound in ((3, 1), (1, 2)):
-        out.append(verifier.check_intermediate_formulation(prog, State(), depth, bound))
+        runs.append(("intermediate", depth, bound, full))
     for budget in (0, 5, 37):
-        out.append(verifier.check_naive_correspondence(prog, State(), 3, budget))
-        out.append(verifier.check_amend_complete(prog, State(), 3, 3, budget))
-        out.append(verifier.check_amend_sound(prog, State(), 3, 3, budget))
-        out.append(verifier.check_intermediate_formulation(prog, State(), 3, 1, budget))
-    return [(r.to_dict(), r.text()) for r in out]
+        runs += [("naive", 3, 3, budget), ("amend-complete", 3, 3, budget),
+                 ("amend-sound", 3, 3, budget), ("intermediate", 3, 1, budget)]
+    out = {}
+    for run in runs:
+        name, depth, bound, budget = run
+        check = getattr(verifier, CHECKERS[name])
+        if name == "naive":
+            report = check(prog, State(), depth, budget)
+        else:
+            report = check(prog, State(), depth, bound, budget)
+        out[run] = report.to_dict(), report.text()
+    return out
 
 
 def test_reports_are_unchanged_on_the_corpus_and_samples(monkeypatch):
@@ -206,7 +263,12 @@ def test_reports_are_unchanged_on_the_corpus_and_samples(monkeypatch):
         _as_before(m)
         want = [_reports(prog) for _, prog in programs]
     for (name, _), g, w in zip(programs, got, want):
-        assert g == w, name
+        for run, report in g.items():
+            if run[0] in DEEPENED:
+                unbudgeted = w[(*run[:3], verifier.DEFAULT_STATE_BUDGET)]
+                assert_deepened(report, w[run], unbudgeted)
+            else:
+                assert report == w[run], (name, run)
 
 
 IMPLEMENTS = (
@@ -236,6 +298,15 @@ def _run(capsys, argv) -> tuple:
     return code, captured.out, captured.err
 
 
+STATES_SHOWN = re.compile(r'(?<="states_explored": )\d+|(?<=^stats: )\d+(?= states)', re.M)
+
+
+def _states_apart(run: tuple) -> tuple:
+    """A CLI run with the states explored it prints taken out, and that count."""
+    code, out, err = run
+    return (code, STATES_SHOWN.sub("N", out), err), int(STATES_SHOWN.search(out)[0])
+
+
 def test_cli_is_unchanged_on_every_sample(monkeypatch, capsys):
     for sample in sorted(SAMPLES.glob("*.chor")):
         for argv in _commands(sample):
@@ -243,6 +314,9 @@ def test_cli_is_unchanged_on_every_sample(monkeypatch, capsys):
             with monkeypatch.context() as m:
                 _as_before(m)
                 want = _run(capsys, argv)
+            if argv[0] == "verify" and argv[1] in DEEPENED:
+                (got, states), (want, want_states) = _states_apart(got), _states_apart(want)
+                assert states <= want_states, argv
             assert got == want, argv
 
 
