@@ -303,10 +303,10 @@ def check_naive_correspondence(
     stats = SearchStats(max_depth=depth)
     ranks = _Ranks()
     try:
-        orig_space = explore.Space(cc.successors(prog.procedures))
-        orig = _reach(orig_space, (prog.main, state), depth, budget, ranks)
         depth_a = depth + depth * (1 + view.max_insertions)
         stats.max_depth = max(stats.max_depth, depth_a)
+        orig_space = explore.Space(cc.successors(prog.procedures))
+        orig = _reach(orig_space, (prog.main, state), depth, budget, ranks)
         amended_space = explore.Space(cc.successors(view.amended_defs))
         amended = _reach(amended_space, (view.amended_main, state), depth_a, budget, ranks)
         for cfg in sorted(orig, key=_cfg_key):
@@ -418,10 +418,10 @@ def check_amend_complete(
     try:
         orig_space = explore.Space(cc.successors(prog.procedures))
         amended_space = explore.Space(cc.successors(view.amended_defs))
-        orig = _reach(orig_space, (prog.main, state), depth, budget, ranks)
         total = depth + search_bound
         depth_a = total + total * view.max_insertions
         stats.max_depth = depth_a
+        orig = _reach(orig_space, (prog.main, state), depth, budget, ranks)
         amended = explore.Search(amended_space, (view.amended_main, state), budget, ranks.add)
         indexes: dict = {}
 

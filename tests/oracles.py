@@ -371,10 +371,10 @@ def naive_correspondence(
     budget = Budget(state_budget)
     stats = SearchStats(max_depth=depth)
     try:
-        orig_space = Space(successors(prog.procedures))
-        orig = reach(orig_space, (prog.main, state), depth, budget)
         depth_a = depth + depth * (1 + view.max_insertions)
         stats.max_depth = max(stats.max_depth, depth_a)
+        orig_space = Space(successors(prog.procedures))
+        orig = reach(orig_space, (prog.main, state), depth, budget)
         amended_space = Space(successors(view.amended_defs))
         amended = reach(amended_space, (view.amended_main, state), depth_a, budget)
         for cfg in sorted(orig, key=verifier._cfg_key):
@@ -419,10 +419,10 @@ def amend_complete(
     try:
         orig_space = Space(successors(prog.procedures))
         amended_space = Space(successors(view.amended_defs))
-        orig = reach(orig_space, (prog.main, state), depth, budget)
         total = depth + search_bound
         depth_a = total + total * view.max_insertions
         stats.max_depth = depth_a
+        orig = reach(orig_space, (prog.main, state), depth, budget)
         amended = reach(amended_space, (view.amended_main, state), depth_a, budget)
         ext_cache: dict = {}
         for cfg in sorted(orig, key=verifier._cfg_key):

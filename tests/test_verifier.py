@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 import corpus
-from chorkit import amendment, cc, projection, sp, verifier
+from chorkit import amendment, cc, projection, sp, syntax, verifier
 from chorkit.cc import ChorProgram, CommEvent, End, State, TauEvent
 from chorkit.verifier import (
     COUNTEREXAMPLE,
@@ -293,3 +295,51 @@ def test_report_text_is_deterministic():
     a = check_amend_complete(corpus.delayed_choice(), State(), 2, 4).text()
     b = check_amend_complete(corpus.delayed_choice(), State(), 2, 4).text()
     assert a == b
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+MAX_DEPTH_CAP = 1000  # the largest conclusive count tried at every budget
+
+
+def _budget_charging_runs():
+    """(name, run) for each budget-charging check on the corpus, the samples
+    and the three function tables; `run(budget)` gives the report."""
+    programs = corpus.named_corpus() + [
+        (f"random_{i:02d}", prog)
+        for i, prog in enumerate(corpus.random_programs(20260808, 50))
+    ] + [
+        (path.name, syntax.parse_source(path.read_text(encoding="utf-8")).to_program())
+        for path in sorted(SAMPLES.glob("*.chor"))
+    ]
+    for name, prog in programs:
+        yield f"naive/{name}", lambda b, p=prog: check_naive_correspondence(p, State(), 3, b)
+        for check in (check_amend_complete, check_amend_sound, check_intermediate_formulation):
+            yield f"{check.__name__}/{name}", lambda b, p=prog, c=check: c(p, State(), 3, 3, b)
+    for prog, table, ins, out, bound in (
+        (corpus.successor_fn(), SUCC_TABLE, ["p"], "q", 8),
+        (corpus.equality_fn(), EQ_TABLE, ["p", "q"], "r", 8),
+        (corpus.endless_loop(), LOOP_TABLE, ["p"], "p", 50),
+        (corpus.endless_loop(), FnTable(1, {(0,): 1, (1,): 2}), ["p"], "p", 50),
+    ):
+        amended = amendment.amend_program(prog)
+        args = (table, ins, out, bound)
+        yield "implements", lambda b, p=prog: check_implements(p, *args, b)
+        yield "implements/amended", lambda b, p=amended: check_implements(p, *args, b)
+        net = projection.epp(amended)
+        yield "implements-network", lambda b, n=net: check_implements_network(n, *args, b)
+
+
+def test_max_depth_is_the_declared_bound_under_every_budget():
+    # Every budget from 0 to the conclusive count, where that count is at
+    # most MAX_DEPTH_CAP; only the intermediate check goes past it, on the
+    # corpus programs whose trace listings are long.
+    over_cap = []
+    for name, run in _budget_charging_runs():
+        full = run(MAX_DEPTH_CAP)
+        if full.verdict == EXHAUSTED:
+            over_cap.append(name.split("/")[0])
+            continue
+        for budget in range(full.stats.states_explored + 1):
+            report = run(budget)
+            assert report.stats.max_depth == full.stats.max_depth, (name, budget)
+    assert set(over_cap) == {"check_intermediate_formulation"}
