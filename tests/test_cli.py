@@ -310,3 +310,41 @@ def test_both_run_modes_reject_ill_formed_programs_alike(tmp_path, capsys):
             code = main(["run", str(src), *mode])
             captured = capsys.readouterr()
             assert (code, captured.out, captured.err) == (1, "", message), (name, mode)
+
+
+def _sample_commands() -> list[list[str]]:
+    """Every command on every sample, file names relative to samples/."""
+    commands = []
+    for path in sorted(SAMPLES.glob("*.chor")):
+        name = path.name
+        commands += [["check", name], ["project", name], ["amend", name]]
+        commands += [["run", name, "--all"], ["run", name, "--seed", "1"]]
+        for kind in ("naive", "amend-complete", "amend-sound", "intermediate", "epp"):
+            commands += [["verify", kind, name], ["verify", kind, name, "--json"]]
+    for kind in ("naive", "epp"):
+        commands.append(["verify", kind, "purchase_safe.chor", "--state", "offer.state"])
+    commands.append(["run", "purchase_unsafe.chor", "--all", "--state", "offer.state"])
+    for name, inputs, output in (
+        ("successor_fn", "p", "q"), ("equality_fn", "p,q", "r"), ("endless_loop", "p", "p"),
+    ):
+        impl = ["implements", f"{name}.chor", "--table", f"{name}.table",
+                "--inputs", inputs, "--output", output]
+        commands += [impl, impl + ["--json"]]
+    return commands
+
+
+def _run_on_samples(command: list[str], capsys) -> dict:
+    argv = [_sample(a) if a.endswith((".chor", ".state", ".table")) else a for a in command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    return {"code": code, "out": captured.out, "err": captured.err}
+
+
+def test_cli_is_unchanged_on_every_sample(capsys):
+    # cli_samples.json holds each command's exit code, stdout and stderr as
+    # they were before the checks shared one driver and the CLI one loader.
+    golden = json.loads((Path(__file__).parent / "cli_samples.json").read_text(encoding="utf-8"))
+    commands = _sample_commands()
+    assert sorted(golden) == sorted(" ".join(c) for c in commands)
+    for command in commands:
+        assert _run_on_samples(command, capsys) == golden[" ".join(command)], command

@@ -233,6 +233,59 @@ def test_defined_table_on_a_loop_is_a_counterexample():
     assert reports[2].witness.term == projection.epp(amended).net
 
 
+def _implements_both(prog: ChorProgram, table: FnTable, bound: int = 8) -> list:
+    """`check_implements` on the successor program's shape and
+    `check_implements_network` on its projection, inputs p, output q."""
+    net = projection.epp(amendment.amend_program(prog))
+    return [
+        check_implements(prog, table, ["p"], "q", bound),
+        check_implements_network(net, table, ["p"], "q", bound),
+    ]
+
+
+def test_a_run_that_terminates_where_the_table_is_undefined_is_a_counterexample():
+    reports = _implements_both(corpus.successor_fn(), FnTable(1, {(0,): None}))
+    for report, term in zip(reports, (End(), sp.Network())):
+        assert report.verdict == COUNTEREXAMPLE
+        assert report.witness.term == term
+        assert report.text().splitlines()[2:] == [
+            "witness trace: p -> q : 1",
+            "witness state: q.x = 1",
+            "note: inputs (0,): terminated although the function is undefined here",
+            "stats: 2 states explored, max depth 8",
+        ]
+
+
+def test_a_wrong_output_names_the_process_the_value_and_the_expected_one():
+    reports = _implements_both(corpus.successor_fn(), FnTable(1, {(0,): 1, (1,): 5}))
+    for report, term in zip(reports, (End(), sp.Network())):
+        assert report.verdict == COUNTEREXAMPLE
+        assert report.witness.term == term
+        assert report.text().splitlines()[2:] == [
+            "witness trace: p -> q : 2",
+            "witness state: p.x = 1",
+            "q.x = 2",
+            "note: inputs (1,): q.x = 2, expected 5",
+            "stats: 4 states explored, max depth 8",
+        ]
+
+
+def test_a_deadlocked_network_is_stuck_before_completion():
+    # A choreography never gets stuck short of `end`, so only a network can:
+    # q waits for r, which never sends, and p's send to q is never received.
+    net = sp.Network({"p": sp.Send("q", cc.Ref("x"), sp.End()), "q": sp.Recv("r", "x", sp.End())})
+    report = check_implements_network(sp.SPProgram({}, net), FnTable(1, {(1,): 2}), ["p"], "q", 8)
+    assert report.verdict == COUNTEREXAMPLE
+    assert report.witness.term == net
+    assert report.witness.state == State({("p", "x"): 1})
+    assert report.text().splitlines()[2:] == [
+        "witness trace: (empty)",
+        "witness state: p.x = 1",
+        "note: inputs (1,): stuck before completion",
+        "stats: 1 states explored, max depth 8",
+    ]
+
+
 def test_defined_table_on_a_loop_holds_when_the_bound_cuts_the_search():
     table = FnTable(1, {(0,): 1, (1,): 2})
     assert check_implements(corpus.endless_loop(), table, ["p"], "p", 0).verdict == HOLDS
