@@ -114,9 +114,7 @@ def amend_pids(prog: cc.ChorProgram) -> list[cc.Pid]:
 
 def amend_program(prog: cc.ChorProgram) -> cc.ChorProgram:
     """Amend a whole program for every process it uses."""
-    problems = cc.wf_violations(prog)
-    if problems:
-        raise cc.IllFormedError("; ".join(problems))
+    cc.require_wf(prog)
     pids = amend_pids(prog)
     memo: Memo = {}
     return cc.ChorProgram(

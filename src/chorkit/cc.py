@@ -563,8 +563,10 @@ def _transition_key(tr: Transition) -> tuple:
     return (tr[0]._key, term_key, tr[2]._items)
 
 
-def _ensure_program(defs: Mapping[ProcName, Procedure], c: Choreography) -> None:
-    problems = wf_violations(ChorProgram(dict(defs), c))
+def require_wf(prog: ChorProgram) -> None:
+    """Raise IllFormedError, naming every violation, unless `prog` is
+    well-formed."""
+    problems = wf_violations(prog)
     if problems:
         raise IllFormedError("; ".join(problems))
 
@@ -640,7 +642,7 @@ def enabled(
 
     Raises IllFormedError when (defs, c) is not a well-formed program.
     """
-    _ensure_program(defs, c)
+    require_wf(ChorProgram(dict(defs), c))
     return _enabled(defs, c, s)
 
 
@@ -678,7 +680,7 @@ def traces(
     Includes the empty trace.  Deterministic: breadth-first over canonically
     ordered transitions.
     """
-    _ensure_program(defs, c)
+    require_wf(ChorProgram(dict(defs), c))
     space = explore.Space(successors(defs))
     _, order, _ = explore.bfs(space, (c, s), depth, explore.Budget(), explore.per_trace)
     return [(tl, c1, s1) for (c1, s1), _, tl in order]

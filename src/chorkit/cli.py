@@ -186,7 +186,7 @@ def _cmd_run(args) -> int:
     if state is None:
         return USAGE
     try:
-        cc._ensure_program(prog.procedures, prog.main)
+        cc.require_wf(prog)
     except cc.IllFormedError as exc:
         print(f"not well-formed: {exc}", file=sys.stderr)
         return FAIL

@@ -251,9 +251,7 @@ def epp(prog: cc.ChorProgram) -> sp.SPProgram:
     Raises IllFormedError on ill-formed programs and UnprojectableError (with
     the full failure report) when any required projection is undefined.
     """
-    problems = cc.wf_violations(prog)
-    if problems:
-        raise cc.IllFormedError("; ".join(problems))
+    cc.require_wf(prog)
     memo: Memo = {}
     failures = project_failures(prog, memo)
     if failures:

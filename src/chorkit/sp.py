@@ -183,6 +183,12 @@ class IllFormedNetworkError(ValueError):
     """An operation was handed a network that fails well-formedness."""
 
 
+def require_wf(n: Network) -> None:
+    """Raise IllFormedNetworkError unless `network_wf(n)`."""
+    if not network_wf(n):
+        raise IllFormedNetworkError("network contains a self-addressed action")
+
+
 class UndefinedProcedureError(RuntimeError):
     """A running behaviour invoked a procedure that has no definition."""
 
@@ -230,8 +236,7 @@ def enabled(
     defs: Mapping[ProcName, Behaviour], n: Network, s: State
 ) -> tuple[Transition, ...]:
     """All single-step transitions of (defs, n, s), canonically ordered."""
-    if not network_wf(n):
-        raise IllFormedNetworkError("network contains a self-addressed action")
+    require_wf(n)
     return _enabled(defs, n, s)
 
 
@@ -250,8 +255,7 @@ def traces(
     defs: Mapping[ProcName, Behaviour], n: Network, s: State, depth: int
 ) -> list[TraceEntry]:
     """All (trace, configuration) pairs reachable in at most `depth` steps."""
-    if not network_wf(n):
-        raise IllFormedNetworkError("network contains a self-addressed action")
+    require_wf(n)
     space = explore.Space(successors(defs))
     _, order, _ = explore.bfs(space, (n, s), depth, explore.Budget(), explore.per_trace)
     return [(tl, n1, s1) for (n1, s1), _, tl in order]

@@ -197,12 +197,6 @@ def _deletes_to(
     return len(base) in reachable
 
 
-def _require_wf(prog: cc.ChorProgram) -> None:
-    problems = cc.wf_violations(prog)
-    if problems:
-        raise cc.IllFormedError("; ".join(problems))
-
-
 def _max_insertions(
     defs: Mapping[cc.ProcName, cc.Procedure],
     pids: Sequence[cc.Pid],
@@ -282,6 +276,52 @@ def _amended_view(prog: cc.ChorProgram) -> _AmendedView:
     )
 
 
+def _checked(
+    check: str,
+    budget: explore.Budget,
+    max_depth: int,
+    search: Callable[[], Optional[Witness]],
+) -> Report:
+    """The report of a check whose `search` charges `budget` and returns the
+    first counterexample it finds, or None.
+
+    A witness is a counterexample, a search that runs out of budget is
+    resource-exhausted, and anything else holds within the bound.
+    `states_explored` is what the budget was charged, and `max_depth` is the
+    bound the check declared before searching, whatever the verdict.
+    """
+    try:
+        witness = search()
+    except explore.BudgetExceeded:
+        verdict, witness = EXHAUSTED, None
+    else:
+        verdict = HOLDS if witness is None else COUNTEREXAMPLE
+    return Report(check, verdict, witness, SearchStats(budget.used, max_depth))
+
+
+class _Sides:
+    """What an amendment check compares: the program, once it is found
+    well-formed, and its amendment, each with its one-step relation and start
+    configuration, and the budget and label ranks all their searches share."""
+
+    def __init__(self, prog: cc.ChorProgram, state: cc.State | None, state_budget: int):
+        cc.require_wf(prog)
+        state = state if state is not None else cc.State()
+        self.view = _amended_view(prog)
+        self.orig = explore.Space(cc.successors(prog.procedures))
+        self.amended = explore.Space(cc.successors(self.view.amended_defs))
+        self.orig_start = (prog.main, state)
+        self.amended_start = (self.view.amended_main, state)
+        self.budget = explore.Budget(state_budget)
+        self.ranks = _Ranks()
+
+    def reach(self, space: explore.Space, start: Hashable, depth: int) -> dict:
+        return _reach(space, start, depth, self.budget, self.ranks)
+
+    def search(self, space: explore.Space, start: Hashable) -> explore.Search:
+        return explore.Search(space, start, self.budget, self.ranks.add)
+
+
 def check_naive_correspondence(
     prog: cc.ChorProgram,
     state: cc.State | None = None,
@@ -296,42 +336,26 @@ def check_naive_correspondence(
     make this impossible, so a counterexample is the expected outcome on
     choreographies where a conditional can be resolved out of order.
     """
-    state = state if state is not None else cc.State()
-    _require_wf(prog)
-    view = _amended_view(prog)
-    budget = explore.Budget(state_budget)
-    stats = SearchStats(max_depth=depth)
-    ranks = _Ranks()
-    try:
-        depth_a = depth + depth * (1 + view.max_insertions)
-        stats.max_depth = max(stats.max_depth, depth_a)
-        orig_space = explore.Space(cc.successors(prog.procedures))
-        orig = _reach(orig_space, (prog.main, state), depth, budget, ranks)
-        amended_space = explore.Space(cc.successors(view.amended_defs))
-        amended = _reach(amended_space, (view.amended_main, state), depth_a, budget, ranks)
+    sides = _Sides(prog, state, state_budget)
+    view = sides.view
+    depth_a = depth + depth * (1 + view.max_insertions)
+
+    def search() -> Optional[Witness]:
+        orig = sides.reach(sides.orig, sides.orig_start, depth)
+        amended = sides.reach(sides.amended, sides.amended_start, depth_a)
         for cfg in sorted(orig, key=_cfg_key):
-            c1, s1 = cfg
             index = _index(amended.get(view.amend_cfg(cfg), ()))
             missed = [e for e in orig[cfg].items() if _split(e[0])[0] not in index]
             if missed:
-                stats.states_explored = budget.used
-                return Report(
-                    "naive-correspondence",
-                    COUNTEREXAMPLE,
-                    Witness(
-                        ranks.first(missed)[1],
-                        c1,
-                        s1,
-                        "the amended program cannot reach the amendment of "
-                        "this configuration with the same non-selection events",
-                    ),
-                    stats,
+                return Witness(
+                    sides.ranks.first(missed)[1],
+                    *cfg,
+                    "the amended program cannot reach the amendment of "
+                    "this configuration with the same non-selection events",
                 )
-    except explore.BudgetExceeded:
-        stats.states_explored = budget.used
-        return Report("naive-correspondence", EXHAUSTED, None, stats)
-    stats.states_explored = budget.used
-    return Report("naive-correspondence", HOLDS, None, stats)
+        return None
+
+    return _checked("naive-correspondence", sides.budget, depth_a, search)
 
 
 def _matched(mk: MultisetKey, extensions: Iterable, index_of, fits) -> bool:
@@ -354,33 +378,39 @@ def _matched(mk: MultisetKey, extensions: Iterable, index_of, fits) -> bool:
 
 
 def _unmatched(
-    entries: Iterable, start: Hashable, bound: int, extend, grow_other, index_of, fits
-) -> list:
-    """The (multiset, trace) entries of configuration `start` that no
-    extension within `bound` steps gets matched (`_matched`).
+    sides: _Sides, reached: dict, extend_in: explore.Space, bound: int,
+    grow_other, index_of, fits, note: str,
+) -> Optional[Witness]:
+    """A witness for the first configuration of `reached`, in `_cfg_key`
+    order, with (multiset, trace) entries that no extension in `extend_in`
+    of at most `bound` steps gets matched (`_matched`): the first of them by
+    `_Ranks.first`, with `note`.
 
     Matching only gains from deeper searches, so extensions are tried one
     level at a time, `grow_other(k)` growing the other side to what a level-k
     extension can match, and an entry is dropped once matched.  Most
-    configurations are done at level 0, the empty extension, before
-    `extend(start)` starts an extension search.  At `bound`, where the other
-    side must be grown in full, the entries left are tried against every
-    extension, which is what one search to the bound would do.
+    configurations are done at level 0, the empty extension, before an
+    extension search starts.  At `bound`, where the other side must be grown
+    in full, the entries left are tried against every extension, which is
+    what one search to the bound would do.
     """
     grow_other(0)
-    empty = ((start, (), ()),)
-    pending = [e for e in entries if not _matched(e[0], empty, index_of, fits)]
-    if pending and bound:
-        extensions = extend(start)
-        for k in range(1, bound + 1):
-            new = extensions.grow(k)
-            grow_other(k)
-            if k == bound:
-                new = extensions.order
-            pending = [e for e in pending if not _matched(e[0], new, index_of, fits)]
-            if not pending:
-                break
-    return pending
+    for cfg in sorted(reached, key=_cfg_key):
+        empty = ((cfg, (), ()),)
+        pending = [e for e in reached[cfg].items() if not _matched(e[0], empty, index_of, fits)]
+        if pending and bound:
+            extensions = sides.search(extend_in, cfg)
+            for k in range(1, bound + 1):
+                new = extensions.grow(k)
+                grow_other(k)
+                if k == bound:
+                    new = extensions.order
+                pending = [e for e in pending if not _matched(e[0], new, index_of, fits)]
+                if not pending:
+                    break
+        if pending:
+            return Witness(sides.ranks.first(pending)[1], *cfg, note)
+    return None
 
 
 def _grow_index(search: explore.Search, depth: int, indexes: dict, key) -> None:
@@ -409,20 +439,14 @@ def check_amend_complete(
     exists such that the amended program reaches (amend C'', s'') by a trace
     that is a permutation of tl ++ tl' plus extra selections.
     """
-    state = state if state is not None else cc.State()
-    _require_wf(prog)
-    view = _amended_view(prog)
-    budget = explore.Budget(state_budget)
-    stats = SearchStats()
-    ranks = _Ranks()
-    try:
-        orig_space = explore.Space(cc.successors(prog.procedures))
-        amended_space = explore.Space(cc.successors(view.amended_defs))
-        total = depth + search_bound
-        depth_a = total + total * view.max_insertions
-        stats.max_depth = depth_a
-        orig = _reach(orig_space, (prog.main, state), depth, budget, ranks)
-        amended = explore.Search(amended_space, (view.amended_main, state), budget, ranks.add)
+    sides = _Sides(prog, state, state_budget)
+    view = sides.view
+    total = depth + search_bound
+    depth_a = total + total * view.max_insertions
+
+    def search() -> Optional[Witness]:
+        orig = sides.reach(sides.orig, sides.orig_start, depth)
+        amended = sides.search(sides.amended, sides.amended_start)
         indexes: dict = {}
 
         def grow_amended(k: int) -> None:
@@ -432,36 +456,14 @@ def check_amend_complete(
             depth_k = min((depth + k) * (1 + view.max_insertions), depth_a)
             _grow_index(amended, depth_k, indexes, lambda cfg: cfg)
 
-        def index_of(cfg2) -> dict | None:
-            return indexes.get(view.amend_cfg(cfg2))
+        return _unmatched(
+            sides, orig, sides.orig, search_bound, grow_amended,
+            lambda cfg2: indexes.get(view.amend_cfg(cfg2)), amendment.sub_multiset,
+            "no extension of this run is matched by the amended "
+            "program up to extra selections and reordering",
+        )
 
-        def extend(cfg) -> explore.Search:
-            return explore.Search(orig_space, cfg, budget, ranks.add)
-
-        for cfg in sorted(orig, key=_cfg_key):
-            missed = _unmatched(
-                orig[cfg].items(), cfg, search_bound, extend, grow_amended, index_of,
-                amendment.sub_multiset,
-            )
-            if missed:
-                stats.states_explored = budget.used
-                return Report(
-                    "amend-complete",
-                    COUNTEREXAMPLE,
-                    Witness(
-                        ranks.first(missed)[1],
-                        cfg[0],
-                        cfg[1],
-                        "no extension of this run is matched by the amended "
-                        "program up to extra selections and reordering",
-                    ),
-                    stats,
-                )
-    except explore.BudgetExceeded:
-        stats.states_explored = budget.used
-        return Report("amend-complete", EXHAUSTED, None, stats)
-    stats.states_explored = budget.used
-    return Report("amend-complete", HOLDS, None, stats)
+    return _checked("amend-complete", sides.budget, depth_a, search)
 
 
 def check_amend_sound(
@@ -478,21 +480,15 @@ def check_amend_sound(
     the amendment of a configuration (C'', s'') that the original program
     reaches by a trace tl'' with tl ++ tl' a selection-expansion of tl''.
     """
-    state = state if state is not None else cc.State()
-    _require_wf(prog)
-    view = _amended_view(prog)
-    budget = explore.Budget(state_budget)
-    stats = SearchStats()
-    ranks = _Ranks()
-    try:
-        orig_space = explore.Space(cc.successors(prog.procedures))
-        amended_space = explore.Space(cc.successors(view.amended_defs))
-        # The amended run of length <= depth is the premise; the extension that
-        # discharges lingering selections is existential, so only it gets the
-        # insertion allowance.
-        e_depth = search_bound + (depth + search_bound) * view.max_insertions
-        stats.max_depth = depth + e_depth
-        orig = explore.Search(orig_space, (prog.main, state), budget, ranks.add)
+    sides = _Sides(prog, state, state_budget)
+    view = sides.view
+    # The amended run of length <= depth is the premise; the extension that
+    # discharges lingering selections is existential, so only it gets the
+    # insertion allowance.
+    e_depth = search_bound + (depth + search_bound) * view.max_insertions
+
+    def search() -> Optional[Witness]:
+        orig = sides.search(sides.orig, sides.orig_start)
         indexes: dict = {}
 
         def grow_orig(k: int) -> None:
@@ -501,33 +497,14 @@ def check_amend_sound(
             # no longer than depth + k.
             _grow_index(orig, depth + k, indexes, view.amend_cfg)
 
-        def extend(cfg) -> explore.Search:
-            return explore.Search(amended_space, cfg, budget, ranks.add)
+        a_reach = sides.reach(sides.amended, sides.amended_start, depth)
+        return _unmatched(
+            sides, a_reach, sides.amended, e_depth, grow_orig, indexes.get, _covers,
+            "no extension of this amended run lands on the "
+            "amendment of a configuration the original reaches",
+        )
 
-        a_reach = _reach(amended_space, (view.amended_main, state), depth, budget, ranks)
-        for cfg in sorted(a_reach, key=_cfg_key):
-            missed = _unmatched(
-                a_reach[cfg].items(), cfg, e_depth, extend, grow_orig, indexes.get, _covers
-            )
-            if missed:
-                stats.states_explored = budget.used
-                return Report(
-                    "amend-sound",
-                    COUNTEREXAMPLE,
-                    Witness(
-                        ranks.first(missed)[1],
-                        cfg[0],
-                        cfg[1],
-                        "no extension of this amended run lands on the "
-                        "amendment of a configuration the original reaches",
-                    ),
-                    stats,
-                )
-    except explore.BudgetExceeded:
-        stats.states_explored = budget.used
-        return Report("amend-sound", EXHAUSTED, None, stats)
-    stats.states_explored = budget.used
-    return Report("amend-sound", HOLDS, None, stats)
+    return _checked("amend-sound", sides.budget, depth + e_depth, search)
 
 
 def check_intermediate_formulation(
@@ -546,21 +523,16 @@ def check_intermediate_formulation(
     preserved).  Fails exactly when a step commutes past a conditional in the
     original but is blocked behind the inserted selections in the amendment.
     """
-    state = state if state is not None else cc.State()
-    _require_wf(prog)
-    view = _amended_view(prog)
-    budget = explore.Budget(state_budget)
-    stats = SearchStats(max_depth=depth)
+    sides = _Sides(prog, state, state_budget)
+    view, orig, amended = sides.view, sides.orig, sides.amended
     allowance = (search_bound + 1) * (1 + view.max_insertions)
-    orig = explore.Space(cc.successors(prog.procedures))
-    amended = explore.Space(cc.successors(view.amended_defs))
 
     def listed(space: explore.Space, start, bound: int) -> dict:
-        found, _, _ = explore.bfs(space, start, bound, budget, explore.per_trace)
+        found, _, _ = explore.bfs(space, start, bound, sides.budget, explore.per_trace)
         return found
 
-    try:
-        for (c0, s0), prefixes in listed(orig, (prog.main, state), depth).items():
+    def search() -> Optional[Witness]:
+        for (c0, s0), prefixes in listed(orig, sides.orig_start, depth).items():
             prefix = next(iter(prefixes))
             amended_firsts = amended.enabled((view.amend_term(c0), s0))
             for t, (c1, s1) in orig.enabled((c0, s0)):
@@ -573,10 +545,7 @@ def check_intermediate_formulation(
                     "this step first",
                 )
                 if not starts:
-                    stats.states_explored = budget.used
-                    return Report(
-                        "intermediate-formulation", COUNTEREXAMPLE, witness, stats
-                    )
+                    return witness
                 orig_ext = listed(orig, (c1, s1), search_bound)
                 for a1 in starts:
                     a_ext = listed(amended, a1, search_bound + allowance)
@@ -592,15 +561,10 @@ def check_intermediate_formulation(
                         "the amendment matches this step but cannot catch up "
                         "by inserting selections in order"
                     )
-                    stats.states_explored = budget.used
-                    return Report(
-                        "intermediate-formulation", COUNTEREXAMPLE, witness, stats
-                    )
-    except explore.BudgetExceeded:
-        stats.states_explored = budget.used
-        return Report("intermediate-formulation", EXHAUSTED, None, stats)
-    stats.states_explored = budget.used
-    return Report("intermediate-formulation", HOLDS, None, stats)
+                    return witness
+        return None
+
+    return _checked("intermediate-formulation", sides.budget, depth, search)
 
 
 class _Subsets:
@@ -735,7 +699,7 @@ def check_epp_correspondence(
     budget still count (trace, configuration) entries on both sides.
     """
     state = state if state is not None else cc.State()
-    _require_wf(prog)
+    cc.require_wf(prog)
     compiled = projection.epp(prog)
     stats = SearchStats(max_depth=depth)
     chor = _Subsets(cc.successors(prog.procedures), (prog.main, state))
@@ -744,8 +708,7 @@ def check_epp_correspondence(
     limit = max(state_budget, 1)
     try:
         chor_entries = chor.entries(depth, limit)
-        if not sp.network_wf(compiled.net):
-            raise sp.IllFormedNetworkError("network contains a self-addressed action")
+        sp.require_wf(compiled.net)
         net_entries = net.entries(depth, limit)
     except explore.BudgetExceeded:
         return Report("epp-correspondence", EXHAUSTED, None, stats)
@@ -768,87 +731,45 @@ def _terminal_analysis(
 
 
 def _implements_verdict(
-    check_name: str,
     table: FnTable,
     inputs: Sequence[cc.Pid],
     output: cc.Pid,
     bound: int,
-    state_budget: int,
+    budget: explore.Budget,
     step: explore.Step,
-    start_of: Callable[[cc.State], Hashable],
+    term0: object,
     is_done: Callable[[object], bool],
-) -> Report:
+) -> Optional[Witness]:
+    """The first input of `table`, in order, on which the runs from `term0`
+    fail it, as a witness; None when there is none within the bound."""
     if len(inputs) != table.arity:
         raise ValueError(f"{len(inputs)} input processes for arity {table.arity}")
-    budget = explore.Budget(state_budget)
-    stats = SearchStats(max_depth=bound)
     space = explore.Space(step)
-    try:
-        for ins in sorted(table.entries):
-            expected = table.entries[ins]
-            s0 = cc.State({(p, "x"): v for p, v in zip(inputs, ins)})
-            start = start_of(s0)
-            reached, dead, closed = _terminal_analysis(space, start, bound, budget)
-            if expected is not None and closed and not dead:
-                stats.states_explored = budget.used
-                return Report(
-                    check_name,
-                    COUNTEREXAMPLE,
-                    Witness(
-                        (),
-                        start[0],
-                        s0,
-                        f"inputs {ins}: no run terminates ({len(reached)} reachable "
-                        f"configuration{'' if len(reached) == 1 else 's'}, none terminal)",
-                    ),
-                    stats,
-                )
-            for cfg in dead:
-                term, s_end = cfg
-                trace = reached[cfg]
-                if expected is None:
-                    if is_done(term):
-                        stats.states_explored = budget.used
-                        return Report(
-                            check_name,
-                            COUNTEREXAMPLE,
-                            Witness(
-                                trace,
-                                term,
-                                s_end,
-                                f"inputs {ins}: terminated although the function "
-                                "is undefined here",
-                            ),
-                            stats,
-                        )
-                    continue
-                if not is_done(term):
-                    stats.states_explored = budget.used
-                    return Report(
-                        check_name,
-                        COUNTEREXAMPLE,
-                        Witness(trace, term, s_end, f"inputs {ins}: stuck before completion"),
-                        stats,
-                    )
-                got = s_end.get(output, "x")
-                if got != expected:
-                    stats.states_explored = budget.used
-                    return Report(
-                        check_name,
-                        COUNTEREXAMPLE,
-                        Witness(
-                            trace,
-                            term,
-                            s_end,
-                            f"inputs {ins}: {output}.x = {got}, expected {expected}",
-                        ),
-                        stats,
-                    )
-    except explore.BudgetExceeded:
-        stats.states_explored = budget.used
-        return Report(check_name, EXHAUSTED, None, stats)
-    stats.states_explored = budget.used
-    return Report(check_name, HOLDS, None, stats)
+    for ins in sorted(table.entries):
+        expected = table.entries[ins]
+        s0 = cc.State({(p, "x"): v for p, v in zip(inputs, ins)})
+        reached, dead, closed = _terminal_analysis(space, (term0, s0), bound, budget)
+        if expected is not None and closed and not dead:
+            return Witness(
+                (),
+                term0,
+                s0,
+                f"inputs {ins}: no run terminates ({len(reached)} reachable "
+                f"configuration{'' if len(reached) == 1 else 's'}, none terminal)",
+            )
+        for cfg in dead:
+            term, s_end = cfg
+            done, got = is_done(term), s_end.get(output, "x")
+            if expected is None and done:
+                wrong = "terminated although the function is undefined here"
+            elif expected is not None and not done:
+                wrong = "stuck before completion"
+            elif expected is not None and got != expected:
+                wrong = f"{output}.x = {got}, expected {expected}"
+            else:
+                continue
+            return Witness(reached[cfg], term, s_end, f"inputs {ins}: {wrong}")
+    return None
 
 
 def check_implements(
@@ -865,18 +786,12 @@ def check_implements(
     defined every run must end with the output process holding the result in
     x, and where it is undefined no run may complete within the bound.
     """
-    _require_wf(prog)
-    return _implements_verdict(
-        "implements",
-        table,
-        inputs,
-        output,
-        bound,
-        state_budget,
-        cc.successors(prog.procedures),
-        lambda s0: (prog.main, s0),
+    cc.require_wf(prog)
+    budget = explore.Budget(state_budget)
+    return _checked("implements", budget, bound, lambda: _implements_verdict(
+        table, inputs, output, bound, budget, cc.successors(prog.procedures), prog.main,
         lambda term: term == cc.End(),
-    )
+    ))
 
 
 def check_implements_network(
@@ -888,16 +803,9 @@ def check_implements_network(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> Report:
     """Network analogue of check_implements: done means every process ended."""
-    if not sp.network_wf(program.net):
-        raise sp.IllFormedNetworkError("network contains a self-addressed action")
-    return _implements_verdict(
-        "implements-network",
-        table,
-        inputs,
-        output,
-        bound,
-        state_budget,
-        sp.successors(program.procedures),
-        lambda s0: (program.net, s0),
-        lambda term: not term.support(),
-    )
+    sp.require_wf(program.net)
+    budget = explore.Budget(state_budget)
+    return _checked("implements-network", budget, bound, lambda: _implements_verdict(
+        table, inputs, output, bound, budget, sp.successors(program.procedures),
+        program.net, lambda term: not term.support(),
+    ))

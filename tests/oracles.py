@@ -171,7 +171,7 @@ def intermediate_by_traces(
     """The intermediate formulation by a fresh trace listing per extension,
     each charged to the budget in full."""
     state = state if state is not None else cc.State()
-    verifier._require_wf(prog)
+    cc.require_wf(prog)
     view = verifier._amended_view(prog)
     budget = Budget(state_budget)
     stats = SearchStats(max_depth=depth)
@@ -366,7 +366,7 @@ def naive_correspondence(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> Report:
     state = state if state is not None else cc.State()
-    verifier._require_wf(prog)
+    cc.require_wf(prog)
     view = AmendedView(prog)
     budget = Budget(state_budget)
     stats = SearchStats(max_depth=depth)
@@ -412,7 +412,7 @@ def amend_complete(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> Report:
     state = state if state is not None else cc.State()
-    verifier._require_wf(prog)
+    cc.require_wf(prog)
     view = AmendedView(prog)
     budget = Budget(state_budget)
     stats = SearchStats()
@@ -473,7 +473,7 @@ def amend_sound(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> Report:
     state = state if state is not None else cc.State()
-    verifier._require_wf(prog)
+    cc.require_wf(prog)
     view = AmendedView(prog)
     budget = Budget(state_budget)
     stats = SearchStats()

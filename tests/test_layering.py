@@ -1,4 +1,5 @@
-"""The package's modules import only modules below them in one fixed order."""
+"""The package's modules import only modules below them in one fixed order,
+and each report verdict and well-formedness error is made in one place."""
 
 from __future__ import annotations
 
@@ -46,3 +47,48 @@ def test_no_module_imports_a_later_one():
             if LAYERS.index(name) >= rank:
                 back_edges.append(f"{path.stem} imports {name}")
     assert back_edges == []
+
+
+def _tail(node: ast.AST) -> str | None:
+    """The name an expression ends in: `x` and `m.x` both give x."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _sites(found) -> set[str]:
+    """`module.definition` for each top-level definition of the package with a
+    node that `found` accepts."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            if any(found(node) for node in ast.walk(top)):
+                out.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return out
+
+
+def _constructs(name: str):
+    return lambda node: isinstance(node, ast.Call) and _tail(node.func) == name
+
+
+def _catches(name: str):
+    def found(node: ast.AST) -> bool:
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            return False
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        return any(_tail(t) == name for t in caught)
+
+    return found
+
+
+def test_verdicts_and_well_formedness_errors_each_have_one_place():
+    # Every budget-charging check reports through one driver; the EPP check
+    # counts trace entries instead of charging a budget, so it has its own.
+    reporters = {"verifier._checked", "verifier.check_epp_correspondence"}
+    assert _sites(_constructs("Report")) == reporters
+    assert _sites(_catches("BudgetExceeded")) == reporters
+    assert _sites(_constructs("IllFormedError")) == {"cc.require_wf"}
+    assert _sites(_constructs("IllFormedNetworkError")) == {"sp.require_wf"}
