@@ -31,6 +31,16 @@ def _bound(text: str) -> int:
     return value
 
 
+# verify's kinds, each with the check it runs on (program, state, arguments).
+VERIFY = {
+    "naive": lambda p, s, a: verifier.check_naive_correspondence(p, s, a.depth),
+    "amend-complete": lambda p, s, a: verifier.check_amend_complete(p, s, a.depth, a.bound),
+    "amend-sound": lambda p, s, a: verifier.check_amend_sound(p, s, a.depth, a.bound),
+    "intermediate": lambda p, s, a: verifier.check_intermediate_formulation(p, s, a.depth, a.bound),
+    "epp": lambda p, s, a: verifier.check_epp_correspondence(p, s, a.depth),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chorkit", description="Choreographic programming toolkit"
@@ -57,10 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--steps", type=_bound, default=25)
 
     p_verify = sub.add_parser("verify", help="bounded correspondence checks")
-    p_verify.add_argument(
-        "kind",
-        choices=["naive", "amend-complete", "amend-sound", "intermediate", "epp"],
-    )
+    p_verify.add_argument("kind", choices=list(VERIFY))
     p_verify.add_argument("file")
     p_verify.add_argument("--state", help="initial state file")
     p_verify.add_argument("--depth", type=_bound, default=verifier.DEFAULT_DEPTH)
@@ -78,33 +85,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_program(path: str) -> cc.ChorProgram | None:
+def _read(path: str, parse):
+    """`parse` of the file's text, or None once it says why the file cannot be
+    read or parsed."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
-    try:
-        unit = syntax.parse_source(text)
     except syntax.ParseError as exc:
         for d in exc.diagnostics:
             print(f"{path}: {d.text()}", file=sys.stderr)
-        return None
-    return unit.to_program()
+    return None
 
 
-def _load_state(path: str | None) -> cc.State | None:
-    if path is None:
-        return cc.State()
-    try:
-        return syntax.parse_state_text(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
-    except syntax.ParseError as exc:
-        for d in exc.diagnostics:
-            print(f"{path}: {d.text()}", file=sys.stderr)
-        return None
+def _program(text: str) -> cc.ChorProgram:
+    return syntax.parse_source(text).to_program()
+
+
+def _state(path: str | None) -> cc.State | None:
+    return cc.State() if path is None else _read(path, syntax.parse_state_text)
+
+
+def _print_report(report: verifier.Report, as_json: bool) -> int:
+    print(json.dumps(report.to_dict(), indent=2, sort_keys=True) if as_json else report.text())
+    return OK if report.holds else FAIL
 
 
 def _one_line(term: cc.Choreography, limit: int = 72) -> str:
@@ -126,7 +130,7 @@ def _inline_state(s: cc.State) -> str:
 
 
 def _cmd_check(args) -> int:
-    prog = _load_program(args.file)
+    prog = _read(args.file, _program)
     if prog is None:
         return USAGE
     problems = cc.wf_violations(prog)
@@ -143,17 +147,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    prog = _load_program(args.file)
+    prog = _read(args.file, _program)
     if prog is None:
         return USAGE
-    try:
-        compiled = projection.epp(prog)
-    except cc.IllFormedError as exc:
-        print(f"not well-formed: {exc}", file=sys.stderr)
-        return FAIL
-    except projection.UnprojectableError as exc:
-        _print_failures(exc.failures)
-        return FAIL
+    compiled = projection.epp(prog)
     if args.process is not None:
         print(syntax.render_behaviour(compiled.net.get(args.process)))
     else:
@@ -162,14 +159,10 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_amend(args) -> int:
-    prog = _load_program(args.file)
+    prog = _read(args.file, _program)
     if prog is None:
         return USAGE
-    try:
-        repaired = amendment.amend_program(prog)
-    except cc.IllFormedError as exc:
-        print(f"not well-formed: {exc}", file=sys.stderr)
-        return FAIL
+    repaired = amendment.amend_program(prog)
     text = syntax.render_program(repaired)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -179,17 +172,13 @@ def _cmd_amend(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    prog = _load_program(args.file)
+    prog = _read(args.file, _program)
     if prog is None:
         return USAGE
-    state = _load_state(args.state)
+    state = _state(args.state)
     if state is None:
         return USAGE
-    try:
-        cc.require_wf(prog)
-    except cc.IllFormedError as exc:
-        print(f"not well-formed: {exc}", file=sys.stderr)
-        return FAIL
+    cc.require_wf(prog)
     if args.all:
         space = explore.Space(cc.successors(prog.procedures))
         _, order, _ = explore.bfs(
@@ -219,56 +208,32 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    prog = _load_program(args.file)
+    prog = _read(args.file, _program)
     if prog is None:
         return USAGE
-    state = _load_state(args.state)
+    state = _state(args.state)
     if state is None:
         return USAGE
-    try:
-        if args.kind == "naive":
-            report = verifier.check_naive_correspondence(prog, state, args.depth)
-        elif args.kind == "amend-complete":
-            report = verifier.check_amend_complete(prog, state, args.depth, args.bound)
-        elif args.kind == "amend-sound":
-            report = verifier.check_amend_sound(prog, state, args.depth, args.bound)
-        elif args.kind == "intermediate":
-            report = verifier.check_intermediate_formulation(
-                prog, state, args.depth, args.bound
-            )
-        else:
-            report = verifier.check_epp_correspondence(prog, state, args.depth)
-    except cc.IllFormedError as exc:
-        print(f"not well-formed: {exc}", file=sys.stderr)
-        return FAIL
-    except projection.UnprojectableError as exc:
-        _print_failures(exc.failures)
-        return FAIL
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True) if args.json else report.text())
-    return OK if report.holds else FAIL
+    report = VERIFY[args.kind](prog, state, args)
+    return _print_report(report, args.json)
 
 
 def _cmd_implements(args) -> int:
-    prog = _load_program(args.file)
+    prog = _read(args.file, _program)
     if prog is None:
         return USAGE
-    try:
-        table = syntax.parse_table_text(Path(args.table).read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"error: cannot read {args.table}: {exc}", file=sys.stderr)
-        return USAGE
-    except syntax.ParseError as exc:
-        for d in exc.diagnostics:
-            print(f"{args.table}: {d.text()}", file=sys.stderr)
+    table = _read(args.table, syntax.parse_table_text)
+    if table is None:
         return USAGE
     inputs = [p for p in args.inputs.split(",") if p]
     try:
         report = verifier.check_implements(prog, table, inputs, args.output, args.bound)
-    except (cc.IllFormedError, ValueError) as exc:
+    except cc.IllFormedError:
+        raise  # reported by `main`, as for every command
+    except ValueError as exc:  # inputs that do not match the table's arity
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True) if args.json else report.text())
-    return OK if report.holds else FAIL
+    return _print_report(report, args.json)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -285,7 +250,14 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
         "implements": _cmd_implements,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except cc.IllFormedError as exc:
+        print(f"not well-formed: {exc}", file=sys.stderr)
+        return FAIL
+    except projection.UnprojectableError as exc:
+        _print_failures(exc.failures)
+        return FAIL
 
 
 def entry() -> None:

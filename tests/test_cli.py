@@ -303,13 +303,28 @@ def test_both_run_modes_reject_ill_formed_programs_alike(tmp_path, capsys):
             "not well-formed: the body of procedure X uses undeclared processes: q\n",
         ),
     }
+    table = tmp_path / "succ.table"
+    table.write_text("0 -> 1\n", encoding="utf-8")
     for name, (text, message) in cases.items():
-        src = tmp_path / name
-        src.write_text(text, encoding="utf-8")
-        for mode in (["--all"], ["--seed", "1"]):
-            code = main(["run", str(src), *mode])
+        src = str(tmp_path / name)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        # Every command that reads a program, the two run modes of `run` and
+        # every kind of `verify` among them.
+        commands = [["check", src], ["project", src], ["amend", src]]
+        commands += [["run", src, "--all"], ["run", src, "--seed", "1"]]
+        commands += [["verify", kind, src] for kind in ("naive", "amend-complete",
+                                                        "amend-sound", "intermediate", "epp")]
+        commands.append(["implements", src, "--table", str(table), "--inputs", "p",
+                         "--output", "q"])
+        for command in commands:
+            code = main(command)
             captured = capsys.readouterr()
-            assert (code, captured.out, captured.err) == (1, "", message), (name, mode)
+            assert (code, captured.out, captured.err) == (1, "", message), (name, command)
+    # A well-formed program with inputs that do not fit the table stays a
+    # usage error.
+    code = main(["implements", _sample("successor_fn.chor"), "--table", str(table),
+                 "--inputs", "p,q", "--output", "q"])
+    assert (code, capsys.readouterr().err) == (2, "error: 2 input processes for arity 1\n")
 
 
 def _sample_commands() -> list[list[str]]:
