@@ -13,7 +13,7 @@ import random
 import sys
 from pathlib import Path
 
-from . import amendment, cc, explore, projection, sp, syntax, verifier
+from . import amendment, cc, explore, projection, syntax, verifier
 
 OK = 0
 FAIL = 1

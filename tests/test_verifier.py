@@ -368,18 +368,18 @@ def _budget_charging_runs():
         yield f"naive/{name}", lambda b, p=prog: check_naive_correspondence(p, State(), 3, b)
         for check in (check_amend_complete, check_amend_sound, check_intermediate_formulation):
             yield f"{check.__name__}/{name}", lambda b, p=prog, c=check: c(p, State(), 3, 3, b)
-    for prog, table, ins, out, bound in (
+    for i, (prog, table, ins, out, bound) in enumerate((
         (corpus.successor_fn(), SUCC_TABLE, ["p"], "q", 8),
         (corpus.equality_fn(), EQ_TABLE, ["p", "q"], "r", 8),
         (corpus.endless_loop(), LOOP_TABLE, ["p"], "p", 50),
         (corpus.endless_loop(), FnTable(1, {(0,): 1, (1,): 2}), ["p"], "p", 50),
-    ):
+    )):
         amended = amendment.amend_program(prog)
-        args = (table, ins, out, bound)
-        yield "implements", lambda b, p=prog: check_implements(p, *args, b)
-        yield "implements/amended", lambda b, p=amended: check_implements(p, *args, b)
         net = projection.epp(amended)
-        yield "implements-network", lambda b, n=net: check_implements_network(n, *args, b)
+        args = (table, ins, out, bound)
+        yield f"implements/{i}", lambda b, p=prog, a=args: check_implements(p, *a, b)
+        yield f"implements/{i}/amended", lambda b, p=amended, a=args: check_implements(p, *a, b)
+        yield f"implements-network/{i}", lambda b, n=net, a=args: check_implements_network(n, *a, b)
 
 
 def test_max_depth_is_the_declared_bound_under_every_budget():
