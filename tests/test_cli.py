@@ -357,7 +357,8 @@ def _run_on_samples(command: list[str], capsys) -> dict:
 
 def test_cli_is_unchanged_on_every_sample(capsys):
     # cli_samples.json holds each command's exit code, stdout and stderr as
-    # they were before the checks shared one driver and the CLI one loader.
+    # they were before the checks shared `verifier._checked` for their reports
+    # and the CLI one file reader.
     golden = json.loads((Path(__file__).parent / "cli_samples.json").read_text(encoding="utf-8"))
     commands = _sample_commands()
     assert sorted(golden) == sorted(" ".join(c) for c in commands)

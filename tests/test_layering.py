@@ -85,7 +85,7 @@ def _catches(name: str):
 
 
 def test_verdicts_and_well_formedness_errors_each_have_one_place():
-    # Every budget-charging check reports through one driver; the EPP check
+    # Every budget-charging check reports through `_checked`; the EPP check
     # counts trace entries instead of charging a budget, so it has its own.
     reporters = {"verifier._checked", "verifier.check_epp_correspondence"}
     assert _sites(_constructs("Report")) == reporters
