@@ -8,6 +8,7 @@ parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -41,7 +42,10 @@ VERIFY = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls,
+    so no caller may change it."""
     parser = argparse.ArgumentParser(
         prog="chorkit", description="Choreographic programming toolkit"
     )
@@ -133,11 +137,7 @@ def _cmd_check(args) -> int:
     prog = _read(args.file, _program)
     if prog is None:
         return USAGE
-    problems = cc.wf_violations(prog)
-    if problems:
-        for problem in problems:
-            print(f"not well-formed: {problem}", file=sys.stderr)
-        return FAIL
+    cc.require_wf(prog)
     failures = projection.project_failures(prog)
     if failures:
         _print_failures(failures)

@@ -13,6 +13,11 @@ Grammar:
     expr    := NAT | var | "succ" "(" expr ")"
     bexpr   := "true" | "false" | expr "==" expr | expr "<=" expr
 
+NAT is a run of decimal digits (what `int` reads: '٣' is one, '²' is not).
+NAME, pid and var are names: a letter or '_', then letters, digits and '_';
+the words of the grammar are reserved.  Tokens may be separated by any
+whitespace, and '#' starts a comment that runs to the end of the line.
+
 Entered procedure calls are runtime-only and have no surface form.  Initial
 state files hold lines "p.x = 3"; table files hold lines "n1,n2 -> n" or
 "n1,n2 -> undef".  Blank lines and '#' comments are allowed in both.
@@ -20,7 +25,10 @@ state files hold lines "p.x = 3"; table files hold lines "n1,n2 -> n" or
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from . import cc, sp
 
@@ -74,239 +82,185 @@ class SourceUnit:
         return cc.ChorProgram(procedures, self.main)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name", "nat", "sym", "eof"
-    text: str
-    line: int
-    col: int
+# After any whitespace and comments, one token: a natural, a name, a symbol,
+# a character no token starts with, or the empty token at the end of the input.
+_TOKEN = re.compile(r"\s*(?:#[^\n]*\s*)*(\d+|\w+|->|==|<=|[.;\[\]{}(),=]|.|)")
+_SYMBOLS = frozenset(("->", "==", "<=", *".;[]{}(),="))
+_LABELS = {"left": cc.Label.LEFT, "right": cc.Label.RIGHT}
 
 
-_TWO_CHAR = ("->", "==", "<=")
-_ONE_CHAR = ".;[]{}(),="
+def _scan(text: str) -> tuple[list[str], set[str]]:
+    """The tokens of `text`, the empty token last, and the set of those that
+    are identifiers (names that are not keywords).
+
+    A token is just its text; its first character tells its kind, and
+    `_error` works out where it is only when a diagnostic needs that.
+    """
+    tokens = _TOKEN.findall(text)
+    names: set[str] = set()
+    first_bad = len(tokens)
+    for tok in set(tokens):
+        head = tok[:1]
+        if head.isalpha() or head == "_":
+            names.add(tok)
+        elif not (tok in _SYMBOLS or head.isdecimal() or not tok):
+            # A character no token starts with, or a run of word characters
+            # opened by a numeric character that is not a decimal digit,
+            # such as '²' or '½'.
+            first_bad = min(first_bad, tokens.index(tok))
+    if first_bad < len(tokens):
+        raise _error(text, first_bad, f"unexpected character {tokens[first_bad][0]!r}")
+    return tokens, names - KEYWORDS
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("nat", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        pair = text[i : i + 2]
-        if pair in _TWO_CHAR:
-            tokens.append(_Token("sym", pair, line, start_col))
-            col += 2
-            i += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(_Token("sym", ch, line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(
-            [Diagnostic("error", line, start_col, f"unexpected character {ch!r}")]
-        )
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _error(text: str, index: int, message: str) -> ParseError:
+    """A ParseError at token `index` of `text`.  The end of the input is put
+    where a comment ending the last line starts: a comment's characters are
+    never counted in a column."""
+    match = next(itertools.islice(_TOKEN.finditer(text), index, None))
+    if match.group(1):
+        offset = match.start(1)
+    else:
+        comment = text.find("#", text.rfind("\n") + 1)
+        offset = comment if comment >= 0 else len(text)
+    line = text.count("\n", 0, offset) + 1
+    col = offset - text.rfind("\n", 0, offset)
+    return ParseError([Diagnostic("error", line, col, message)])
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
+    """Recursive descent over the tokens of one source; `_pos` never moves
+    past the empty token that ends them."""
+
+    def __init__(self, text: str):
+        self._text = text
+        self._tokens, self._names = _scan(text)
         self._pos = 0
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
+    def _fail(self, message: str, index: int | None = None) -> NoReturn:
+        raise _error(self._text, self._pos if index is None else index, message)
 
-    def _advance(self) -> _Token:
-        tok = self._tokens[self._pos]
-        if tok.kind != "eof":
-            self._pos += 1
-        return tok
-
-    def _fail(self, message: str) -> None:
-        tok = self._peek()
-        raise ParseError([Diagnostic("error", tok.line, tok.col, message)])
-
-    def _expect_sym(self, text: str) -> _Token:
-        tok = self._peek()
-        if tok.kind != "sym" or tok.text != text:
-            self._fail(f"expected {text!r}, found {tok.text!r}")
-        return self._advance()
-
-    def _at_keyword(self, word: str) -> bool:
-        tok = self._peek()
-        return tok.kind == "name" and tok.text == word
-
-    def _expect_keyword(self, word: str) -> _Token:
-        if not self._at_keyword(word):
-            self._fail(f"expected {word!r}, found {self._peek().text!r}")
-        return self._advance()
+    def _expect(self, tok: str) -> None:
+        """Step over `tok`, a symbol or a keyword."""
+        found = self._tokens[self._pos]
+        if found != tok:
+            self._fail(f"expected {tok!r}, found {found!r}")
+        self._pos += 1
 
     def _identifier(self, what: str) -> str:
-        tok = self._peek()
-        if tok.kind != "name" or tok.text in KEYWORDS:
-            self._fail(f"expected {what}, found {tok.text!r}")
-        return self._advance().text
+        tok = self._tokens[self._pos]
+        if tok not in self._names:
+            self._fail(f"expected {what}, found {tok!r}")
+        self._pos += 1
+        return tok
 
     def parse_unit(self) -> SourceUnit:
+        tokens = self._tokens
         definitions: list[Definition] = []
         names: set[str] = set()
-        while self._at_keyword("def"):
-            tok = self._peek()
-            self._advance()
+        while tokens[self._pos] == "def":
+            at = self._pos
+            self._pos += 1
             name = self._identifier("procedure name")
             if name in names:
-                raise ParseError(
-                    [Diagnostic("error", tok.line, tok.col, f"duplicate definition of {name}")]
-                )
+                self._fail(f"duplicate definition of {name}", at)
             names.add(name)
-            self._expect_sym("(")
+            self._expect("(")
             pids = [self._identifier("process name")]
-            while self._peek().text == ",":
-                self._advance()
+            while tokens[self._pos] == ",":
+                self._pos += 1
                 pids.append(self._identifier("process name"))
-            self._expect_sym(")")
-            self._expect_sym("=")
-            body = self.parse_chor()
-            definitions.append(Definition(name, tuple(pids), body))
-        self._expect_keyword("main")
-        self._expect_sym("=")
+            self._expect(")")
+            self._expect("=")
+            definitions.append(Definition(name, tuple(pids), self.parse_chor()))
+        self._expect("main")
+        self._expect("=")
         main = self.parse_chor()
-        tok = self._peek()
-        if tok.kind != "eof":
-            self._fail(f"unexpected trailing input {tok.text!r}")
+        if tokens[self._pos]:
+            self._fail(f"unexpected trailing input {tokens[self._pos]!r}")
         return SourceUnit(tuple(definitions), main)
 
     def parse_chor(self) -> cc.Choreography:
-        if self._at_keyword("end"):
-            self._advance()
+        tok = self._tokens[self._pos]
+        if tok == "end":
+            self._pos += 1
             return cc.End()
-        if self._at_keyword("call"):
-            self._advance()
+        if tok == "call":
+            self._pos += 1
             return cc.Call(self._identifier("procedure name"))
-        if self._at_keyword("if"):
-            self._advance()
+        if tok == "if":
+            self._pos += 1
             pid = self._identifier("process name")
-            self._expect_sym(".")
+            self._expect(".")
             guard = self.parse_bexpr()
-            self._expect_keyword("then")
-            self._expect_sym("{")
+            self._expect("then")
+            self._expect("{")
             then_c = self.parse_chor()
-            self._expect_sym("}")
-            self._expect_keyword("else")
-            self._expect_sym("{")
+            self._expect("}")
+            self._expect("else")
+            self._expect("{")
             else_c = self.parse_chor()
-            self._expect_sym("}")
+            self._expect("}")
             return cc.Cond(pid, guard, then_c, else_c)
         eta = self.parse_eta()
-        self._expect_sym(";")
+        self._expect(";")
         return cc.Prefix(eta, self.parse_chor())
 
     def parse_eta(self) -> cc.Eta:
         sender = self._identifier("process name")
-        tok = self._peek()
-        if tok.text == ".":
-            self._advance()
+        tok = self._tokens[self._pos]
+        if tok == ".":
+            self._pos += 1
             expr = self.parse_expr()
-            self._expect_sym("->")
+            self._expect("->")
             receiver = self._identifier("process name")
-            self._expect_sym(".")
-            var = self._identifier("variable name")
-            return cc.Com(sender, expr, receiver, var)
-        if tok.text == "->":
-            self._advance()
+            self._expect(".")
+            return cc.Com(sender, expr, receiver, self._identifier("variable name"))
+        if tok == "->":
+            self._pos += 1
             receiver = self._identifier("process name")
-            self._expect_sym("[")
-            label_tok = self._peek()
-            if self._at_keyword("left"):
-                label = cc.Label.LEFT
-            elif self._at_keyword("right"):
-                label = cc.Label.RIGHT
-            else:
-                raise ParseError(
-                    [
-                        Diagnostic(
-                            "error",
-                            label_tok.line,
-                            label_tok.col,
-                            f"unknown label {label_tok.text!r}",
-                        )
-                    ]
-                )
-            self._advance()
-            self._expect_sym("]")
+            self._expect("[")
+            label = _LABELS.get(self._tokens[self._pos])
+            if label is None:
+                self._fail(f"unknown label {self._tokens[self._pos]!r}")
+            self._pos += 1
+            self._expect("]")
             return cc.Sel(sender, receiver, label)
-        self._fail(f"expected '.' or '->' after process name, found {tok.text!r}")
-        raise AssertionError("unreachable")
+        self._fail(f"expected '.' or '->' after process name, found {tok!r}")
 
     def parse_expr(self) -> cc.Expr:
-        tok = self._peek()
-        if tok.kind == "nat":
-            self._advance()
-            return cc.Lit(int(tok.text))
-        if self._at_keyword("succ"):
-            self._advance()
-            self._expect_sym("(")
+        tok = self._tokens[self._pos]
+        if tok[:1].isdecimal():
+            self._pos += 1
+            return cc.Lit(int(tok))
+        if tok == "succ":
+            self._pos += 1
+            self._expect("(")
             inner = self.parse_expr()
-            self._expect_sym(")")
+            self._expect(")")
             return cc.Succ(inner)
         return cc.Ref(self._identifier("variable name"))
 
     def parse_bexpr(self) -> cc.BExpr:
-        if self._at_keyword("true"):
-            self._advance()
-            return cc.BoolLit(True)
-        if self._at_keyword("false"):
-            self._advance()
-            return cc.BoolLit(False)
+        tok = self._tokens[self._pos]
+        if tok in ("true", "false"):
+            self._pos += 1
+            return cc.BoolLit(tok == "true")
         left = self.parse_expr()
-        tok = self._peek()
-        if tok.text == "==":
-            self._advance()
+        tok = self._tokens[self._pos]
+        if tok == "==":
+            self._pos += 1
             return cc.Eq(left, self.parse_expr())
-        if tok.text == "<=":
-            self._advance()
+        if tok == "<=":
+            self._pos += 1
             return cc.Le(left, self.parse_expr())
-        self._fail(f"expected '==' or '<=', found {tok.text!r}")
-        raise AssertionError("unreachable")
+        self._fail(f"expected '==' or '<=', found {tok!r}")
 
 
 def parse_source(text: str) -> SourceUnit:
     """Parse a choreography source file; raises ParseError with located
     diagnostics on failure."""
-    return _Parser(_tokenize(text)).parse_unit()
+    return _Parser(text).parse_unit()
 
 
 def parse_state_text(text: str) -> cc.State:

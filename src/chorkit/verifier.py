@@ -707,12 +707,14 @@ def check_epp_correspondence(
     # The start entry alone never exhausts the budget.
     limit = max(state_budget, 1)
     try:
-        chor_entries = chor.entries(depth, limit)
+        stats.states_explored = chor.entries(depth, limit)
         sp.require_wf(compiled.net)
-        net_entries = net.entries(depth, limit)
+        stats.states_explored += net.entries(depth, limit)
     except explore.BudgetExceeded:
+        # Counted as charging one entry at a time: the side that ran out
+        # stops at the first entry over its limit.
+        stats.states_explored += limit + 1
         return Report("epp-correspondence", EXHAUSTED, None, stats)
-    stats.states_explored = chor_entries + net_entries
     witness = _first_divergence(chor, net, depth)
     verdict = HOLDS if witness is None else COUNTEREXAMPLE
     return Report("epp-correspondence", verdict, witness, stats)

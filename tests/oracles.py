@@ -549,14 +549,18 @@ def epp_by_traces(
         chor_entries = traces(
             cc._enabled, prog.procedures, prog.main, state, depth, state_budget
         )
+        stats.states_explored = len(chor_entries)
         if not sp.network_wf(compiled.net):
             raise sp.IllFormedNetworkError("network contains a self-addressed action")
         net_entries = traces(
             sp._enabled, compiled.procedures, compiled.net, state, depth, state_budget
         )
     except cc.BudgetExceeded:
+        # The listing that ran out stopped at the entry that passed the
+        # budget; the start entry never counts against a budget of 0.
+        stats.states_explored += max(state_budget, 1) + 1
         return Report("epp-correspondence", EXHAUSTED, None, stats)
-    stats.states_explored = len(chor_entries) + len(net_entries)
+    stats.states_explored += len(net_entries)
     chor_traces = {tl for tl, _, _ in chor_entries}
     net_traces = {tl for tl, _, _ in net_entries}
     key = lambda tl: tuple(cc.label_key(t) for t in tl)

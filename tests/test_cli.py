@@ -48,6 +48,23 @@ def test_parse_errors_exit_with_usage_code(tmp_path, capsys):
     assert "error" in err
 
 
+def test_digits_that_are_not_decimal_are_unexpected_characters(tmp_path, capsys):
+    # str.isdigit accepts '²', int() does not; a decimal digit such as '٣'
+    # is a natural.
+    src = tmp_path / "digits.chor"
+    for text in ("main = p.² -> q.x; end\n", "main = p.1² -> q.x; end\n", "main = p.²x -> q.x; end\n"):
+        src.write_text(text, encoding="utf-8")
+        col = text.index("²") + 1
+        for command in ("check", "amend", "project"):
+            code = main([command, str(src)])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), (text, command)
+            assert captured.err == f"{src}: error: line 1 col {col}: unexpected character '²'\n"
+    src.write_text("main = p.٣ -> q.x; end\n", encoding="utf-8")
+    assert main(["amend", str(src)]) == 0
+    assert capsys.readouterr().out == "main =\n  p.3 -> q.x;\n  end\n"
+
+
 def test_amend_prints_the_safe_purchase(capsys):
     code = main(["amend", _sample("purchase_unsafe.chor")])
     out = capsys.readouterr().out
@@ -301,6 +318,12 @@ def test_both_run_modes_reject_ill_formed_programs_alike(tmp_path, capsys):
         "undeclared.chor": (
             "def X(p) = p.e -> q.x; end\nmain = call X\n",
             "not well-formed: the body of procedure X uses undeclared processes: q\n",
+        ),
+        # Two violations, on one line in every command.
+        "two.chor": (
+            "main = p.e -> p.x; call Foo\n",
+            "not well-formed: the main choreography is not well-formed; "
+            "main calls undefined procedure Foo\n",
         ),
     }
     table = tmp_path / "succ.table"

@@ -301,6 +301,27 @@ def test_budget_exhausts_on_each_side_as_trace_listing_does(monkeypatch):
             _same(prog, 4, budget)
 
 
+def test_an_exhausted_report_counts_entries_up_to_the_first_over_the_limit(monkeypatch):
+    # purchase_safe has 5 entries on each side at depth 6; a side stops at
+    # its limit's next entry, and a budget of 0 still allows the start entry.
+    prog = corpus.purchase_safe()
+    got = {budget: verifier.check_epp_correspondence(prog, State(), 6, budget)
+           for budget in (0, 1, 2, 4, 5)}
+    assert {b: (r.verdict, r.stats.states_explored) for b, r in got.items()} == {
+        0: (verifier.EXHAUSTED, 2),
+        1: (verifier.EXHAUSTED, 2),
+        2: (verifier.EXHAUSTED, 3),
+        4: (verifier.EXHAUSTED, 5),
+        5: (verifier.HOLDS, 10),
+    }
+    # The network side running out adds to the choreography side's count.
+    prog = amendment.amend_program(corpus.delayed_choice())
+    _patch_epp(monkeypatch, _nth(*MUTATIONS["trailing-tau"], 0))
+    chor_n = len(cc.traces(prog.procedures, prog.main, State(), 5))
+    report = verifier.check_epp_correspondence(prog, State(), 5, chor_n)
+    assert (report.verdict, report.stats.states_explored) == (verifier.EXHAUSTED, 2 * chor_n + 1)
+
+
 def test_self_addressed_network_is_rejected_after_the_choreography_budget(monkeypatch):
     prog = corpus.purchase_safe()
     to_self = _nth(sp.Send, lambda b: sp.Send("buyer", b.expr, b.cont), 0)
