@@ -571,68 +571,109 @@ def require_wf(prog: ChorProgram) -> None:
         raise IllFormedError("; ".join(problems))
 
 
+_NOBODY: frozenset[Pid] = frozenset()
+
+
 def _enabled(
     defs: Mapping[ProcName, Procedure], c: Choreography, s: State
 ) -> tuple[Transition, ...]:
-    return tuple(sorted(set(_steps(defs, c, s)), key=_transition_key))
+    table = defs if isinstance(defs, _Entered) else _Entered(defs)
+    return tuple(sorted(set(_steps(table, c, s, _NOBODY)), key=_transition_key))
 
 
 def _steps(
-    defs: Mapping[ProcName, Procedure], c: Choreography, s: State
+    defs: _Entered, c: Choreography, s: State, blocked: frozenset[Pid]
 ) -> list[Transition]:
-    """The transitions of (defs, c, s), unordered and possibly repeated: only
-    the outermost call needs them deduplicated and ordered.  When `defs` is an
-    `_Entered`, an entered call's body is looked up in its memo; the lists
-    kept there are shared, so no caller may change them."""
+    """The transitions of (defs, c, s) that involve none of the `blocked`
+    processes, which enclosing terms hold, unordered and possibly repeated:
+    only the outermost call needs them deduplicated and ordered.  An entered
+    call's body is stepped unblocked, once per store, and kept in
+    `defs.bodies`; those lists are shared, so no caller may change them."""
     out: list[Transition] = []
     if isinstance(c, Prefix):
         eta = c.action
-        if isinstance(eta, Com):
-            v = eval_expr(eta.expr, s, eta.sender)
-            out.append((CommEvent(eta.sender, v, eta.receiver), c.cont, s.set(eta.receiver, eta.var, v)))
-        else:
-            out.append((SelectEvent(eta.sender, eta.receiver, eta.label), c.cont, s))
-        blocked = eta_processes(eta)
-        for t, c2, s2 in _steps(defs, c.cont, s):
-            if blocked.isdisjoint(label_processes(t)):
+        if eta.sender not in blocked and eta.receiver not in blocked:
+            if isinstance(eta, Com):
+                v = eval_expr(eta.expr, s, eta.sender)
+                out.append((CommEvent(eta.sender, v, eta.receiver), c.cont, s.set(eta.receiver, eta.var, v)))
+            else:
+                out.append((SelectEvent(eta.sender, eta.receiver, eta.label), c.cont, s))
+        blocked = blocked.union((eta.sender, eta.receiver))
+        if not _idle(defs, c.cont, blocked):
+            for t, c2, s2 in _steps(defs, c.cont, s, blocked):
                 out.append((t, Prefix(eta, c2), s2))
     elif isinstance(c, Cond):
-        branch = c.then_c if eval_bexpr(c.guard, s, c.pid) else c.else_c
-        out.append((TauEvent(c.pid), branch, s))
+        if c.pid not in blocked:
+            branch = c.then_c if eval_bexpr(c.guard, s, c.pid) else c.else_c
+            out.append((TauEvent(c.pid), branch, s))
         # Both branches must take the very same step for it to commute past
         # the conditional; the successors are recombined under the guard.
-        thens = _steps(defs, c.then_c, s)
-        elses = _steps(defs, c.else_c, s)
-        for t, c1, s1 in thens:
-            if c.pid in label_processes(t):
-                continue
-            for t2, c2, s2 in elses:
-                if t2 == t and s2 == s1:
-                    out.append((t, Cond(c.pid, c.guard, c1, c2), s1))
+        blocked = blocked.union((c.pid,))
+        if not (_idle(defs, c.then_c, blocked) or _idle(defs, c.else_c, blocked)):
+            elses = _steps(defs, c.else_c, s, blocked)
+            for t, c1, s1 in _steps(defs, c.then_c, s, blocked):
+                for t2, c2, s2 in elses:
+                    if t2 == t and s2 == s1:
+                        out.append((t, Cond(c.pid, c.guard, c1, c2), s1))
     elif isinstance(c, Call):
         proc = defs[c.name]
         for p in proc.pids:
-            rest = tuple(x for x in proc.pids if x != p)
-            succ = proc.body if not rest else RunningCall(c.name, rest, proc.body)
-            out.append((TauEvent(p), succ, s))
+            if p not in blocked:
+                rest = tuple(x for x in proc.pids if x != p)
+                succ = proc.body if not rest else RunningCall(c.name, rest, proc.body)
+                out.append((TauEvent(p), succ, s))
     elif isinstance(c, RunningCall):
         for p in c.pending:
-            rest = tuple(x for x in c.pending if x != p)
-            succ = c.body if not rest else RunningCall(c.name, rest, c.body)
-            out.append((TauEvent(p), succ, s))
-        bodies = getattr(defs, "bodies", None)
-        if bodies is None:
-            inner = _steps(defs, c.body, s)
-        else:
+            if p not in blocked:
+                rest = tuple(x for x in c.pending if x != p)
+                succ = c.body if not rest else RunningCall(c.name, rest, c.body)
+                out.append((TauEvent(p), succ, s))
+        blocked = blocked.union(c.pending)
+        if not _idle(defs, c.body, blocked):
             key = (c.body, s)
-            inner = bodies.get(key)
+            inner = defs.bodies.get(key)
             if inner is None:
-                inner = bodies[key] = _steps(defs, c.body, s)
-        pending = frozenset(c.pending)
-        for t, b2, s2 in inner:
-            if pending.isdisjoint(label_processes(t)):
-                out.append((t, RunningCall(c.name, c.pending, b2), s2))
+                inner = defs.bodies[key] = _steps(defs, c.body, s, _NOBODY)
+            for t, b2, s2 in inner:
+                if blocked.isdisjoint(label_processes(t)):
+                    out.append((t, RunningCall(c.name, c.pending, b2), s2))
     return out
+
+
+def _idle(table: _Entered, c: Choreography, blocked: frozenset[Pid]) -> bool:
+    """Whether every process that can act in `c` is `blocked`.  The processes
+    of terms are kept in `table.processes`, None where a call may involve
+    anyone, and worked out bottom-up with an explicit stack.  Each new set is
+    also kept as a key of its own, so equal sets are shared."""
+    memo = table.processes
+    if c not in memo:
+        # The stack itself marks a child not worked out yet.
+        stack = [c]
+        while stack:
+            top = stack[-1]
+            if isinstance(top, Prefix):
+                procs = memo.get(top.cont, stack)
+                if procs is stack:
+                    stack.append(top.cont)
+                    continue
+                own = (top.action.sender, top.action.receiver)
+            elif isinstance(top, Cond):
+                procs, other = memo.get(top.then_c, stack), memo.get(top.else_c, stack)
+                if procs is stack or other is stack:
+                    stack += [k for k, v in ((top.then_c, procs), (top.else_c, other)) if v is stack]
+                    continue
+                if other is None:
+                    procs = None
+                own = (top.pid, *(other or ()))
+            else:
+                procs, own = (_NOBODY if isinstance(top, End) else None), ()
+            if procs is not None and not procs.issuperset(own):
+                procs = procs.union(own)
+                procs = memo.setdefault(procs, procs)
+            memo[top] = procs
+            stack.pop()
+    procs = memo[c]
+    return procs is not None and procs <= blocked
 
 
 def enabled(
@@ -648,15 +689,16 @@ def enabled(
 
 class _Entered(dict):
     """Procedure definitions that remember the transitions of entered call
-    bodies, per (body, store), for `_steps` to reuse.  A configuration with
-    nested entered calls then costs its own transitions, not its nesting
-    depth; one without any never looks at the memo."""
+    bodies, per (body, store), and the processes of terms, for `_steps` to
+    reuse.  A configuration with nested entered calls then costs its own
+    transitions, not its nesting depth."""
 
-    __slots__ = ("bodies",)
+    __slots__ = ("bodies", "processes")
 
     def __init__(self, defs: Mapping[ProcName, Procedure]):
         super().__init__(defs)
         self.bodies: dict = {}
+        self.processes: dict = {}
 
 
 def successors(defs: Mapping[ProcName, Procedure]) -> explore.Step:

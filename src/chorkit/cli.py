@@ -94,7 +94,7 @@ def _read(path: str, parse):
     read or parsed."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
     except syntax.ParseError as exc:
         for d in exc.diagnostics:

@@ -94,25 +94,35 @@ class Network:
     """Finite map from process names to behaviours; absent entries are End.
 
     Canonical: terminated entries are never stored, so extensional equality
-    coincides with equality of the underlying maps.
+    coincides with equality of the underlying maps.  The hash is computed
+    once, when the network is made.
     """
 
-    __slots__ = ("_map",)
+    __slots__ = ("_map", "_hash")
 
     def __init__(self, mapping: Mapping[Pid, Behaviour] | None = None):
-        self._map = {p: b for p, b in (mapping or {}).items() if b != End()}
+        self._seal({p: b for p, b in (mapping or {}).items() if not isinstance(b, End)})
+
+    def _seal(self, mapping: dict[Pid, Behaviour]) -> None:
+        self._map = mapping
+        self._hash = hash(frozenset(mapping.items()))
 
     def get(self, p: Pid) -> Behaviour:
         return self._map.get(p, End())
 
     def set(self, p: Pid, b: Behaviour) -> "Network":
+        return self._put(((p, b),))
+
+    def _put(self, pairs: tuple[tuple[Pid, Behaviour], ...]) -> "Network":
+        """A copy with each (process, behaviour) pair written in, in order."""
         out = dict(self._map)
-        if b == End():
-            out.pop(p, None)
-        else:
-            out[p] = b
+        for p, b in pairs:
+            if isinstance(b, End):
+                out.pop(p, None)
+            else:
+                out[p] = b
         fresh = Network.__new__(Network)
-        fresh._map = out
+        fresh._seal(out)
         return fresh
 
     def support(self) -> tuple[Pid, ...]:
@@ -126,7 +136,7 @@ class Network:
         return isinstance(other, Network) and self._map == other._map
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._map.items()))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Network({dict(sorted(self._map.items()))!r})"
@@ -206,21 +216,21 @@ def _transition_key(tr: Transition) -> tuple:
 def _enabled(
     defs: Mapping[ProcName, Behaviour], n: Network, s: State
 ) -> tuple[Transition, ...]:
+    net = n._map
     out: list[Transition] = []
-    for p in n.support():
-        b = n.get(p)
+    for p, b in net.items():
         if isinstance(b, Send):
-            partner = n.get(b.dst)
+            partner = net.get(b.dst)
             if isinstance(partner, Recv) and partner.src == p:
                 v = eval_expr(b.expr, s, p)
-                n2 = n.set(p, b.cont).set(b.dst, partner.cont)
+                n2 = n._put(((p, b.cont), (b.dst, partner.cont)))
                 out.append((CommEvent(p, v, b.dst), n2, s.set(b.dst, partner.var, v)))
         elif isinstance(b, Choose):
-            partner = n.get(b.dst)
+            partner = net.get(b.dst)
             if isinstance(partner, Offer) and partner.src == p:
                 option = partner.left if b.label is Label.LEFT else partner.right
                 if option is not None:
-                    n2 = n.set(p, b.cont).set(b.dst, option)
+                    n2 = n._put(((p, b.cont), (b.dst, option)))
                     out.append((SelectEvent(p, b.dst, b.label), n2, s))
         elif isinstance(b, Cond):
             chosen = b.then_b if eval_bexpr(b.guard, s, p) else b.else_b

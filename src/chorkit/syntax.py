@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -231,8 +232,11 @@ class _Parser:
     def parse_expr(self) -> cc.Expr:
         tok = self._tokens[self._pos]
         if tok[:1].isdecimal():
+            value = _natural(tok)
+            if value is None:
+                self._fail(_too_long(tok))
             self._pos += 1
-            return cc.Lit(int(tok))
+            return cc.Lit(value)
         if tok == "succ":
             self._pos += 1
             self._expect("(")
@@ -263,6 +267,19 @@ def parse_source(text: str) -> SourceUnit:
     return _Parser(text).parse_unit()
 
 
+def _natural(digits: str) -> int | None:
+    """The natural `digits` spells, or None past Python's limit on integer
+    string conversion."""
+    try:
+        return int(digits)
+    except ValueError:
+        return None
+
+
+def _too_long(digits: str) -> str:
+    return f"natural too long: {len(digits)} digits, the limit is {sys.get_int_max_str_digits()}"
+
+
 def parse_state_text(text: str) -> cc.State:
     entries: dict[tuple[cc.Pid, cc.VarName], int] = {}
     diagnostics: list[Diagnostic] = []
@@ -270,20 +287,17 @@ def parse_state_text(text: str) -> cc.State:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        ok = False
-        if "=" in line:
-            target, _, value = line.partition("=")
-            if "." in target:
-                p, _, x = target.strip().partition(".")
-                p, x = p.strip(), x.strip()
-                value = value.strip()
-                if p and x and value.isdigit():
-                    entries[(p, x)] = int(value)
-                    ok = True
-        if not ok:
+        target, _, value = line.partition("=")
+        p, _, x = target.partition(".")
+        p, x, value = p.strip(), x.strip(), value.strip()
+        if not (p and x and value.isdecimal()):
             diagnostics.append(
                 Diagnostic("error", lineno, 1, f"expected 'p.x = n', found {raw.strip()!r}")
             )
+        elif (n := _natural(value)) is None:
+            diagnostics.append(Diagnostic("error", lineno, raw.find(value) + 1, _too_long(value)))
+        else:
+            entries[(p, x)] = n
     if diagnostics:
         raise ParseError(diagnostics)
     return cc.State(entries)
@@ -300,10 +314,14 @@ def parse_table_text(text: str) -> cc.FnTable:
         lhs, sep, rhs = line.partition("->")
         rhs = rhs.strip()
         parts = [p.strip() for p in lhs.split(",")]
-        if not sep or not all(p.isdigit() for p in parts) or not parts:
+        if not sep or not all(p.isdecimal() for p in parts) or not parts:
             diagnostics.append(
                 Diagnostic("error", lineno, 1, f"expected 'n1,n2 -> n', found {raw.strip()!r}")
             )
+            continue
+        long = [p for p in (*parts, rhs) if p.isdecimal() and _natural(p) is None]
+        if long:
+            diagnostics.append(Diagnostic("error", lineno, raw.find(long[0]) + 1, _too_long(long[0])))
             continue
         key = tuple(int(p) for p in parts)
         if arity is None:
@@ -315,7 +333,7 @@ def parse_table_text(text: str) -> cc.FnTable:
             continue
         if rhs == "undef":
             entries[key] = None
-        elif rhs.isdigit():
+        elif rhs.isdecimal():
             entries[key] = int(rhs)
         else:
             diagnostics.append(

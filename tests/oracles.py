@@ -270,7 +270,9 @@ def run_all(prog: cc.ChorProgram, state: cc.State, steps: int) -> str:
 
 
 def steps(defs, c: cc.Choreography, s: cc.State) -> list:
-    """`cc._steps` without the memo of entered call bodies."""
+    """`cc._steps` as the delay rule reads: every transition of a continuation
+    is built, those an enclosing term blocks are dropped afterwards, and no
+    entered call body is remembered."""
     out = []
     if isinstance(c, cc.Prefix):
         eta = c.action
@@ -322,6 +324,39 @@ def successors(defs):
         return tuple((t, (c2, s2)) for t, c2, s2 in moves)
 
     return step
+
+
+def network_steps(defs, n: sp.Network, s: cc.State) -> list:
+    """`sp._enabled` written from the definitions: the processes in
+    `support()` order, each looked up with `get`, a communication made with two
+    `set`s, and the transitions ordered by label."""
+    out = []
+    for p in n.support():
+        b = n.get(p)
+        if isinstance(b, sp.Send):
+            partner = n.get(b.dst)
+            if isinstance(partner, sp.Recv) and partner.src == p:
+                v = cc.eval_expr(b.expr, s, p)
+                n2 = n.set(p, b.cont).set(b.dst, partner.cont)
+                out.append((cc.CommEvent(p, v, b.dst), n2, s.set(b.dst, partner.var, v)))
+        elif isinstance(b, sp.Choose):
+            partner = n.get(b.dst)
+            if isinstance(partner, sp.Offer) and partner.src == p:
+                option = partner.left if b.label is cc.Label.LEFT else partner.right
+                if option is not None:
+                    n2 = n.set(p, b.cont).set(b.dst, option)
+                    out.append((cc.SelectEvent(p, b.dst, b.label), n2, s))
+        elif isinstance(b, sp.Cond):
+            chosen = b.then_b if cc.eval_bexpr(b.guard, s, p) else b.else_b
+            out.append((cc.TauEvent(p), n.set(p, chosen), s))
+        elif isinstance(b, sp.Call):
+            out.append((cc.TauEvent(p), n.set(p, defs[b.name]), s))
+    return sorted(out, key=lambda tr: cc.label_key(tr[0]))
+
+
+def network_hash(n: sp.Network) -> int:
+    """The hash a network has by definition: that of its set of entries."""
+    return hash(frozenset(n.items()))
 
 
 def mkey(labels) -> tuple:

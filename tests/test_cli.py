@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
+
+import pytest
 
 import corpus
 from chorkit import cc, syntax
@@ -263,6 +266,71 @@ def test_missing_file_is_a_usage_error(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "cannot read" in err
+
+
+def _file_kinds(tmp_path, program: bytes, state: bytes, table: bytes) -> list:
+    """(path, argv) for a program, a state file and a table file with the
+    given contents; the other files a command needs are good samples."""
+    kinds = []
+    for name, data in (("prog.chor", program), ("start.state", state), ("fn.table", table)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        kinds.append(str(path))
+    prog, state, table = kinds
+    return [
+        (prog, ["check", prog]),
+        (state, ["run", _sample("purchase_safe.chor"), "--all", "--state", state]),
+        (table, ["implements", _sample("successor_fn.chor"), "--table", table,
+                 "--inputs", "p", "--output", "q"]),
+    ]
+
+
+def test_files_that_are_not_utf8_cannot_be_read(tmp_path, capsys):
+    kinds = _file_kinds(tmp_path, b"main = p.\xff -> q.x; end\n", b"p.x = \xff\n", b"0 -> \xff\n")
+    for path, argv in kinds:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+        assert captured.err.count("\n") == 1, argv
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no limit on integer string conversion")
+def test_naturals_longer_than_int_converts_are_diagnostics(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    long = "7" * (limit + 700)
+    kinds = _file_kinds(
+        tmp_path,
+        f"main = p.{long} -> q.x; end\n".encode(),
+        f"p.x = 1\np.y = {long}\n".encode(),
+        f"0 -> 1\n1 -> {long}\n".encode(),
+    )
+    positions = [(1, 10), (2, 7), (2, 6)]
+    for (path, argv), (line, col) in zip(kinds, positions):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err == (
+            f"{path}: error: line {line} col {col}: natural too long: "
+            f"{len(long)} digits, the limit is {limit}\n"
+        )
+    # A natural at the limit is still read.
+    (tmp_path / "prog.chor").write_text(f"main = p.{'7' * limit} -> q.x; end\n")
+    assert main(["check", str(tmp_path / "prog.chor")]) == 0
+    capsys.readouterr()
+
+
+def test_numeric_characters_that_are_not_decimal_digits_are_rejected_in_data_files(
+    tmp_path, capsys
+):
+    # str.isdigit accepts '²', which int() cannot read.
+    for path, argv in _file_kinds(tmp_path, b"main = end\n", "p.x = ²\n".encode(),
+                                  "0 -> ²\n".encode())[1:]:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err.startswith(f"{path}: error: line 1 col 1: expected "), captured.err
 
 
 def test_output_is_stable_across_runs(capsys):
