@@ -12,7 +12,7 @@ import sys
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Union
+from typing import AbstractSet, Mapping, Optional, Union
 
 from . import explore
 from .explore import BudgetExceeded  # callers catch it as cc.BudgetExceeded
@@ -316,35 +316,47 @@ class State:
     """Store mapping (process, variable) pairs to naturals; absent entries read 0.
 
     Kept canonical: zero entries are never stored, so extensional equality
-    coincides with equality of the underlying maps.  The sorted items and the
-    hash are computed once, when the store is made.
+    coincides with equality of the underlying maps.  The hash is the XOR of
+    the entries' hashes, so `set` updates it in constant time; the sorted
+    items are built on first use.
     """
 
     __slots__ = ("_entries", "_items", "_hash")
 
     def __init__(self, entries: Mapping[tuple[Pid, VarName], int] | None = None):
-        self._seal({k: v for k, v in (entries or {}).items() if v != 0})
-
-    def _seal(self, entries: dict[tuple[Pid, VarName], int]) -> None:
-        self._entries = entries
-        self._items = tuple(sorted(entries.items()))
-        self._hash = hash(self._items)
+        self._entries = {k: v for k, v in (entries or {}).items() if v != 0}
+        self._items = None
+        h = 0
+        for entry in self._entries.items():
+            h ^= hash(entry)
+        self._hash = h
 
     def get(self, p: Pid, x: VarName) -> int:
         return self._entries.get((p, x), 0)
 
     def set(self, p: Pid, x: VarName, v: int) -> "State":
+        key = (p, x)
+        old = self._entries.get(key, 0)
+        if old == v:
+            return self
         out = dict(self._entries)
+        h = self._hash
+        if old:
+            h ^= hash((key, old))
         if v == 0:
-            out.pop((p, x), None)
+            del out[key]
         else:
-            out[(p, x)] = v
+            out[key] = v
+            h ^= hash((key, v))
         fresh = State.__new__(State)
-        fresh._seal(out)
+        fresh._entries, fresh._items, fresh._hash = out, None, h
         return fresh
 
     def items(self) -> tuple[tuple[tuple[Pid, VarName], int], ...]:
-        return self._items
+        items = self._items
+        if items is None:
+            items = self._items = tuple(sorted(self._entries.items()))
+        return items
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, State) and self._entries == other._entries
@@ -353,12 +365,31 @@ class State:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"State({dict(self._items)!r})"
+        return f"State({dict(self.items())!r})"
+
+
+# `str` refuses integers past the interpreter's conversion limit (4,300 digits
+# by default).  A run passes it by taking successors of a long literal, so
+# naturals are written out a thousand digits at a time.
+_CHUNK_DIGITS = 1000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def nat_text(n: int) -> str:
+    """The decimal digits of a natural of any size."""
+    if n < _CHUNK:
+        return str(n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
 
 
 def state_text(s: State) -> str:
     """Render a store in the initial-state file format, one binding per line."""
-    lines = [f"{p}.{x} = {v}" for (p, x), v in s.items()]
+    lines = [f"{p}.{x} = {nat_text(v)}" for (p, x), v in s.items()]
     return "\n".join(lines) if lines else "(all zero)"
 
 
@@ -377,6 +408,14 @@ class CommEvent:
     sender: Pid
     value: int
     receiver: Pid
+
+    def __repr__(self) -> str:
+        # The dataclass repr, with a value of any size: witnesses are chosen
+        # by the repr of their traces.
+        return (
+            f"CommEvent(sender={self.sender!r}, value={nat_text(self.value)}, "
+            f"receiver={self.receiver!r})"
+        )
 
 
 @_node(key=lambda sender, receiver, label: (1, sender, receiver, label.value))
@@ -412,7 +451,7 @@ def label_key(t: TransitionLabel) -> tuple:
 
 def label_text(t: TransitionLabel) -> str:
     if isinstance(t, CommEvent):
-        return f"{t.sender} -> {t.receiver} : {t.value}"
+        return f"{t.sender} -> {t.receiver} : {nat_text(t.value)}"
     if isinstance(t, SelectEvent):
         return f"{t.sender} -> {t.receiver} [{t.label.value}]"
     return f"tau {t.pid}"
@@ -556,11 +595,12 @@ class IllFormedError(ValueError):
 
 
 def _transition_key(tr: Transition) -> tuple:
-    try:
-        term_key = tr[1]._key
-    except AttributeError:
-        term_key = sort_key(tr[1])
-    return (tr[0]._key, term_key, tr[2]._items)
+    # The labels of one configuration's transitions are pairwise distinct, so
+    # the label alone orders them: a prefix blocks its own processes for
+    # every step below it, a conditional keeps only the steps that both
+    # branches take, and an entered call's body steps only away from its
+    # pending processes.
+    return tr[0]._key
 
 
 def require_wf(prog: ChorProgram) -> None:
@@ -578,31 +618,41 @@ def _enabled(
     defs: Mapping[ProcName, Procedure], c: Choreography, s: State
 ) -> tuple[Transition, ...]:
     table = defs if isinstance(defs, _Entered) else _Entered(defs)
-    return tuple(sorted(set(_steps(table, c, s, _NOBODY)), key=_transition_key))
+    return tuple(sorted(_steps(table, c, s, _NOBODY), key=_transition_key))
 
 
 def _steps(
-    defs: _Entered, c: Choreography, s: State, blocked: frozenset[Pid]
+    defs: _Entered, c: Choreography, s: State, blocked: AbstractSet[Pid]
 ) -> list[Transition]:
     """The transitions of (defs, c, s) that involve none of the `blocked`
-    processes, which enclosing terms hold, unordered and possibly repeated:
-    only the outermost call needs them deduplicated and ordered.  An entered
-    call's body is stepped unblocked, once per store, and kept in
-    `defs.bodies`; those lists are shared, so no caller may change them."""
-    out: list[Transition] = []
+    processes, which enclosing terms hold, unordered: only the outermost call
+    needs them ordered.  An entered call's body is stepped unblocked, once
+    per store, and kept in `defs.bodies`; those lists are shared, so no
+    caller may change them.
+
+    A run of prefixes is walked with a loop until its continuation is idle
+    or is no prefix, and the residual prefixes are rebuilt on the way out, so
+    a long run needs no stack frame per prefix."""
+    fired: list = []  # per prefix walked: its action and its own transition
     if isinstance(c, Prefix):
-        eta = c.action
-        if eta.sender not in blocked and eta.receiver not in blocked:
-            if isinstance(eta, Com):
-                v = eval_expr(eta.expr, s, eta.sender)
-                out.append((CommEvent(eta.sender, v, eta.receiver), c.cont, s.set(eta.receiver, eta.var, v)))
-            else:
-                out.append((SelectEvent(eta.sender, eta.receiver, eta.label), c.cont, s))
-        blocked = blocked.union((eta.sender, eta.receiver))
-        if not _idle(defs, c.cont, blocked):
-            for t, c2, s2 in _steps(defs, c.cont, s, blocked):
-                out.append((t, Prefix(eta, c2), s2))
-    elif isinstance(c, Cond):
+        blocked = set(blocked)
+        while isinstance(c, Prefix):
+            eta = c.action
+            own = None
+            if eta.sender not in blocked and eta.receiver not in blocked:
+                if isinstance(eta, Com):
+                    v = eval_expr(eta.expr, s, eta.sender)
+                    own = (CommEvent(eta.sender, v, eta.receiver), c.cont, s.set(eta.receiver, eta.var, v))
+                else:
+                    own = (SelectEvent(eta.sender, eta.receiver, eta.label), c.cont, s)
+            fired.append((eta, own))
+            blocked.add(eta.sender)
+            blocked.add(eta.receiver)
+            c = c.cont
+            if _idle(defs, c, blocked):
+                c = None  # nothing below can fire
+    out: list[Transition] = []
+    if isinstance(c, Cond):
         if c.pid not in blocked:
             branch = c.then_c if eval_bexpr(c.guard, s, c.pid) else c.else_c
             out.append((TauEvent(c.pid), branch, s))
@@ -637,14 +687,26 @@ def _steps(
             for t, b2, s2 in inner:
                 if blocked.isdisjoint(label_processes(t)):
                     out.append((t, RunningCall(c.name, c.pending, b2), s2))
+    for eta, own in reversed(fired):
+        for i, (t, c2, s2) in enumerate(out):
+            out[i] = (t, Prefix(eta, c2), s2)
+        if own is not None:
+            out.append(own)
     return out
 
 
-def _idle(table: _Entered, c: Choreography, blocked: frozenset[Pid]) -> bool:
+# Terms that involve more processes are kept as involving anyone: a line in
+# which each interaction brings in a new process would otherwise keep a set
+# per prefix, quadratic in its length.
+_MAX_KEPT_PROCESSES = 64
+
+
+def _idle(table: _Entered, c: Choreography, blocked: AbstractSet[Pid]) -> bool:
     """Whether every process that can act in `c` is `blocked`.  The processes
     of terms are kept in `table.processes`, None where a call may involve
-    anyone, and worked out bottom-up with an explicit stack.  Each new set is
-    also kept as a key of its own, so equal sets are shared."""
+    anyone or there are more than _MAX_KEPT_PROCESSES, and worked out
+    bottom-up with an explicit stack.  Each new set is also kept as a key of
+    its own, so equal sets are shared."""
     memo = table.processes
     if c not in memo:
         # The stack itself marks a child not worked out yet.
@@ -669,7 +731,10 @@ def _idle(table: _Entered, c: Choreography, blocked: frozenset[Pid]) -> bool:
                 procs, own = (_NOBODY if isinstance(top, End) else None), ()
             if procs is not None and not procs.issuperset(own):
                 procs = procs.union(own)
-                procs = memo.setdefault(procs, procs)
+                if len(procs) > _MAX_KEPT_PROCESSES:
+                    procs = None
+                else:
+                    procs = memo.setdefault(procs, procs)
             memo[top] = procs
             stack.pop()
     procs = memo[c]

@@ -129,7 +129,7 @@ def _print_failures(failures: list[projection.ProjectionFailure]) -> None:
 
 
 def _inline_state(s: cc.State) -> str:
-    bindings = [f"{p}.{x} = {v}" for (p, x), v in s.items()]
+    bindings = [f"{p}.{x} = {cc.nat_text(v)}" for (p, x), v in s.items()]
     return ", ".join(bindings) if bindings else "(all zero)"
 
 

@@ -219,12 +219,13 @@ def _with_instances(b: sp.Behaviour, p: cc.Pid) -> sp.Behaviour:
 
 
 def project_failures(
-    prog: cc.ChorProgram, memo: Memo | None = None
+    prog: cc.ChorProgram, memo: Memo | None = None, pids: list[cc.Pid] | None = None
 ) -> list[ProjectionFailure]:
-    """Every (term, process) pair at which EPP of the program is undefined."""
+    """Every (term, process) pair at which EPP of the program is undefined.
+    `pids` is `sorted(cc.process_names(prog))` where the caller has it."""
     memo = {} if memo is None else memo
     failures: list[ProjectionFailure] = []
-    for p in sorted(cc.process_names(prog)):
+    for p in sorted(cc.process_names(prog)) if pids is None else pids:
         term = blame(prog.procedures, prog.main, p, memo)
         if term is not None:
             failures.append(ProjectionFailure(p, term, "main"))
@@ -253,13 +254,15 @@ def epp(prog: cc.ChorProgram) -> sp.SPProgram:
     """
     cc.require_wf(prog)
     memo: Memo = {}
-    failures = project_failures(prog, memo)
+    pids = sorted(cc.process_names(prog))
+    failures = project_failures(prog, memo, pids)
     if failures:
         raise UnprojectableError(failures)
     net: dict[cc.Pid, sp.Behaviour] = {}
-    for p in sorted(cc.process_names(prog)):
+    for p in pids:
         body = _bproj(prog.procedures, prog.main, p, memo)
-        net[p] = _with_instances(body, p)
+        # Without procedures no call can occur, and the copy would change nothing.
+        net[p] = _with_instances(body, p) if prog.procedures else body
     procedures: dict[cc.ProcName, sp.Behaviour] = {}
     for name in sorted(prog.procedures):
         proc = prog.procedures[name]

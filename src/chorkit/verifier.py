@@ -601,11 +601,15 @@ class _Subsets:
         """Label -> the set of configurations `cfgs` reaches by it."""
         out = self._succ.get(cfgs)
         if out is None:
-            acc: dict = {}
+            out = {}
             for i in cfgs:
                 for t, j in self._moves_of(i):
-                    acc.setdefault(t, {})[j] = None
-            out = self._succ[cfgs] = {t: tuple(js) for t, js in acc.items()}
+                    js = out.get(t)
+                    if js is None:
+                        out[t] = (j,)
+                    elif j not in js:
+                        out[t] = js + (j,)
+            self._succ[cfgs] = out
         return out
 
     def entries(self, depth: int, limit: int) -> int:

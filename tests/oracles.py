@@ -315,12 +315,20 @@ def steps(defs, c: cc.Choreography, s: cc.State) -> list:
     return out
 
 
+def transition_key(tr) -> tuple:
+    """A total order on transitions: the label's key, then the structural
+    key of the successor term, then the successor store's sorted items."""
+    t, c, s = tr
+    return (cc.label_key(t), cc.sort_key(c), s.items())
+
+
 def successors(defs):
-    """`cc.successors` over the memo-free `steps`."""
+    """`cc.successors` over the memo-free `steps`, deduplicated and ordered
+    by the full `transition_key`."""
 
     def step(cfg) -> tuple:
         c, s = cfg
-        moves = sorted(set(steps(defs, c, s)), key=cc._transition_key)
+        moves = sorted(set(steps(defs, c, s)), key=transition_key)
         return tuple((t, (c2, s2)) for t, c2, s2 in moves)
 
     return step

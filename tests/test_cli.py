@@ -321,6 +321,29 @@ def test_naturals_longer_than_int_converts_are_diagnostics(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_computed_naturals_past_the_conversion_limit_are_printed(tmp_path, capsys):
+    # The literal is read; its successor has 4,301 digits, past the default
+    # limit of `str` on integers.
+    nines, value = "9" * 4300, "1" + "0" * 4300
+    src = tmp_path / "big.chor"
+    src.write_text(f"main = p.succ({nines}) -> q.x; end\n", encoding="utf-8")
+    assert main(["run", str(src), "--all"]) == 0
+    assert capsys.readouterr().out == f"run 1: p -> q : {value}\n  final state: q.x = {value}\n"
+    assert main(["run", str(src), "--seed", "1"]) == 0
+    assert capsys.readouterr().out == f"p -> q : {value}\nfinal state: q.x = {value}\n"
+    # A witness whose trace and state carry the value, as text and as JSON.
+    delayed = (SAMPLES / "delayed_choice.chor").read_text(encoding="utf-8")
+    src.write_text(delayed.replace("main =", f"main = p.succ({nines}) -> r.z;"), encoding="utf-8")
+    assert main(["verify", "naive", str(src)]) == 1
+    out = capsys.readouterr().out
+    assert f"witness trace: p -> r : {value}, tau r\n" in out
+    assert f"witness state: r.z = {value}\n" in out
+    assert main(["verify", "naive", str(src), "--json"]) == 1
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness["trace"] == [f"p -> r : {value}", "tau r"]
+    assert witness["state"] == f"r.z = {value}"
+
+
 def test_numeric_characters_that_are_not_decimal_digits_are_rejected_in_data_files(
     tmp_path, capsys
 ):

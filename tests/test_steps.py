@@ -64,6 +64,10 @@ def test_steps_match_the_memo_free_oracle_on_generated_terms(defs, c, s):
         for cfg in frontier:
             moves = step(cfg)
             assert moves == want(cfg), cfg
+            # Transitions are ordered by label alone, which is total only
+            # because one configuration's labels are pairwise distinct.
+            labels = [t for t, _ in moves]
+            assert len(set(labels)) == len(labels), cfg
             nxt += [cfg2 for _, cfg2 in moves]
         frontier = nxt[:20]
 
@@ -82,6 +86,49 @@ def test_a_5000_interaction_ring_steps_under_the_default_recursion_limit():
     [(label, c2, s2)] = cc._enabled({}, c, State())
     assert (label, c2, s2) == (CommEvent("p", 0, "q"), c.cont, State())
     assert cc.successors({})((c2, s2)) == ((CommEvent("q", 1, "r"), (c2.cont, State({("r", "x"): 1}))),)
+
+
+def test_a_5000_interaction_line_steps_under_the_default_recursion_limit():
+    """Each interaction brings in a new process, so no continuation is idle
+    and the walk goes down every prefix.  The processes of only the last
+    suffixes are kept: a set per suffix would hold 12.5 million entries."""
+    assert sys.getrecursionlimit() <= 1000
+    c = End()
+    for i in reversed(range(5000)):
+        c = Prefix(Com(f"p{i}", Lit(1), f"p{i + 1}", "x"), c)
+    table = cc._Entered({})
+    assert cc._enabled(table, c, State()) == ((CommEvent("p0", 1, "p1"), c.cont, State({("p1", "x"): 1})),)
+    kept = {id(procs): len(procs) for procs in table.processes.values() if procs is not None}
+    assert sum(kept.values()) < 10_000
+
+
+# ---------------------------------------------------------------------------
+# Stores
+
+
+keys = st.tuples(names, st.sampled_from("xyz"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(keys, st.integers(0, 3)), st.permutations(range(9)), keys, st.integers(1, 3))
+def test_equal_stores_hash_alike_however_they_are_built(entries, order, key, v):
+    """Built at once, by `set`s in any order (at most 9 keys exist), and with
+    a value set to 0, or to another value, and back."""
+    store = State(entries)
+    pairs = list(entries.items())
+    by_sets = State()
+    for i in order:
+        if i < len(pairs):
+            by_sets = by_sets.set(*pairs[i][0], pairs[i][1])
+    built = [State(dict(reversed(pairs))), by_sets, store.set(*key, v).set(*key, store.get(*key))]
+    built += [store.set(p, x, 0).set(p, x, w) for (p, x), w in pairs]
+    want = tuple(sorted((k, w) for k, w in pairs if w))
+    for other in built:
+        assert other == store and hash(other) == hash(store) and other.items() == want
+    rest = {k: w for k, w in pairs if k != key}
+    cleared = store.set(*key, 0)
+    assert cleared == State(rest) and hash(cleared) == hash(State(rest))
+    assert cleared.items() == tuple((k, w) for k, w in want if k != key)
 
 
 # ---------------------------------------------------------------------------
