@@ -8,6 +8,7 @@ process the repair was asked to cover.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import cc
@@ -93,34 +94,76 @@ def amend(
     return out
 
 
-def amend_defs(
-    defs: Mapping[cc.ProcName, cc.Procedure],
-    pids: Sequence[cc.Pid],
-    memo: Memo | None = None,
-) -> dict[cc.ProcName, cc.Procedure]:
-    """Amend every procedure body pointwise, against the original definitions."""
-    memo = {} if memo is None else memo
-    return {
-        name: cc.Procedure(proc.pids, amend(defs, pids, proc.body, memo))
-        for name, proc in defs.items()
-    }
-
-
 def amend_pids(prog: cc.ChorProgram) -> list[cc.Pid]:
     """The process list amendment covers for a program: everything it uses,
     in a fixed lexicographic order so output is reproducible."""
     return sorted(cc.process_names(prog))
 
 
+class Amendment:
+    """A well-formed program's amendment for every process it uses.
+
+    The procedure bodies and `main`, and any term the program reaches later
+    (`term`), are amended against the original definitions through one
+    projection memo and one cache of amended terms, so a term shared by
+    several of them is amended once.
+    """
+
+    def __init__(self, prog: cc.ChorProgram):
+        cc.require_wf(prog)
+        self.defs = prog.procedures
+        self.pids = amend_pids(prog)
+        self.memo: Memo = {}
+        self._done: dict = {}
+        self._roots = (prog.main, *(proc.body for proc in prog.procedures.values()))
+        self.procedures = {
+            name: cc.Procedure(proc.pids, self.term(proc.body))
+            for name, proc in prog.procedures.items()
+        }
+        self.main = self.term(prog.main)
+
+    def term(self, c: cc.Choreography) -> cc.Choreography:
+        """The amendment of `c`, a term of the program or one it reaches."""
+        out = self._done.get(c)
+        if out is None:
+            out = self._done[c] = amend(self.defs, self.pids, c, self.memo, self._done)
+        return out
+
+    @cached_property
+    def max_insertions(self) -> int:
+        """Most selections amendment inserts at any single conditional.
+
+        Every inserted selection fires after its conditional's internal
+        action, so a trace with k internal actions carries at most k times
+        this many extra selections; searches on the amended side are bounded
+        accordingly.
+        """
+        out = 0
+        seen: set = set()
+        stack = list(self._roots)
+        while stack:
+            c = stack.pop()
+            if c in seen:
+                continue
+            seen.add(c)
+            if isinstance(c, cc.Prefix):
+                stack.append(c.cont)
+            elif isinstance(c, cc.Cond):
+                then_a, else_a = self.term(c.then_c), self.term(c.else_c)
+                uninformed = needs_selection(
+                    self.defs, c.pid, c.guard, self.pids, then_a, else_a, self.memo
+                )
+                out = max(out, len(uninformed))
+                stack += (c.then_c, c.else_c)
+            elif isinstance(c, cc.RunningCall):
+                stack.append(c.body)
+        return out
+
+
 def amend_program(prog: cc.ChorProgram) -> cc.ChorProgram:
     """Amend a whole program for every process it uses."""
-    cc.require_wf(prog)
-    pids = amend_pids(prog)
-    memo: Memo = {}
-    return cc.ChorProgram(
-        amend_defs(prog.procedures, pids, memo),
-        amend(prog.procedures, pids, prog.main, memo),
-    )
+    amended = Amendment(prog)
+    return cc.ChorProgram(amended.procedures, amended.main)
 
 
 def _split_selections(labels: Iterable[cc.TransitionLabel]) -> tuple[tuple, tuple]:

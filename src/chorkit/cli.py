@@ -165,7 +165,11 @@ def _cmd_amend(args) -> int:
     repaired = amendment.amend_program(prog)
     text = syntax.render_program(repaired)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return USAGE
     else:
         print(text, end="")
     return OK

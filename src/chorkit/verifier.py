@@ -9,8 +9,8 @@ an actual firing sequence so they can be fed back through the semantics.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from . import amendment, cc, explore, projection, sp
 from .cc import FnTable  # callers import it from here too
@@ -50,10 +50,6 @@ class Report:
     @property
     def holds(self) -> bool:
         return self.verdict == HOLDS
-
-    @property
-    def is_counterexample(self) -> bool:
-        return self.verdict == COUNTEREXAMPLE
 
     def to_dict(self) -> dict:
         """Machine-readable form: one record per check."""
@@ -197,85 +193,6 @@ def _deletes_to(
     return len(base) in reachable
 
 
-def _max_insertions(
-    defs: Mapping[cc.ProcName, cc.Procedure],
-    pids: Sequence[cc.Pid],
-    c: cc.Choreography,
-    memo: projection.Memo,
-) -> int:
-    if isinstance(c, cc.Prefix):
-        return _max_insertions(defs, pids, c.cont, memo)
-    if isinstance(c, cc.Cond):
-        then_a = amendment.amend(defs, pids, c.then_c, memo)
-        else_a = amendment.amend(defs, pids, c.else_c, memo)
-        here = len(
-            amendment.needs_selection(defs, c.pid, c.guard, pids, then_a, else_a, memo)
-        )
-        return max(
-            here,
-            _max_insertions(defs, pids, c.then_c, memo),
-            _max_insertions(defs, pids, c.else_c, memo),
-        )
-    if isinstance(c, cc.RunningCall):
-        return _max_insertions(defs, pids, c.body, memo)
-    return 0
-
-
-def _program_max_insertions(
-    prog: cc.ChorProgram, pids: Sequence[cc.Pid], memo: projection.Memo
-) -> int:
-    """Most selections amendment inserts at any single conditional.
-
-    Every inserted selection fires after its conditional's internal action, so
-    a trace with k internal actions carries at most k times this many extra
-    selections; searches on the amended side are bounded accordingly.
-    """
-    out = _max_insertions(prog.procedures, pids, prog.main, memo)
-    for proc in prog.procedures.values():
-        out = max(out, _max_insertions(prog.procedures, pids, proc.body, memo))
-    return out
-
-
-@dataclass
-class _AmendedView:
-    pids: list[cc.Pid]
-    defs: Mapping[cc.ProcName, cc.Procedure]
-    amended_defs: dict[cc.ProcName, cc.Procedure]
-    amended_main: cc.Choreography
-    max_insertions: int
-    memo: projection.Memo
-    # Every term amended so far, subterms included, to its amendment.
-    _done: dict = field(default_factory=dict)
-
-    def amend_term(self, c: cc.Choreography) -> cc.Choreography:
-        out = self._done.get(c)
-        if out is None:
-            out = self._done[c] = amendment.amend(
-                self.defs, self.pids, c, self.memo, self._done
-            )
-        return out
-
-    def amend_cfg(self, cfg: tuple) -> tuple:
-        """`cfg` with its term amended."""
-        c, s = cfg
-        return self.amend_term(c), s
-
-
-def _amended_view(prog: cc.ChorProgram) -> _AmendedView:
-    pids = amendment.amend_pids(prog)
-    memo: projection.Memo = {}
-    done: dict = {}
-    return _AmendedView(
-        pids=pids,
-        defs=prog.procedures,
-        amended_defs=amendment.amend_defs(prog.procedures, pids, memo),
-        amended_main=amendment.amend(prog.procedures, pids, prog.main, memo, done),
-        max_insertions=_program_max_insertions(prog, pids, memo),
-        memo=memo,
-        _done=done,
-    )
-
-
 def _checked(
     check: str,
     budget: explore.Budget,
@@ -305,15 +222,19 @@ class _Sides:
     configuration, and the budget and label ranks all their searches share."""
 
     def __init__(self, prog: cc.ChorProgram, state: cc.State | None, state_budget: int):
-        cc.require_wf(prog)
         state = state if state is not None else cc.State()
-        self.view = _amended_view(prog)
+        self.amendment = amendment.Amendment(prog)
         self.orig = explore.Space(cc.successors(prog.procedures))
-        self.amended = explore.Space(cc.successors(self.view.amended_defs))
+        self.amended = explore.Space(cc.successors(self.amendment.procedures))
         self.orig_start = (prog.main, state)
-        self.amended_start = (self.view.amended_main, state)
+        self.amended_start = (self.amendment.main, state)
         self.budget = explore.Budget(state_budget)
         self.ranks = _Ranks()
+
+    def amend_cfg(self, cfg: tuple) -> tuple:
+        """`cfg` with its term amended."""
+        c, s = cfg
+        return self.amendment.term(c), s
 
     def reach(self, space: explore.Space, start: Hashable, depth: int) -> dict:
         return _reach(space, start, depth, self.budget, self.ranks)
@@ -337,14 +258,13 @@ def check_naive_correspondence(
     choreographies where a conditional can be resolved out of order.
     """
     sides = _Sides(prog, state, state_budget)
-    view = sides.view
-    depth_a = depth + depth * (1 + view.max_insertions)
+    depth_a = depth + depth * (1 + sides.amendment.max_insertions)
 
     def search() -> Optional[Witness]:
         orig = sides.reach(sides.orig, sides.orig_start, depth)
         amended = sides.reach(sides.amended, sides.amended_start, depth_a)
         for cfg in sorted(orig, key=_cfg_key):
-            index = _index(amended.get(view.amend_cfg(cfg), ()))
+            index = _index(amended.get(sides.amend_cfg(cfg), ()))
             missed = [e for e in orig[cfg].items() if _split(e[0])[0] not in index]
             if missed:
                 return Witness(
@@ -440,9 +360,9 @@ def check_amend_complete(
     that is a permutation of tl ++ tl' plus extra selections.
     """
     sides = _Sides(prog, state, state_budget)
-    view = sides.view
+    insertions = sides.amendment.max_insertions
     total = depth + search_bound
-    depth_a = total + total * view.max_insertions
+    depth_a = total + total * insertions
 
     def search() -> Optional[Witness]:
         orig = sides.reach(sides.orig, sides.orig_start, depth)
@@ -453,12 +373,12 @@ def check_amend_complete(
             # A level-k extension completes a run of at most depth + k
             # labels, which amendment gives at most max_insertions selections
             # each, as in depth_a.
-            depth_k = min((depth + k) * (1 + view.max_insertions), depth_a)
+            depth_k = min((depth + k) * (1 + insertions), depth_a)
             _grow_index(amended, depth_k, indexes, lambda cfg: cfg)
 
         return _unmatched(
             sides, orig, sides.orig, search_bound, grow_amended,
-            lambda cfg2: indexes.get(view.amend_cfg(cfg2)), amendment.sub_multiset,
+            lambda cfg2: indexes.get(sides.amend_cfg(cfg2)), amendment.sub_multiset,
             "no extension of this run is matched by the amended "
             "program up to extra selections and reordering",
         )
@@ -481,11 +401,10 @@ def check_amend_sound(
     reaches by a trace tl'' with tl ++ tl' a selection-expansion of tl''.
     """
     sides = _Sides(prog, state, state_budget)
-    view = sides.view
     # The amended run of length <= depth is the premise; the extension that
     # discharges lingering selections is existential, so only it gets the
     # insertion allowance.
-    e_depth = search_bound + (depth + search_bound) * view.max_insertions
+    e_depth = search_bound + (depth + search_bound) * sides.amendment.max_insertions
 
     def search() -> Optional[Witness]:
         orig = sides.search(sides.orig, sides.orig_start)
@@ -495,7 +414,7 @@ def check_amend_sound(
             # A match fires the non-selection labels of the amended run and its
             # level-k extension and only some of their selections, so it is
             # no longer than depth + k.
-            _grow_index(orig, depth + k, indexes, view.amend_cfg)
+            _grow_index(orig, depth + k, indexes, sides.amend_cfg)
 
         a_reach = sides.reach(sides.amended, sides.amended_start, depth)
         return _unmatched(
@@ -524,8 +443,8 @@ def check_intermediate_formulation(
     original but is blocked behind the inserted selections in the amendment.
     """
     sides = _Sides(prog, state, state_budget)
-    view, orig, amended = sides.view, sides.orig, sides.amended
-    allowance = (search_bound + 1) * (1 + view.max_insertions)
+    orig, amended = sides.orig, sides.amended
+    allowance = (search_bound + 1) * (1 + sides.amendment.max_insertions)
 
     def listed(space: explore.Space, start, bound: int) -> dict:
         found, _, _ = explore.bfs(space, start, bound, sides.budget, explore.per_trace)
@@ -534,7 +453,7 @@ def check_intermediate_formulation(
     def search() -> Optional[Witness]:
         for (c0, s0), prefixes in listed(orig, sides.orig_start, depth).items():
             prefix = next(iter(prefixes))
-            amended_firsts = amended.enabled((view.amend_term(c0), s0))
+            amended_firsts = amended.enabled((sides.amendment.term(c0), s0))
             for t, (c1, s1) in orig.enabled((c0, s0)):
                 starts = [a1 for at, a1 in amended_firsts if at == t and a1[1] == s1]
                 witness = Witness(
@@ -552,7 +471,7 @@ def check_intermediate_formulation(
                     if any(
                         _deletes_to(tl, atl)
                         for (c2, s2), tls in orig_ext.items()
-                        for atl in a_ext.get((view.amend_term(c2), s2), ())
+                        for atl in a_ext.get((sides.amendment.term(c2), s2), ())
                         for tl in tls
                     ):
                         break

@@ -172,7 +172,7 @@ def intermediate_by_traces(
     each charged to the budget in full."""
     state = state if state is not None else cc.State()
     cc.require_wf(prog)
-    view = verifier._amended_view(prog)
+    view = amendment.Amendment(prog)
     budget = Budget(state_budget)
     stats = SearchStats(max_depth=depth)
     allowance = (search_bound + 1) * (1 + view.max_insertions)
@@ -183,9 +183,9 @@ def intermediate_by_traces(
             if (c0, s0) in seen_cfgs:
                 continue
             seen_cfgs.add((c0, s0))
-            a0 = view.amend_term(c0)
+            a0 = view.term(c0)
             first_steps = cc._enabled(prog.procedures, c0, s0)
-            amended_firsts = cc._enabled(view.amended_defs, a0, s0)
+            amended_firsts = cc._enabled(view.procedures, a0, s0)
             for t, c1, s1 in first_steps:
                 starts = [
                     (ac1, as1)
@@ -208,13 +208,13 @@ def intermediate_by_traces(
                 matched = False
                 for a1, as1 in starts:
                     a_ext = _listed(
-                        budget, view.amended_defs, a1, as1, search_bound + allowance
+                        budget, view.procedures, a1, as1, search_bound + allowance
                     )
                     by_cfg: dict = {}
                     for atl, ac2, as2 in a_ext:
                         by_cfg.setdefault((ac2, as2), []).append(atl)
                     for tl, c2, s2 in orig_ext:
-                        target = (view.amend_term(c2), s2)
+                        target = (view.term(c2), s2)
                         for atl in by_cfg.get(target, []):
                             if verifier._deletes_to(tuple(tl), tuple(atl)):
                                 matched = True
@@ -384,22 +384,15 @@ def is_selection_expansion(base, expanded) -> bool:
     return all(cc.is_selection(t) for t in extra)
 
 
-class AmendedView:
-    """`verifier._AmendedView`, amending each distinct term in one call."""
+class AmendedView(amendment.Amendment):
+    """`amendment.Amendment` with no cache shared across terms: each distinct
+    term is amended in one call of its own."""
 
-    def __init__(self, prog: cc.ChorProgram):
-        self.pids = amendment.amend_pids(prog)
-        self.defs = prog.procedures
-        self.memo: dict = {}
-        self.amended_defs = amendment.amend_defs(prog.procedures, self.pids, self.memo)
-        self.amended_main = amendment.amend(prog.procedures, self.pids, prog.main, self.memo)
-        self.max_insertions = verifier._program_max_insertions(prog, self.pids, self.memo)
-        self._cache: dict = {}
-
-    def amend_term(self, c: cc.Choreography) -> cc.Choreography:
-        if c not in self._cache:
-            self._cache[c] = amendment.amend(self.defs, self.pids, c, self.memo)
-        return self._cache[c]
+    def term(self, c: cc.Choreography) -> cc.Choreography:
+        out = self._done.get(c)
+        if out is None:
+            out = self._done[c] = amendment.amend(self.defs, self.pids, c, self.memo)
+        return out
 
 
 def naive_correspondence(
@@ -418,11 +411,11 @@ def naive_correspondence(
         stats.max_depth = max(stats.max_depth, depth_a)
         orig_space = Space(successors(prog.procedures))
         orig = reach(orig_space, (prog.main, state), depth, budget)
-        amended_space = Space(successors(view.amended_defs))
-        amended = reach(amended_space, (view.amended_main, state), depth_a, budget)
+        amended_space = Space(successors(view.procedures))
+        amended = reach(amended_space, (view.main, state), depth_a, budget)
         for cfg in sorted(orig, key=verifier._cfg_key):
             c1, s1 = cfg
-            target = (view.amend_term(c1), s1)
+            target = (view.term(c1), s1)
             candidates = amended.get(target, {})
             for mk, rep in sorted(orig[cfg].items(), key=repr):
                 want = nonsel(mk)
@@ -461,12 +454,12 @@ def amend_complete(
     stats = SearchStats()
     try:
         orig_space = Space(successors(prog.procedures))
-        amended_space = Space(successors(view.amended_defs))
+        amended_space = Space(successors(view.procedures))
         total = depth + search_bound
         depth_a = total + total * view.max_insertions
         stats.max_depth = depth_a
         orig = reach(orig_space, (prog.main, state), depth, budget)
-        amended = reach(amended_space, (view.amended_main, state), depth_a, budget)
+        amended = reach(amended_space, (view.main, state), depth_a, budget)
         ext_cache: dict = {}
         for cfg in sorted(orig, key=verifier._cfg_key):
             if cfg not in ext_cache:
@@ -476,7 +469,7 @@ def amend_complete(
                 matched = False
                 for cfg2 in sorted(extensions, key=verifier._cfg_key):
                     c2, s2 = cfg2
-                    target = (view.amend_term(c2), s2)
+                    target = (view.term(c2), s2)
                     candidates = amended.get(target)
                     if not candidates:
                         continue
@@ -522,15 +515,15 @@ def amend_sound(
     stats = SearchStats()
     try:
         orig_space = Space(successors(prog.procedures))
-        amended_space = Space(successors(view.amended_defs))
+        amended_space = Space(successors(view.procedures))
         e_depth = search_bound + (depth + search_bound) * view.max_insertions
         stats.max_depth = depth + e_depth
         orig = reach(orig_space, (prog.main, state), depth + e_depth, budget)
         index: dict = {}
         for (c3, s3), buckets in orig.items():
-            key = (view.amend_term(c3), s3)
+            key = (view.term(c3), s3)
             index.setdefault(key, []).extend(buckets.keys())
-        a_reach = reach(amended_space, (view.amended_main, state), depth, budget)
+        a_reach = reach(amended_space, (view.main, state), depth, budget)
         ext_cache: dict = {}
         for cfg in sorted(a_reach, key=verifier._cfg_key):
             if cfg not in ext_cache:
@@ -752,16 +745,21 @@ def epp(prog: cc.ChorProgram) -> sp.SPProgram:
     return sp.SPProgram(procedures, sp.Network(net))
 
 
+def _uninformed(defs, pids, c: cc.Cond, then_a, else_a) -> list:
+    """The processes `_amend` gives a selection at the conditional `c`, whose
+    branches amend to `then_a` and `else_a`: those but the decider that
+    cannot project the conditional with the amended branches."""
+    cond = cc.Cond(c.pid, c.guard, then_a, else_a)
+    return [r for r in pids if r != c.pid and _blame(defs, cond, r) is not None]
+
+
 def _amend(defs, pids, c: cc.Choreography) -> cc.Choreography:
     if isinstance(c, cc.Prefix):
         return cc.Prefix(c.action, _amend(defs, pids, c.cont))
     if isinstance(c, cc.Cond):
         then_a = _amend(defs, pids, c.then_c)
         else_a = _amend(defs, pids, c.else_c)
-        cond = cc.Cond(c.pid, c.guard, then_a, else_a)
-        uninformed = [
-            r for r in pids if r != c.pid and _blame(defs, cond, r) is not None
-        ]
+        uninformed = _uninformed(defs, pids, c, then_a, else_a)
         return cc.Cond(
             c.pid,
             c.guard,
@@ -783,3 +781,23 @@ def amend_program(prog: cc.ChorProgram) -> cc.ChorProgram:
         for name, proc in prog.procedures.items()
     }
     return cc.ChorProgram(defs, _amend(prog.procedures, pids, prog.main))
+
+
+def max_insertions(prog: cc.ChorProgram) -> int:
+    """The most selections `_amend` inserts at one conditional of the program,
+    in `main` or a procedure body."""
+    pids = amendment.amend_pids(prog)
+
+    def most(c: cc.Choreography) -> int:
+        if isinstance(c, cc.Prefix):
+            return most(c.cont)
+        if isinstance(c, cc.Cond):
+            then_a = _amend(prog.procedures, pids, c.then_c)
+            else_a = _amend(prog.procedures, pids, c.else_c)
+            here = len(_uninformed(prog.procedures, pids, c, then_a, else_a))
+            return max(here, most(c.then_c), most(c.else_c))
+        if isinstance(c, cc.RunningCall):
+            return most(c.body)
+        return 0
+
+    return max(most(c) for c in (prog.main, *(p.body for p in prog.procedures.values())))

@@ -8,9 +8,9 @@ from collections import Counter
 import corpus
 from chorkit import amendment, cc, projection
 from chorkit.amendment import (
+    Amendment,
     add_selections,
     amend,
-    amend_defs,
     amend_program,
     is_selection_expansion,
     needs_selection,
@@ -112,7 +112,7 @@ def test_amend_is_identity_on_safe_purchase():
 
 
 def test_amend_defs_of_empty_is_empty():
-    assert amend_defs({}, ["p"]) == {}
+    assert Amendment(ChorProgram({}, End())).procedures == {}
 
 
 def test_amend_defs_amends_bodies_pointwise():
@@ -123,7 +123,9 @@ def test_amend_defs_amends_bodies_pointwise():
         End(),
     )
     defs = {"X": Procedure(("p", "q", "r"), body)}
-    got = amend_defs(defs, ["p", "q", "r"])
+    amended = Amendment(ChorProgram(defs, End()))
+    assert amended.pids == ["p", "q", "r"]
+    got = amended.procedures
     assert got["X"].pids == ("p", "q", "r")
     amended_body = got["X"].body
     assert amended_body.then_c.action == Sel("p", "q", Label.LEFT)
@@ -131,8 +133,10 @@ def test_amend_defs_amends_bodies_pointwise():
 
 
 def test_amend_defs_keeps_projectable_bodies():
-    defs = dict(corpus.procedure_demo().procedures)
-    assert amend_defs(defs, ["p", "q"]) == defs
+    prog = corpus.procedure_demo()
+    amended = Amendment(prog)
+    assert amended.pids == ["p", "q"]
+    assert amended.procedures == dict(prog.procedures)
 
 
 def test_amend_program_turns_unsafe_purchase_into_the_safe_one():

@@ -84,6 +84,16 @@ def test_amend_writes_output_file(tmp_path, capsys):
     assert syntax.parse_source(text).to_program() == corpus.purchase_safe()
 
 
+def test_amend_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.chor"
+    code = main(["amend", _sample("purchase_unsafe.chor"), "-o", str(target)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_project_prints_the_network(capsys):
     code = main(["project", _sample("purchase_safe.chor")])
     out = capsys.readouterr().out

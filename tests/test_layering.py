@@ -92,3 +92,10 @@ def test_verdicts_and_well_formedness_errors_each_have_one_place():
     assert _sites(_catches("BudgetExceeded")) == reporters
     assert _sites(_constructs("IllFormedError")) == {"cc.require_wf"}
     assert _sites(_constructs("IllFormedNetworkError")) == {"sp.require_wf"}
+
+
+def test_only_amendment_amends():
+    # The amendment of a program, of every term it reaches and its bound on
+    # inserted selections all come from one `amendment.Amendment`.
+    assert _sites(_constructs("amend")) == {"amendment.amend", "amendment.Amendment"}
+    assert _sites(_constructs("needs_selection")) == {"amendment.amend", "amendment.Amendment"}
