@@ -152,6 +152,9 @@ def _cmd_project(args) -> int:
         return USAGE
     compiled = projection.epp(prog)
     if args.process is not None:
+        if args.process not in cc.process_names(prog):
+            print(f"error: {args.file} has no process {args.process}", file=sys.stderr)
+            return USAGE
         print(syntax.render_behaviour(compiled.net.get(args.process)))
     else:
         print(syntax.render_sp_program(compiled))

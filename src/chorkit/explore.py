@@ -82,6 +82,8 @@ class Search:
 
     __slots__ = ("space", "budget", "tag", "found", "order", "depth", "closed", "_lo", "_shown")
 
+    _by_level = False  # see WeakSearch
+
     def __init__(self, space: Space, start: Hashable, budget: Budget, tag: Tag):
         self.space = space
         self.budget = budget
@@ -105,10 +107,19 @@ class Search:
 
     def _deepen(self, depth: int) -> None:
         found, order, tag, charge = self.found, self.order, self.tag, self.budget.charge
+        by_level = self._by_level
+        d, lo = self.depth, self._lo
         enabled = self.space.enabled
-        while self.depth < depth and not self.closed:
-            lo, hi = self._lo, len(order)
-            for cfg, g, trace in order[lo:hi]:
+        if by_level:
+            depth = max(depth, d)
+            d, lo = self._next(0, depth), len(order)
+        while d < depth and not self.closed:
+            hi = len(order)
+            if by_level:
+                frontier, enabled = self._frontier(d, lo, hi)
+            else:
+                frontier = order[lo:hi]
+            for cfg, g, trace in frontier:
                 for t, cfg2 in enabled(cfg):
                     g2 = tag(g, t)
                     bucket = found.get(cfg2)
@@ -121,9 +132,119 @@ class Search:
                         trace2 = g2 if tag is per_trace else trace + (t,)
                         bucket[g2] = trace2
                         order.append((cfg2, g2, trace2))
-            self._lo = hi
-            self.depth += 1
-            self.closed = len(order) == hi
+            d, lo = d + 1, hi
+            if len(order) == hi:
+                if by_level:
+                    d = self._next(d, depth)
+                else:
+                    self.closed = True
+        self.depth, self._lo = d, lo
+        if by_level:
+            self._settle(d, lo)
+
+
+class WeakSearch(Search):
+    """A `Search` that also grows by level: how many labels of a trace are
+    loud, that is, not `silent`, as weak transitions count only visible steps.
+
+    `level_of(tag)` is the number of loud labels on the traces of an entry
+    with that tag, and `grow(depth, level)` keeps exactly the entries of a
+    search to `depth` with at most `level` loud labels.  Searching one length
+    at a time, an entry at `depth` waits for the depth to rise to take any
+    move, and an entry at `level` waits for the level to rise to take its
+    loud ones, so entries are not found in order of length, and the trace
+    kept for one need not be the first a `Search` would keep.  `closed` says
+    no entry is waiting, so nothing else is reachable.
+    """
+
+    __slots__ = ("level", "_level_of", "_moves", "_fresh", "_held")
+
+    _by_level = True
+
+    # Which moves an entry of the frontier takes; QUIET and LOUD index the
+    # pair `_moves` keeps for each configuration whose moves it splits.
+    QUIET, LOUD, ALL = 0, 1, 2
+
+    def __init__(
+        self, space: Space, start: Hashable, budget: Budget, tag: Tag,
+        silent: Callable[[object], bool], level_of: Callable[[tuple], int],
+    ):
+        Search.__init__(self, space, start, budget, tag)
+        self.level = 0
+        self._level_of = level_of
+        self._fresh = {0: self.order[:]}  # length -> entries that took no move
+        self._held: dict = {}  # length -> entries whose loud moves wait
+        enabled = space.enabled
+        memo: dict = {}
+
+        def moves(key: tuple) -> tuple:
+            """The moves of a configuration of one kind, for a (configuration,
+            kind) key."""
+            cfg, kind = key
+            if kind == WeakSearch.ALL:
+                return enabled(cfg)
+            split = memo.get(cfg)
+            if split is None:
+                ms = enabled(cfg)
+                quiet = [m for m in ms if silent(m[0])]
+                split = memo[cfg] = (quiet, [m for m in ms if not silent(m[0])] if quiet else ms)
+            return split[kind]
+
+        self._moves = moves
+
+    def grow(self, depth: int, level: int) -> list:
+        """Search to traces of at most `depth` labels, `level` of them loud;
+        the entries not returned before.  Neither bound is ever lowered."""
+        if level > self.level:
+            self.level = level
+            self._deepen(depth)
+        return Search.grow(self, depth)
+
+    def _next(self, d: int, depth: int) -> int:
+        """The first length from `d` on with entries waiting, or `depth`."""
+        if not (self._fresh or self._held):
+            return depth
+        return min([k for k in (*self._fresh, *self._held) if k >= d], default=depth)
+
+    def _frontier(self, d: int, lo: int, hi: int) -> tuple:
+        """The entries at length `d` with moves to take now, and the moves of
+        an entry: every move of the entries that took none, `order[lo:hi]`
+        and those waiting for the depth, and the loud moves of those waiting
+        for the level, but that entries at the level wait for it to rise.
+        Unless every entry takes every move, each configuration is keyed by
+        the kind of moves it takes."""
+        level, level_of = self.level, self._level_of
+        waiting = self._held.pop(d, ()) if self._held else ()
+        fresh = self.order[lo:hi]
+        if d in self._fresh:
+            fresh = self._fresh.pop(d) + fresh
+        if d < level:  # no entry of length d has more loud labels than that
+            if not waiting:
+                return fresh, self.space.enabled
+            return [((c, self.LOUD), g, tr) for c, g, tr in waiting] + [
+                ((c, self.ALL), g, tr) for c, g, tr in fresh
+            ], self._moves
+        out, held = [], []
+        for e in waiting:
+            if level_of(e[1]) < level:
+                out.append(((e[0], self.LOUD), e[1], e[2]))
+            else:
+                held.append(e)
+        for e in fresh:
+            if level_of(e[1]) < level:
+                out.append(((e[0], self.ALL), e[1], e[2]))
+            else:
+                out.append(((e[0], self.QUIET), e[1], e[2]))
+                held.append(e)
+        if held:
+            self._held[d] = held
+        return out, self._moves
+
+    def _settle(self, d: int, lo: int) -> None:
+        """Keep the entries found at `d`, the depth reached, for later."""
+        if lo < len(self.order):
+            self._fresh.setdefault(d, []).extend(self.order[lo:])
+        self.closed = not (self._fresh or self._held)
 
 
 def bfs(

@@ -127,6 +127,11 @@ class _Ranks:
         return min(entries, key=lambda e: repr((self.decode(e[0]), e[1])))
 
 
+def _level(mk: MultisetKey) -> int:
+    """How many labels of `mk` are not selections."""
+    return len(mk) - bisect_left(mk, 0)
+
+
 def _split(mk: MultisetKey) -> tuple[MultisetKey, MultisetKey]:
     """`mk` as its non-selection part and its selection part."""
     i = bisect_left(mk, 0)
@@ -333,10 +338,10 @@ def _unmatched(
     return None
 
 
-def _grow_index(search: explore.Search, depth: int, indexes: dict, key) -> None:
-    """Grow the other side's `search` to `depth`, adding the multisets it finds
-    to `indexes`, the `_index` of each `key(configuration)`."""
-    for cfg, mk, _ in search.grow(depth):
+def _index_entries(entries: list, indexes: dict, key) -> None:
+    """Add the multisets of the other side's new search `entries` to
+    `indexes`, the `_index` of each `key(configuration)`."""
+    for cfg, mk, _ in entries:
         k = key(cfg)
         indexes[k] = _index((mk,), indexes.get(k))
 
@@ -366,15 +371,18 @@ def check_amend_complete(
 
     def search() -> Optional[Witness]:
         orig = sides.reach(sides.orig, sides.orig_start, depth)
-        amended = sides.search(sides.amended, sides.amended_start)
+        amended = explore.WeakSearch(
+            sides.amended, sides.amended_start, sides.budget, sides.ranks.add,
+            cc.is_selection, _level,
+        )
         indexes: dict = {}
 
         def grow_amended(k: int) -> None:
-            # A level-k extension completes a run of at most depth + k
-            # labels, which amendment gives at most max_insertions selections
-            # each, as in depth_a.
+            # A match fires the non-selection labels of a run and its level-k
+            # extension, at most depth + k, and amendment gives each of them
+            # at most max_insertions selections, as in depth_a.
             depth_k = min((depth + k) * (1 + insertions), depth_a)
-            _grow_index(amended, depth_k, indexes, lambda cfg: cfg)
+            _index_entries(amended.grow(depth_k, depth + k), indexes, lambda cfg: cfg)
 
         return _unmatched(
             sides, orig, sides.orig, search_bound, grow_amended,
@@ -414,7 +422,7 @@ def check_amend_sound(
             # A match fires the non-selection labels of the amended run and its
             # level-k extension and only some of their selections, so it is
             # no longer than depth + k.
-            _grow_index(orig, depth + k, indexes, sides.amend_cfg)
+            _index_entries(orig.grow(depth + k), indexes, sides.amend_cfg)
 
         a_reach = sides.reach(sides.amended, sides.amended_start, depth)
         return _unmatched(

@@ -110,6 +110,18 @@ def test_project_single_process(capsys):
     assert out == "seller!offer; seller & { left: seller?y; end, right: end }"
 
 
+def test_project_of_an_unknown_process_is_a_usage_error(tmp_path, capsys):
+    src = _sample("purchase_safe.chor")
+    code = main(["project", src, "--process", "buyr"])
+    assert (code, tuple(capsys.readouterr())) == (2, ("", f"error: {src} has no process buyr\n"))
+    # A process that only a procedure declares is one of the program's.
+    path = tmp_path / "proc.chor"
+    path.write_text("def X(p, q, r) = p.e -> q.x; end\nmain = a.e -> b.x; end\n")
+    assert cc.process_names(syntax.parse_source(path.read_text()).to_program()) >= {"r"}
+    code = main(["project", str(path), "--process", "r"])
+    assert (code, tuple(capsys.readouterr())) == (0, ("end\n", ""))
+
+
 def test_project_unprojectable_fails(capsys):
     code = main(["project", _sample("purchase_unsafe.chor")])
     err = capsys.readouterr().err

@@ -6,7 +6,9 @@ multiset-keyed `_reach` and the terminal analysis behind `implements`, each
 with its own memo and budget.  The engine-backed versions must return the same
 entries in the same order, the same dead lists and closure flags, and run out
 of budget at the same entry, and a search grown a level at a time must do all
-of that as one `explore.bfs` call does.  The checkers and the CLI built on
+of that as one `explore.bfs` call does.  A `WeakSearch`, grown by its length
+and its count of labels that are not selections, must keep what one
+`explore.bfs` call keeps within both bounds.  The checkers and the CLI built on
 them must print the same, byte for byte, except that amend-complete and
 amend-sound deepen their extension searches only until every run is matched,
 so they explore fewer states (`test_amend_checks.assert_deepened`).
@@ -145,19 +147,26 @@ def test_engine_matches_the_old_loops_on_generated_programs(seed, depth):
 LABELS = (cc.TauEvent("a"), cc.TauEvent("b"), cc.CommEvent("a", 0, "b"))
 
 
-def _automata(count: int):
+def _automata(count: int, loops: tuple = ()):
     """Step functions of `count` label-nondeterministic automata with several
     dead states: one trace reaches several configurations and searches end
-    in several ways.  State 0 is the start."""
+    in several ways.  State 0 is the start.  Given `loops`, the automata
+    use those labels too, and about 2 in 5 states have a move back to
+    themselves by one of them."""
     rng = random.Random(ACCEPTANCE_SEED)
+    labels = LABELS + loops
     for _ in range(count):
         n = rng.randrange(1, 7)
         moves = {
-            i: sorted({(rng.randrange(len(LABELS)), rng.randrange(n))
+            i: sorted({(rng.randrange(len(labels)), rng.randrange(n))
                        for _ in range(rng.randrange(4))})
             for i in range(n)
         }
-        yield lambda i, moves=moves: tuple((LABELS[t], j) for t, j in moves[i])
+        for i in range(n) if loops else ():
+            if rng.random() < 0.4:
+                loop = (len(LABELS) + rng.randrange(len(loops)), i)
+                moves[i] = sorted({*moves[i], loop})
+        yield lambda i, moves=moves: tuple((labels[t], j) for t, j in moves[i])
 
 
 def test_engine_matches_the_old_loops_on_random_automata():
@@ -204,6 +213,78 @@ def test_a_search_grown_in_steps_matches_one_bfs_call():
     for step in _automata(100):
         for depth in range(5):
             _same_growth(step, 0, depth)
+
+
+SELECTIONS = (cc.SelectEvent("a", "b", cc.Label.LEFT), cc.SelectEvent("b", "a", cc.Label.RIGHT))
+
+
+def _level(mk: tuple) -> int:
+    """The labels of a multiset that are not selections."""
+    return sum(not cc.is_selection(t) for t in mk)
+
+
+def _steps(rng: random.Random, top: int) -> list[tuple[int, int]]:
+    """(length, level) bounds rising in steps to (`top`, `top`): the length
+    alone, the level alone, or both."""
+    depth = level = 0
+    out = [(0, 0)]
+    while (depth, level) != (top, top):
+        up = rng.randrange(3)
+        depth = min(top, depth + (up != 1) * rng.randrange(1, 3))
+        level = min(top, level + (up != 0))
+        out.append((depth, level))
+    return out
+
+
+def _same_as_filtered_bfs(step, start, top: int, rng: random.Random) -> int:
+    """A `WeakSearch`, grown in steps, keeps at each step exactly the
+    entries of one full search filtered to both bounds, charges one budget
+    unit for each, returns each once, and keeps for each a trace of its
+    labels that reaches it.  The steps where the length bound leaves out
+    entries the level lets in are counted."""
+    full, order, _ = explore.bfs(explore.Space(step), start, top, explore.Budget(),
+                                 oracles.mkey_add)
+    # A search that overruns the full one runs out rather than on and on.
+    budget = explore.Budget(len(order))
+    search = explore.WeakSearch(explore.Space(step), start, budget, oracles.mkey_add,
+                                cc.is_selection, _level)
+    shown = []
+    capped = 0
+    for depth, level in _steps(rng, top):
+        shown += search.grow(depth, level)
+        want = {
+            (cfg, mk) for cfg, bucket in full.items() for mk in bucket
+            if len(mk) <= depth and _level(mk) <= level
+        }
+        capped += any(len(mk) > depth and _level(mk) <= level for _, mk, _ in order)
+        got = {(cfg, mk) for cfg, bucket in search.found.items() for mk in bucket}
+        assert got == want, (depth, level)
+        assert budget.used == len(want) == len(search.order)
+        assert shown == search.order
+    for cfg, mk, trace in search.order:
+        assert search.found[cfg][mk] == trace
+        assert tuple(sorted(trace, key=cc.label_key)) == mk
+        reached = {start}
+        for t in trace:
+            reached = {j for i in reached for u, j in step(i) if u == t}
+        assert cfg in reached
+    return capped
+
+
+def test_a_search_by_level_keeps_the_entries_of_a_full_search_within_both_bounds():
+    rng = random.Random(ACCEPTANCE_SEED)
+    capped = 0
+    for _, prog in _programs():
+        capped += _same_as_filtered_bfs(
+            cc.successors(prog.procedures), (prog.main, State()), 4, rng
+        )
+    assert capped > 50
+    capped = 0
+    # Runs of selections make multisets grow without end where only the
+    # length bound stops the search.
+    for step in _automata(150, SELECTIONS):
+        capped += _same_as_filtered_bfs(step, 0, 7, rng)
+    assert capped > 200
 
 
 # ---------------------------------------------------------------------------
