@@ -237,7 +237,7 @@ def _cmd_implements(args) -> int:
         report = verifier.check_implements(prog, table, inputs, args.output, args.bound)
     except cc.IllFormedError:
         raise  # reported by `main`, as for every command
-    except ValueError as exc:  # inputs that do not match the table's arity
+    except ValueError as exc:  # processes that do not fit the table or the program
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     return _print_report(report, args.json)

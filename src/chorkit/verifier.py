@@ -501,82 +501,54 @@ class _Subsets:
     reached by the same trace is a tuple of their numbers in first-reached
     order, which is the order in which a breadth-first listing of traces
     meets them.  Each configuration is stepped once, straight through the
-    step function, since the numbering already memoises it.
+    step function, when the set of it alone is first asked for, and charged
+    to `budget` then.  `step` gives moves in `cc.label_key` order, as
+    `cc.successors` and `sp.successors` do.
     """
 
-    def __init__(self, step: explore.Step, start: Hashable):
+    def __init__(self, step: explore.Step, start: Hashable, budget: explore.Budget):
         self._step = step
+        self._charge = budget.charge
         self.cfgs = [start]
         self._ids = {start: 0}
-        self._moves: list = [None]
         self._succ: dict = {}
 
-    def _moves_of(self, i: int) -> list:
-        moves = self._moves[i]
-        if moves is None:
-            moves = []
-            for t, cfg in self._step(self.cfgs[i]):
-                j = self._ids.setdefault(cfg, len(self.cfgs))
-                if j == len(self.cfgs):
-                    self.cfgs.append(cfg)
-                    self._moves.append(None)
-                moves.append((t, j))
-            self._moves[i] = moves
-        return moves
-
     def succ(self, cfgs: tuple) -> dict:
-        """Label -> the set of configurations `cfgs` reaches by it."""
+        """Label -> the set of configurations `cfgs` reaches by it, with
+        labels in `cc.label_key` order."""
         out = self._succ.get(cfgs)
         if out is None:
             out = {}
-            for i in cfgs:
-                for t, j in self._moves_of(i):
-                    js = out.get(t)
-                    if js is None:
-                        out[t] = (j,)
-                    elif j not in js:
+            if len(cfgs) == 1:
+                self._charge()
+                for t, cfg in self._step(self.cfgs[cfgs[0]]):
+                    j = self._ids.get(cfg)
+                    if j is None:
+                        j = self._ids[cfg] = len(self.cfgs)
+                        self.cfgs.append(cfg)
+                    js = out.get(t, ())
+                    if j not in js:
                         out[t] = js + (j,)
+            else:
+                for i in cfgs:
+                    for t, js in self.succ((i,)).items():
+                        have = out.get(t, ())
+                        out[t] = have + tuple(j for j in js if j not in have)
+                out = dict(sorted(out.items(), key=lambda m: cc.label_key(m[0])))
             self._succ[cfgs] = out
         return out
 
-    def entries(self, depth: int, limit: int) -> int:
-        """The (trace, configuration) pairs within `depth` steps of the start,
-        counted without listing them: a set S with r steps left accounts for
-        |S| plus, for each label, its successor set with r - 1 steps left.
 
-        Raises BudgetExceeded as soon as a partial count passes `limit`.
-        """
-        memo: dict = {}
-        root = ((0,), depth)
-        stack = [root]
-        while stack:
-            key = stack[-1]
-            if key in memo:
-                stack.pop()
-                continue
-            cfgs, r = key
-            n = len(cfgs)
-            if r:
-                kids = [(c, r - 1) for c in self.succ(cfgs).values()]
-                todo = [k for k in kids if k not in memo]
-                if todo:
-                    stack.extend(todo)
-                    continue
-                n += sum(memo[k] for k in kids)
-            if n > limit:
-                raise explore.BudgetExceeded(f"more than {limit} trace entries")
-            memo[key] = n
-            stack.pop()
-        return memo[root]
-
-
-def _first_divergence(chor: _Subsets, net: _Subsets, depth: int) -> Optional[Witness]:
+def _first_divergence(
+    chor: _Subsets, net: _Subsets, depth: int, budget: explore.Budget
+) -> Optional[Witness]:
     """The first label trace, in `cc.label_key` order, that only one side has,
     with the first configuration it reaches there; a choreography-only trace
     wins over any network-only one.
 
     Walks the product of configuration sets reached by the same trace
-    depth-first in pre-order, which visits traces in that order.
+    depth-first in pre-order, which visits traces in that order, and charges
+    `budget` once for each product node it expands.
     """
 
     def witness(path, cfg, note: str) -> Witness:
@@ -608,10 +580,15 @@ def _first_divergence(chor: _Subsets, net: _Subsets, depth: int) -> Optional[Wit
             continue
         if r == 0 or done.get((cs, ns), -1) >= r:
             continue
+        budget.charge()
         stack.append((cs, ns, r, None, True))
         c_succ = chor.succ(cs)
         n_succ = net.succ(ns)
-        for t in sorted(c_succ.keys() | n_succ.keys(), key=cc.label_key, reverse=True):
+        if c_succ.keys() == n_succ.keys():  # the usual case, already in order
+            labels = reversed(c_succ)
+        else:
+            labels = sorted(c_succ.keys() | n_succ.keys(), key=cc.label_key, reverse=True)
+        for t in labels:
             stack.append((c_succ.get(t, ()), n_succ.get(t, ()), r - 1, (t, path), False))
     return net_only
 
@@ -626,29 +603,19 @@ def check_epp_correspondence(
     choreography, up to the bound.
 
     Bounded trace equality is checked on pairs of configuration sets reached
-    by the same trace, so traces are never listed.  `states_explored` and the
-    budget still count (trace, configuration) entries on both sides.
+    by the same trace, so traces are never listed.  The budget is charged once
+    for each pair of sets the walk expands and once for each configuration
+    either side steps, and `states_explored` is what it was charged.
     """
-    state = state if state is not None else cc.State()
-    cc.require_wf(prog)
     compiled = projection.epp(prog)
-    stats = SearchStats(max_depth=depth)
-    chor = _Subsets(cc.successors(prog.procedures), (prog.main, state))
-    net = _Subsets(sp.successors(compiled.procedures), (compiled.net, state))
-    # The start entry alone never exhausts the budget.
-    limit = max(state_budget, 1)
-    try:
-        stats.states_explored = chor.entries(depth, limit)
-        sp.require_wf(compiled.net)
-        stats.states_explored += net.entries(depth, limit)
-    except explore.BudgetExceeded:
-        # Counted as charging one entry at a time: the side that ran out
-        # stops at the first entry over its limit.
-        stats.states_explored += limit + 1
-        return Report("epp-correspondence", EXHAUSTED, None, stats)
-    witness = _first_divergence(chor, net, depth)
-    verdict = HOLDS if witness is None else COUNTEREXAMPLE
-    return Report("epp-correspondence", verdict, witness, stats)
+    sp.require_wf(compiled.net)
+    state = state if state is not None else cc.State()
+    budget = explore.Budget(state_budget)
+    chor = _Subsets(cc.successors(prog.procedures), (prog.main, state), budget)
+    net = _Subsets(sp.successors(compiled.procedures), (compiled.net, state), budget)
+    return _checked(
+        "epp-correspondence", budget, depth, lambda: _first_divergence(chor, net, depth, budget)
+    )
 
 
 def _terminal_analysis(
@@ -672,11 +639,22 @@ def _implements_verdict(
     step: explore.Step,
     term0: object,
     is_done: Callable[[object], bool],
+    processes: Optional[frozenset] = None,
 ) -> Optional[Witness]:
     """The first input of `table`, in order, on which the runs from `term0`
-    fail it, as a witness; None when there is none within the bound."""
+    fail it, as a witness; None when there is none within the bound.
+
+    Raises ValueError unless there is one input process per argument of
+    `table`, each named once, and, given `processes`, the inputs and the
+    output are among them."""
     if len(inputs) != table.arity:
         raise ValueError(f"{len(inputs)} input processes for arity {table.arity}")
+    for i, p in enumerate(inputs):
+        if p in inputs[:i]:
+            raise ValueError(f"input process {p} is named twice")
+    for p in (*inputs, output):
+        if processes is not None and p not in processes:
+            raise ValueError(f"the program has no process {p}")
     space = explore.Space(step)
     for ins in sorted(table.entries):
         expected = table.entries[ins]
@@ -723,7 +701,7 @@ def check_implements(
     budget = explore.Budget(state_budget)
     return _checked("implements", budget, bound, lambda: _implements_verdict(
         table, inputs, output, bound, budget, cc.successors(prog.procedures), prog.main,
-        lambda term: term == cc.End(),
+        lambda term: term == cc.End(), cc.process_names(prog),
     ))
 
 
@@ -735,7 +713,10 @@ def check_implements_network(
     bound: int = 50,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> Report:
-    """Network analogue of check_implements: done means every process ended."""
+    """Network analogue of check_implements: done means every process ended.
+
+    A network keeps no process that has ended, so any name is taken as one of
+    its processes."""
     sp.require_wf(program.net)
     budget = explore.Budget(state_budget)
     return _checked("implements-network", budget, bound, lambda: _implements_verdict(

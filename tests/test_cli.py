@@ -264,6 +264,21 @@ def test_implements_wrong_table_fails(tmp_path, capsys):
     assert "counterexample" in out
 
 
+def test_implements_rejects_processes_it_cannot_use(capsys):
+    # An unknown process used to give a made-up counterexample, and an input
+    # named twice lost its first value.
+    cases = [
+        ("successor_fn", "zz", "q", "the program has no process zz"),
+        ("successor_fn", "p", "zz", "the program has no process zz"),
+        ("equality_fn", "p,zz", "r", "the program has no process zz"),
+        ("equality_fn", "p,p", "r", "input process p is named twice"),
+    ]
+    for name, inputs, output, message in cases:
+        code = main(["implements", _sample(f"{name}.chor"), "--table", _sample(f"{name}.table"),
+                     "--inputs", inputs, "--output", output])
+        assert (code, tuple(capsys.readouterr())) == (2, ("", f"error: {message}\n")), inputs
+
+
 def test_exit_code_contract_over_all_samples(capsys):
     expected = {
         "purchase_unsafe.chor": 1,

@@ -2,20 +2,27 @@
 
 `oracles.epp_by_traces` lists every (trace, configuration) entry on both
 sides; `verifier.check_epp_correspondence` walks pairs of configuration sets
-reached by the same trace.  Their reports must be identical, witnesses,
-`states_explored` and exhausted budgets included.
+reached by the same trace.  At an unlimited budget their verdicts, witnesses,
+`max_depth` and report texts but for the stats line must be identical.  The
+walk's `states_explored` counts what it charged the budget: one unit per pair
+of sets it expands and one per configuration either side steps.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 import oracles
+from test_parse_golden import _programs
 from chorkit import amendment, cc, explore, projection, sp, verifier
 from chorkit.cc import ChorProgram, Com, End, Label, Lit, Prefix, State
 from chorkit.cli import main
@@ -49,12 +56,42 @@ def _pairs(k: int) -> ChorProgram:
     return ChorProgram({}, c)
 
 
-def _same(prog, depth, state_budget=verifier.DEFAULT_STATE_BUDGET) -> dict:
-    got = verifier.check_epp_correspondence(prog, State(), depth, state_budget)
-    want = oracles.epp_by_traces(prog, State(), depth, state_budget)
-    assert got.to_dict() == want.to_dict()
-    assert got.text() == want.text()
+def _without_stats(text: str) -> str:
+    return "\n".join(line for line in text.splitlines() if not line.startswith("stats: "))
+
+
+def _same(prog, depth) -> dict:
+    """The check's record at an unlimited budget, once it agrees with trace
+    listing and its count is exact: a budget of exactly what it charged gives
+    the same report, and one unit less runs out at that last unit."""
+    got = verifier.check_epp_correspondence(prog, State(), depth, math.inf)
+    want = oracles.epp_by_traces(prog, State(), depth, math.inf)
+    assert (got.verdict, got.witness, got.stats.max_depth) == (
+        want.verdict, want.witness, want.stats.max_depth
+    )
+    assert _without_stats(got.text()) == _without_stats(want.text())
+    used = got.stats.states_explored
+    exact = verifier.check_epp_correspondence(prog, State(), depth, used)
+    assert exact.to_dict() == got.to_dict()
+    if used:
+        short = verifier.check_epp_correspondence(prog, State(), depth, used - 1)
+        assert (short.verdict, short.witness, short.stats) == (
+            verifier.EXHAUSTED, None, verifier.SearchStats(used, depth)
+        )
     return got.to_dict()
+
+
+def _within(prog, depth, budget) -> None:
+    """The walk charges the same units in the same order whatever the limit,
+    so a budget either covers them all or runs out one unit over it."""
+    full = verifier.check_epp_correspondence(prog, State(), depth, math.inf)
+    got = verifier.check_epp_correspondence(prog, State(), depth, budget)
+    if budget >= full.stats.states_explored:
+        assert got.to_dict() == full.to_dict()
+    else:
+        assert (got.verdict, got.witness, got.stats) == (
+            verifier.EXHAUSTED, None, verifier.SearchStats(budget + 1, depth)
+        )
 
 
 def test_corpus_agrees_with_trace_listing():
@@ -62,16 +99,47 @@ def test_corpus_agrees_with_trace_listing():
         assert _same(prog, 5)["verdict"] == verifier.HOLDS, name
 
 
+# states_explored of `_pairs(k)` at depths 4 to 7.  Each side has 4 ** k
+# configurations, and every path to one is as long as the messages sent, so
+# past the longest run, 3 * k steps, each configuration is stepped once and
+# each pair expanded once: 3 * 4 ** k.
+PAIRS_EXPLORED = {1: [12, 12, 12, 12], 2: [30, 39, 45, 48], 3: [60, 96, 132, 162]}
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_independent_pairs_agree_with_trace_listing(k):
+    explored = []
     for depth in range(4, 8):
-        assert _same(_pairs(k), depth)["verdict"] == verifier.HOLDS
+        record = _same(_pairs(k), depth)
+        assert record["verdict"] == verifier.HOLDS
+        explored.append(record["stats"]["states_explored"])
+    assert explored == PAIRS_EXPLORED[k]
 
 
 def test_endless_loop_at_depth_2000_agrees_with_trace_listing():
+    # One configuration on each side, stepped once, and the pair of them
+    # expanded at every depth: its subtree is never done before the bound.
     record = _same(corpus.endless_loop(), 2000)
     assert record["verdict"] == verifier.HOLDS
-    assert record["stats"]["states_explored"] == 4002
+    assert record["stats"]["states_explored"] == 2002
+
+
+@settings(max_examples=80, deadline=None)
+@given(_programs(), st.integers(0, 4))
+def test_generated_programs_agree_with_trace_listing(prog, depth):
+    # Most generated programs are ill-formed; both checks reject those alike.
+    problems = cc.wf_violations(prog)
+    if problems:
+        for check in (verifier.check_epp_correspondence, oracles.epp_by_traces):
+            with pytest.raises(cc.IllFormedError, match=re.escape("; ".join(problems))):
+                check(prog, State(), depth)
+        return
+    if not projection.projectable_program(prog):
+        prog = amendment.amend_program(prog)
+    got = verifier.check_epp_correspondence(prog, State(), depth, math.inf)
+    want = oracles.epp_by_traces(prog, State(), depth, math.inf)
+    assert (got.verdict, got.witness) == (want.verdict, want.witness)
+    assert got.verdict == verifier.HOLDS  # the EPP theorem
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +279,14 @@ def _random_nfa(rng, n: int) -> dict:
 
 
 def _nfa_step(nfa: dict, prefix: str) -> explore.Step:
+    """The automaton's moves in label order, as every `explore.Step` gives
+    them; the sort is stable, so the moves of one label keep the automaton's
+    order, which is the order of the sets they reach."""
+
     def step(cfg):
         i = int(cfg[0][len(prefix):])
-        return tuple((NFA_LABELS[t], (f"{prefix}{j}", State())) for t, j in nfa[i])
+        moves = sorted(nfa[i], key=lambda m: cc.label_key(NFA_LABELS[m[0]]))
+        return tuple((NFA_LABELS[t], (f"{prefix}{j}", State())) for t, j in moves)
 
     return step
 
@@ -268,68 +341,80 @@ def test_nondeterministic_sides_agree_with_trace_listing():
             ) or _first_only(
                 net_listed, chor_listed, "projection trace missing from the choreography"
             )
-            chor = verifier._Subsets(chor_step, start_c)
-            net = verifier._Subsets(net_step, start_n)
-            assert chor.entries(depth, len(chor_listed)) == len(chor_listed)
-            assert net.entries(depth, len(net_listed)) == len(net_listed)
-            assert verifier._first_divergence(chor, net, depth) == want
-            if len(chor_listed) > 1:
-                with pytest.raises(cc.BudgetExceeded):
-                    chor.entries(depth, len(chor_listed) - 1)
+            budget = explore.Budget()
+            assert _walk(chor_step, net_step, depth, budget) == want
+            used = budget.used
+            assert _walk(chor_step, net_step, depth, explore.Budget(used)) == want
+            if used:
+                short = explore.Budget(used - 1)
+                with pytest.raises(explore.BudgetExceeded):
+                    _walk(chor_step, net_step, depth, short)
+                assert short.used == used
     assert shared_traces > 0  # some traces reach several configurations
+
+
+def _walk(chor_step, net_step, depth: int, budget: explore.Budget):
+    chor = verifier._Subsets(chor_step, ("c0", State()), budget)
+    net = verifier._Subsets(net_step, ("n0", State()), budget)
+    return verifier._first_divergence(chor, net, depth, budget)
 
 
 # ---------------------------------------------------------------------------
 # Budgets and ill-formed networks
 
 
-def test_budget_exhausts_on_each_side_as_trace_listing_does(monkeypatch):
+def test_a_budget_gives_the_unlimited_report_or_runs_out_one_unit_over_it(monkeypatch):
     prog = amendment.amend_program(corpus.delayed_choice())
     _patch_epp(monkeypatch, _nth(*MUTATIONS["trailing-tau"], 0))
-    compiled = projection.epp(prog)
-    chor_n = len(cc.traces(prog.procedures, prog.main, State(), 5))
-    net_n = len(sp.traces(compiled.procedures, compiled.net, State(), 5))
-    assert chor_n < net_n
-    verdicts = {}
-    for budget in sorted({0, 1, 2, chor_n - 1, chor_n, net_n - 1, net_n}):
-        verdicts[budget] = _same(prog, 5, budget)["verdict"]
-    assert verdicts[chor_n - 1] == verifier.EXHAUSTED  # the choreography side
-    assert verdicts[net_n - 1] == verifier.EXHAUSTED  # the network side alone
-    assert verdicts[net_n] == verifier.COUNTEREXAMPLE
+    record = _same(prog, 5)
+    assert record["verdict"] == verifier.COUNTEREXAMPLE
+    for budget in range(record["stats"]["states_explored"] + 2):
+        _within(prog, 5, budget)
     for name, prog in _candidates()[:12] + [("end", ChorProgram({}, End()))]:
+        _same(prog, 4)
         for budget in (0, 1, 3, 8, 20):
-            _same(prog, 4, budget)
+            _within(prog, 4, budget)
 
 
-def test_an_exhausted_report_counts_entries_up_to_the_first_over_the_limit(monkeypatch):
-    # purchase_safe has 5 entries on each side at depth 6; a side stops at
-    # its limit's next entry, and a budget of 0 still allows the start entry.
+def test_an_exhausted_report_counts_units_up_to_the_first_over_the_limit(monkeypatch):
+    # purchase_safe at depth 5 expands 5 pairs and steps 5 configurations on
+    # each side, and depth 6 adds nothing; a budget of 0 runs out at once.
     prog = corpus.purchase_safe()
-    got = {budget: verifier.check_epp_correspondence(prog, State(), 6, budget)
-           for budget in (0, 1, 2, 4, 5)}
-    assert {b: (r.verdict, r.stats.states_explored) for b, r in got.items()} == {
-        0: (verifier.EXHAUSTED, 2),
-        1: (verifier.EXHAUSTED, 2),
-        2: (verifier.EXHAUSTED, 3),
-        4: (verifier.EXHAUSTED, 5),
-        5: (verifier.HOLDS, 10),
+    got = {(depth, budget): verifier.check_epp_correspondence(prog, State(), depth, budget)
+           for depth, budget in ((5, math.inf), (6, math.inf), (6, 0), (6, 1), (6, 14), (6, 15))}
+    assert {k: (r.verdict, r.stats.states_explored) for k, r in got.items()} == {
+        (5, math.inf): (verifier.HOLDS, 15),
+        (6, math.inf): (verifier.HOLDS, 15),
+        (6, 0): (verifier.EXHAUSTED, 1),
+        (6, 1): (verifier.EXHAUSTED, 2),
+        (6, 14): (verifier.EXHAUSTED, 15),
+        (6, 15): (verifier.HOLDS, 15),
     }
-    # The network side running out adds to the choreography side's count.
+    # Both sides charge one budget: with a mutated network, a budget as large
+    # as the choreography's trace entries runs out before the divergence,
+    # which the walk finds once it may charge 18 units.
     prog = amendment.amend_program(corpus.delayed_choice())
     _patch_epp(monkeypatch, _nth(*MUTATIONS["trailing-tau"], 0))
     chor_n = len(cc.traces(prog.procedures, prog.main, State(), 5))
     report = verifier.check_epp_correspondence(prog, State(), 5, chor_n)
-    assert (report.verdict, report.stats.states_explored) == (verifier.EXHAUSTED, 2 * chor_n + 1)
+    assert (report.verdict, report.stats.states_explored) == (verifier.EXHAUSTED, chor_n + 1)
+    report = verifier.check_epp_correspondence(prog, State(), 5, 18)
+    assert (report.verdict, report.stats.states_explored) == (verifier.COUNTEREXAMPLE, 18)
 
 
-def test_self_addressed_network_is_rejected_after_the_choreography_budget(monkeypatch):
+def test_self_addressed_network_is_rejected_whatever_the_budget(monkeypatch):
     prog = corpus.purchase_safe()
     to_self = _nth(sp.Send, lambda b: sp.Send("buyer", b.expr, b.cont), 0)
     _patch_epp(monkeypatch, to_self)
     for check in (verifier.check_epp_correspondence, oracles.epp_by_traces):
         with pytest.raises(sp.IllFormedNetworkError):
             check(prog, State(), 5)
-    assert _same(prog, 5, 2)["verdict"] == verifier.EXHAUSTED
+    for budget in (0, 2, math.inf):
+        with pytest.raises(sp.IllFormedNetworkError):
+            verifier.check_epp_correspondence(prog, State(), 5, budget)
+    # Trace listing looks at the network only once the choreography's
+    # listing fits the budget.
+    assert oracles.epp_by_traces(prog, State(), 5, 2).verdict == verifier.EXHAUSTED
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +438,15 @@ def _run(capsys, argv) -> tuple:
     return code, captured.out, captured.err
 
 
+def _without_count(output: tuple) -> tuple:
+    """CLI output with the count of states explored blanked: trace listing
+    counts entries, and tests/cli_samples.json pins the walk's counts."""
+    code, out, err = output
+    out = re.sub(r"\d+ states explored", "N states explored", out)
+    out = re.sub(r'"states_explored": \d+', '"states_explored": N', out)
+    return code, out, err
+
+
 def test_cli_verify_epp_is_unchanged_on_every_sample(monkeypatch, capsys):
     for sample in sorted(SAMPLES.glob("*.chor")):
         for extra in ([], ["--json"], ["--depth", "3"]):
@@ -361,4 +455,4 @@ def test_cli_verify_epp_is_unchanged_on_every_sample(monkeypatch, capsys):
             with monkeypatch.context() as m:
                 m.setattr(verifier, "check_epp_correspondence", oracles.epp_by_traces)
                 want = _run(capsys, argv)
-            assert got == want, (sample.name, extra)
+            assert _without_count(got) == _without_count(want), (sample.name, extra)

@@ -85,9 +85,8 @@ def _catches(name: str):
 
 
 def test_verdicts_and_well_formedness_errors_each_have_one_place():
-    # Every budget-charging check reports through `_checked`; the EPP check
-    # counts trace entries instead of charging a budget, so it has its own.
-    reporters = {"verifier._checked", "verifier.check_epp_correspondence"}
+    # Every check charges a budget and reports through `_checked`.
+    reporters = {"verifier._checked"}
     assert _sites(_constructs("Report")) == reporters
     assert _sites(_catches("BudgetExceeded")) == reporters
     assert _sites(_constructs("IllFormedError")) == {"cc.require_wf"}
