@@ -8,7 +8,6 @@ process the repair was asked to cover.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import cc
@@ -58,6 +57,7 @@ def amend(
     c: cc.Choreography,
     memo: Memo | None = None,
     done: dict | None = None,
+    inserted: list[int] | None = None,
 ) -> cc.Choreography:
     """Insert the selections needed to make c projectable on all of `pids`.
 
@@ -66,7 +66,9 @@ def amend(
     sharing the projection `memo` must share `defs`; each level then projects
     only what the levels below did not.  `done`, when given, maps terms to
     their amendments; calls sharing it must share `defs` and `pids` too, and
-    then amend a shared subterm once.
+    then amend a shared subterm once.  `inserted`, when given, receives the
+    number of selections put in each branch of each conditional amended here
+    (not found in `done`).
     """
     memo = {} if memo is None else memo
     if done is not None:
@@ -74,11 +76,13 @@ def amend(
         if out is not None:
             return out
     if isinstance(c, cc.Prefix):
-        out = cc.Prefix(c.action, amend(defs, pids, c.cont, memo, done))
+        out = cc.Prefix(c.action, amend(defs, pids, c.cont, memo, done, inserted))
     elif isinstance(c, cc.Cond):
-        then_a = amend(defs, pids, c.then_c, memo, done)
-        else_a = amend(defs, pids, c.else_c, memo, done)
+        then_a = amend(defs, pids, c.then_c, memo, done, inserted)
+        else_a = amend(defs, pids, c.else_c, memo, done, inserted)
         uninformed = needs_selection(defs, c.pid, c.guard, pids, then_a, else_a, memo)
+        if inserted is not None:
+            inserted.append(len(uninformed))
         out = cc.Cond(
             c.pid,
             c.guard,
@@ -86,7 +90,7 @@ def amend(
             add_selections(c.pid, cc.Label.RIGHT, uninformed, else_a),
         )
     elif isinstance(c, cc.RunningCall):
-        out = cc.RunningCall(c.name, c.pending, amend(defs, pids, c.body, memo, done))
+        out = cc.RunningCall(c.name, c.pending, amend(defs, pids, c.body, memo, done, inserted))
     else:
         out = c  # Call, End
     if done is not None:
@@ -115,49 +119,32 @@ class Amendment:
         self.pids = amend_pids(prog)
         self.memo: Memo = {}
         self._done: dict = {}
-        self._roots = (prog.main, *(proc.body for proc in prog.procedures.values()))
+        self._inserted: list[int] = []
         self.procedures = {
-            name: cc.Procedure(proc.pids, self.term(proc.body))
+            name: cc.Procedure(proc.pids, self.term(proc.body, self._inserted))
             for name, proc in prog.procedures.items()
         }
-        self.main = self.term(prog.main)
+        self.main = self.term(prog.main, self._inserted)
 
-    def term(self, c: cc.Choreography) -> cc.Choreography:
-        """The amendment of `c`, a term of the program or one it reaches."""
+    def term(self, c: cc.Choreography, inserted: list[int] | None = None) -> cc.Choreography:
+        """The amendment of `c`, a term of the program or one it reaches;
+        `inserted` is passed on to `amend`."""
         out = self._done.get(c)
         if out is None:
-            out = self._done[c] = amend(self.defs, self.pids, c, self.memo, self._done)
+            out = self._done[c] = amend(self.defs, self.pids, c, self.memo, self._done, inserted)
         return out
 
-    @cached_property
+    @property
     def max_insertions(self) -> int:
-        """Most selections amendment inserts at any single conditional.
+        """Most selections amendment inserts at any single conditional of the
+        procedure bodies and `main`, as counted while amending them.
 
         Every inserted selection fires after its conditional's internal
         action, so a trace with k internal actions carries at most k times
         this many extra selections; searches on the amended side are bounded
         accordingly.
         """
-        out = 0
-        seen: set = set()
-        stack = list(self._roots)
-        while stack:
-            c = stack.pop()
-            if c in seen:
-                continue
-            seen.add(c)
-            if isinstance(c, cc.Prefix):
-                stack.append(c.cont)
-            elif isinstance(c, cc.Cond):
-                then_a, else_a = self.term(c.then_c), self.term(c.else_c)
-                uninformed = needs_selection(
-                    self.defs, c.pid, c.guard, self.pids, then_a, else_a, self.memo
-                )
-                out = max(out, len(uninformed))
-                stack += (c.then_c, c.else_c)
-            elif isinstance(c, cc.RunningCall):
-                stack.append(c.body)
-        return out
+        return max(self._inserted, default=0)
 
 
 def amend_program(prog: cc.ChorProgram) -> cc.ChorProgram:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 import weakref
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import AbstractSet, Mapping, Optional, Union
 
@@ -41,6 +41,14 @@ class _Node:
 
     __slots__ = ()
 
+    # The messages of a frozen dataclass.  Constructors and `sort_key` write
+    # slots through their descriptors or `object.__setattr__`.
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
 
 class _Ref(weakref.ref):
     """A weak reference to a node that remembers its table key."""
@@ -48,7 +56,7 @@ class _Ref(weakref.ref):
     __slots__ = ("key",)
 
 
-_NEW_TEMPLATE = """
+_NODE_TEMPLATE = """
 def __new__(cls, {params}):
     args = ({params})
     ref = get(args)
@@ -61,6 +69,9 @@ def __new__(cls, {params}):
     ref.key = args
     table[args] = ref
     return node
+
+def __repr__(self):
+    return f"{name}({fields})"
 """
 
 
@@ -73,6 +84,11 @@ def _node(cls=None, *, key=None):
     already there on a hit.  Structurally equal nodes are therefore the same
     object, and `==` and `hash` are the identity defaults.  The table holds
     its nodes weakly.
+
+    `dataclass` is asked only for the field metadata (`fields`, `replace`,
+    `__match_args__`): the constructor and the repr are generated here, and
+    `_Node` makes instances frozen.  The repr is the dataclass one without its
+    guard against cycles, which hash-consed terms cannot form.
 
     A node's sort key is `sort_key`'s structural one, unless `key` is given:
     then it is `key` called with the field values, when the node is created.
@@ -87,7 +103,7 @@ def _node(cls=None, *, key=None):
     qualname = cls.__qualname__
     cls = type(cls)(cls.__name__, (_Node,), ns)
     cls.__qualname__ = qualname
-    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+    cls = dataclass(eq=False, init=False, repr=False)(cls)
 
     table: dict = {}
 
@@ -106,16 +122,20 @@ def _node(cls=None, *, key=None):
         "key": key,
     }
     # Fields are written through their slot descriptors, under the frozen
-    # dataclass's __setattr__.
+    # __setattr__.
     for n in stored:
         env[f"set_{n}"] = cls.__dict__[n].__set__
-    src = _NEW_TEMPLATE.format(
+    src = _NODE_TEMPLATE.format(
         params=params,
         assign="".join(f"    set_{n}(node, {n})\n" for n in names)
         + (f"    set__key(node, key({params}))\n" if key is not None else ""),
+        name=qualname,
+        fields=", ".join(f"{n}={{self.{n}!r}}" for n in names),
     )
     exec(src, env)
     cls.__new__ = env["__new__"]
+    if "__repr__" not in ns:
+        cls.__repr__ = env["__repr__"]
     return cls
 
 
@@ -188,17 +208,23 @@ Expr = Union[Lit, Ref, Succ]
 
 @_node
 class BoolLit:
+    """A constant guard."""
+
     value: bool
 
 
 @_node
 class Eq:
+    """Guard: the two expressions evaluate to the same natural."""
+
     left: Expr
     right: Expr
 
 
 @_node
 class Le:
+    """Guard: the left expression evaluates to at most the right one."""
+
     left: Expr
     right: Expr
 

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
-import random
 import sys
 from pathlib import Path
 
-from . import amendment, cc, explore, projection, syntax, verifier
+from . import amendment, cc, explore, projection, syntax
+
+# `verifier`, `json` and `random` are imported by the commands that use them,
+# so `check`, `project` and `amend` start without loading the checkers.
 
 OK = 0
 FAIL = 1
@@ -32,13 +33,14 @@ def _bound(text: str) -> int:
     return value
 
 
-# verify's kinds, each with the check it runs on (program, state, arguments).
+# verify's kinds, each with the `verifier` check it runs on the program, the
+# state and the options named.
 VERIFY = {
-    "naive": lambda p, s, a: verifier.check_naive_correspondence(p, s, a.depth),
-    "amend-complete": lambda p, s, a: verifier.check_amend_complete(p, s, a.depth, a.bound),
-    "amend-sound": lambda p, s, a: verifier.check_amend_sound(p, s, a.depth, a.bound),
-    "intermediate": lambda p, s, a: verifier.check_intermediate_formulation(p, s, a.depth, a.bound),
-    "epp": lambda p, s, a: verifier.check_epp_correspondence(p, s, a.depth),
+    "naive": ("check_naive_correspondence", ("depth",)),
+    "amend-complete": ("check_amend_complete", ("depth", "bound")),
+    "amend-sound": ("check_amend_sound", ("depth", "bound")),
+    "intermediate": ("check_intermediate_formulation", ("depth", "bound")),
+    "epp": ("check_epp_correspondence", ("depth",)),
 }
 
 
@@ -74,8 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("kind", choices=list(VERIFY))
     p_verify.add_argument("file")
     p_verify.add_argument("--state", help="initial state file")
-    p_verify.add_argument("--depth", type=_bound, default=verifier.DEFAULT_DEPTH)
-    p_verify.add_argument("--bound", type=_bound, default=verifier.DEFAULT_SEARCH_BOUND)
+    # Defaults to verifier.DEFAULT_DEPTH and DEFAULT_SEARCH_BOUND, read when
+    # the command runs.
+    p_verify.add_argument("--depth", type=_bound)
+    p_verify.add_argument("--bound", type=_bound)
     p_verify.add_argument("--json", action="store_true", help="machine-readable report")
 
     p_impl = sub.add_parser("implements", help="check a program against a function table")
@@ -110,8 +114,14 @@ def _state(path: str | None) -> cc.State | None:
     return cc.State() if path is None else _read(path, syntax.parse_state_text)
 
 
-def _print_report(report: verifier.Report, as_json: bool) -> int:
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True) if as_json else report.text())
+def _print_report(report, as_json: bool) -> int:
+    """Print a `verifier.Report` as text or JSON; its exit code."""
+    if as_json:
+        import json
+
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    else:
+        print(report.text())
     return OK if report.holds else FAIL
 
 
@@ -202,6 +212,8 @@ def _cmd_run(args) -> int:
         if shown == 0:
             print(f"no run finishes within {args.steps} steps")
     else:
+        import random
+
         rng = random.Random(args.seed)
         c0, s0 = prog.main, state
         for _ in range(args.steps):
@@ -221,7 +233,14 @@ def _cmd_verify(args) -> int:
     state = _state(args.state)
     if state is None:
         return USAGE
-    report = VERIFY[args.kind](prog, state, args)
+    from . import verifier
+
+    if args.depth is None:
+        args.depth = verifier.DEFAULT_DEPTH
+    if args.bound is None:
+        args.bound = verifier.DEFAULT_SEARCH_BOUND
+    check, options = VERIFY[args.kind]
+    report = getattr(verifier, check)(prog, state, *(getattr(args, o) for o in options))
     return _print_report(report, args.json)
 
 
@@ -233,6 +252,8 @@ def _cmd_implements(args) -> int:
     if table is None:
         return USAGE
     inputs = [p for p in args.inputs.split(",") if p]
+    from . import verifier
+
     try:
         report = verifier.check_implements(prog, table, inputs, args.output, args.bound)
     except cc.IllFormedError:
@@ -243,28 +264,42 @@ def _cmd_implements(args) -> int:
     return _print_report(report, args.json)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+HANDLERS = {
+    "check": _cmd_check,
+    "project": _cmd_project,
+    "amend": _cmd_amend,
+    "run": _cmd_run,
+    "verify": _cmd_verify,
+    "implements": _cmd_implements,
+}
+
+
+def _dispatch(args) -> int:
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE if exc.code not in (0, None) else OK
-    handlers = {
-        "check": _cmd_check,
-        "project": _cmd_project,
-        "amend": _cmd_amend,
-        "run": _cmd_run,
-        "verify": _cmd_verify,
-        "implements": _cmd_implements,
-    }
-    try:
-        return handlers[args.command](args)
+        return HANDLERS[args.command](args)
     except cc.IllFormedError as exc:
         print(f"not well-formed: {exc}", file=sys.stderr)
         return FAIL
     except projection.UnprojectableError as exc:
         _print_failures(exc.failures)
         return FAIL
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return USAGE if exc.code not in (0, None) else OK
+    # Parsing and rendering recurse over terms, so an input nested deeply
+    # enough runs out of stack; it gets one line, not a traceback.
+    try:
+        return _dispatch(args)
+    except RecursionError:
+        print(f"error: {args.file}: nested too deeply to process", file=sys.stderr)
+    except MemoryError:
+        print(f"error: {args.file}: too large to process", file=sys.stderr)
+    return USAGE
 
 
 def entry() -> None:

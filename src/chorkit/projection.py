@@ -254,7 +254,8 @@ def epp(prog: cc.ChorProgram) -> sp.SPProgram:
     """
     cc.require_wf(prog)
     memo: Memo = {}
-    pids = sorted(cc.process_names(prog))
+    names = cc.process_names(prog)
+    pids = sorted(names)
     failures = project_failures(prog, memo, pids)
     if failures:
         raise UnprojectableError(failures)
@@ -269,4 +270,4 @@ def epp(prog: cc.ChorProgram) -> sp.SPProgram:
         for p in proc.pids:
             body = _bproj(prog.procedures, proc.body, p, memo)
             procedures[instance_name(name, p)] = _with_instances(body, p)
-    return sp.SPProgram(procedures, sp.Network(net))
+    return sp.SPProgram(procedures, sp.Network(net), names)

@@ -7,7 +7,7 @@ actions, or when one process resolves a local conditional or unfolds a call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from . import explore
@@ -159,10 +159,15 @@ def remove(n: Network, p: Pid) -> Network:
 
 @dataclass
 class SPProgram:
-    """A finite set of behaviour procedures plus the running network."""
+    """A finite set of behaviour procedures plus the running network.
+
+    `processes`, when known, names every process of the program: the network
+    drops a process once it has ended.  Endpoint projection records the
+    choreography's; it takes no part in comparisons or the repr."""
 
     procedures: dict[ProcName, Behaviour]
     net: Network
+    processes: Optional[frozenset[Pid]] = field(default=None, compare=False, repr=False)
 
 
 def _self_addressed(p: Pid, b: Behaviour) -> bool:

@@ -715,11 +715,12 @@ def check_implements_network(
 ) -> Report:
     """Network analogue of check_implements: done means every process ended.
 
-    A network keeps no process that has ended, so any name is taken as one of
-    its processes."""
+    The input and output names are checked against `program.processes`; a
+    network keeps no process that has ended, so without that set any name is
+    taken as one of its processes."""
     sp.require_wf(program.net)
     budget = explore.Budget(state_budget)
     return _checked("implements-network", budget, bound, lambda: _implements_verdict(
         table, inputs, output, bound, budget, sp.successors(program.procedures),
-        program.net, lambda term: not term.support(),
+        program.net, lambda term: not term.support(), program.processes,
     ))

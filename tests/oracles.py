@@ -388,10 +388,11 @@ class AmendedView(amendment.Amendment):
     """`amendment.Amendment` with no cache shared across terms: each distinct
     term is amended in one call of its own."""
 
-    def term(self, c: cc.Choreography) -> cc.Choreography:
+    def term(self, c: cc.Choreography, inserted: list[int] | None = None) -> cc.Choreography:
         out = self._done.get(c)
         if out is None:
-            out = self._done[c] = amendment.amend(self.defs, self.pids, c, self.memo)
+            out = amendment.amend(self.defs, self.pids, c, self.memo, None, inserted)
+            self._done[c] = out
         return out
 
 

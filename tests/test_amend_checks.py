@@ -181,7 +181,11 @@ def test_counterexamples_match_the_oracles_under_a_broken_amendment(monkeypatch,
     check finds counterexamples, several entries of one configuration fail,
     and the witness is the first of them in `repr` order."""
 
-    def broken_amend(defs, pids, c, memo=None, done=None):
+    amend = amendment.amend
+
+    def broken_amend(defs, pids, c, memo=None, done=None, inserted=None):
+        # The insertion bound is the one of the amendment it breaks.
+        amend(defs, pids, c, None, None, inserted)
         return _break(oracles._amend(defs, pids, c), flip)
 
     failing: list = []
@@ -224,7 +228,7 @@ def test_a_match_the_per_level_growth_misses_is_found_at_the_bound(monkeypatch):
     sel = cc.Sel("p", "q", cc.Label.LEFT)
     amend = amendment.amend
 
-    def amend_with_a_first_selection(defs, pids, c, memo=None, done=None):
+    def amend_with_a_first_selection(defs, pids, c, memo=None, done=None, inserted=None):
         return cc.Prefix(sel, c) if isinstance(c, cc.Prefix) else amend(defs, pids, c, memo)
 
     monkeypatch.setattr(amendment, "amend", amend_with_a_first_selection)

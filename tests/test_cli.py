@@ -305,6 +305,43 @@ def test_missing_file_is_a_usage_error(capsys):
     assert "cannot read" in err
 
 
+def _deep_line(n: int) -> str:
+    """`main` as a line of n interactions between two processes."""
+    steps = "".join(f"  {'pq'[i % 2]}.{i % 10} -> {'qp'[i % 2]}.x;\n" for i in range(n))
+    return f"main =\n{steps}  end\n"
+
+
+def _deep_chain(d: int) -> str:
+    """`main` as d nested conditionals over three processes, each of whose
+    branches the process that does not decide tells apart, so every level
+    needs amending."""
+    lines = ["main ="]
+    for i in range(d):
+        a, b, o = "pqr"[i % 3], "pqr"[(i + 1) % 3], "pqr"[(i + 2) % 3]
+        lines += [f"{b}.1 -> {a}.x;", f"if {a}.x <= {i} then {{", f"{a}.2 -> {o}.y;"]
+    lines.append("end")
+    for i in reversed(range(d)):
+        a, b, o = "pqr"[i % 3], "pqr"[(i + 1) % 3], "pqr"[(i + 2) % 3]
+        lines += ["} else {", f"{o}.3 -> {b}.y;", "end", "}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text,command", [
+    (_deep_line(1200), "check"),
+    (_deep_line(1200), "amend"),
+    (_deep_chain(200), "amend"),
+])
+def test_inputs_too_deep_to_process_are_one_line_usage_errors(tmp_path, capsys, text, command):
+    # Parsing the line and rendering the chain's amendment recurse past the
+    # default recursion limit.
+    src = tmp_path / "deep.chor"
+    src.write_text(text, encoding="utf-8")
+    code = main([command, str(src)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {src}: nested too deeply to process\n"
+
+
 def _file_kinds(tmp_path, program: bytes, state: bytes, table: bytes) -> list:
     """(path, argv) for a program, a state file and a table file with the
     given contents; the other files a command needs are good samples."""

@@ -168,6 +168,38 @@ def test_nodes_are_frozen():
         term.value = 2
 
 
+# One node of every hash-consed class.
+EVERY_NODE = [
+    Lit(1), Ref("x"), Succ(Ref("x")), BoolLit(True), Eq(Lit(0), Lit(1)), Le(Lit(0), Ref("x")),
+    Com("p", Lit(1), "q", "x"), Sel("p", "q", Label.LEFT), End(),
+    Prefix(Sel("p", "q", Label.LEFT), End()), Cond("p", BoolLit(True), End(), Call("X")),
+    Call("X"), RunningCall("X", ("p",), End()),
+    cc.CommEvent("p", 1, "q"), cc.SelectEvent("p", "q", Label.RIGHT), cc.TauEvent("p"),
+    sp.End(), sp.Send("q", Lit(1), sp.End()), sp.Recv("p", "x", sp.End()),
+    sp.Choose("q", Label.LEFT, sp.End()), sp.Offer("p", sp.End(), None),
+    sp.Cond(BoolLit(False), sp.End(), sp.Call("X")), sp.Call("X"),
+]
+
+
+def test_every_node_class_keeps_the_dataclass_contract():
+    assert {type(n) for n in EVERY_NODE} == set(cc._Node.__subclasses__())
+    assert len(EVERY_NODE) == len(cc._Node.__subclasses__())
+    for node in EVERY_NODE:
+        cls = type(node)
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        assert dataclasses.is_dataclass(cls) and names == cls.__match_args__, cls
+        assert dataclasses.replace(node) is node
+        for name in names:
+            assert dataclasses.replace(node, **{name: getattr(node, name)}) is node
+        for name in names + ("_key", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"assign to field '{name}'"):
+                setattr(node, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"delete field '{name}'"):
+                delattr(node, name)
+        # Its own docstring, not the one dataclass makes from the signature.
+        assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}("), cls
+
+
 def _same_order(terms: list) -> None:
     assert sorted(terms, key=cc.sort_key) == sorted(terms, key=repr)
 

@@ -97,4 +97,4 @@ def test_only_amendment_amends():
     # The amendment of a program, of every term it reaches and its bound on
     # inserted selections all come from one `amendment.Amendment`.
     assert _sites(_constructs("amend")) == {"amendment.amend", "amendment.Amendment"}
-    assert _sites(_constructs("needs_selection")) == {"amendment.amend", "amendment.Amendment"}
+    assert _sites(_constructs("needs_selection")) == {"amendment.amend"}

@@ -306,6 +306,31 @@ def test_arity_mismatch_is_rejected():
         check_implements(corpus.successor_fn(), EQ_TABLE, ["p"], "q", 8)
 
 
+def test_projected_networks_check_process_names_as_their_choreographies_do():
+    # A network drops the processes that have ended, so the names are checked
+    # against those the projection records: an unknown output once gave a
+    # made-up counterexample, "inputs (0,): zz.x = 0, expected 1".
+    sample = Path(__file__).resolve().parent.parent / "samples" / "successor_fn.chor"
+    prog = syntax.parse_source(sample.read_text(encoding="utf-8")).to_program()
+    compiled = projection.epp(prog)
+    assert compiled.processes == {"p", "q"}
+    for ins, out, message in (
+        (["p"], "zz", "the program has no process zz"),
+        (["zz"], "q", "the program has no process zz"),
+        (["p", "p"], "q", "input process p is named twice"),
+    ):
+        table = FnTable(len(ins), {(0,) * len(ins): 1})
+        for check, program in ((check_implements, prog), (check_implements_network, compiled)):
+            with pytest.raises(ValueError, match=message):
+                check(program, table, ins, out, 8)
+    assert check_implements_network(compiled, SUCC_TABLE, ["p"], "q", 8).verdict == HOLDS
+    # Hand-built programs, without the set, still take any name.
+    anonymous = sp.SPProgram(compiled.procedures, compiled.net)
+    assert anonymous == compiled and repr(anonymous) == repr(compiled)
+    report = check_implements_network(anonymous, FnTable(1, {(0,): 1}), ["p"], "zz", 8)
+    assert report.witness.note == "inputs (0,): zz.x = 0, expected 1"
+
+
 def test_amendment_preserves_implements():
     for prog, table, ins, out, bound in (
         (corpus.successor_fn(), SUCC_TABLE, ["p"], "q", 8),
