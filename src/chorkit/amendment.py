@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from . import cc
+from . import cc, sp
 from .projection import Memo, projectable
 
 
@@ -58,43 +58,68 @@ def amend(
     memo: Memo | None = None,
     done: dict | None = None,
     inserted: list[int] | None = None,
+    nested: bool = False,
 ) -> cc.Choreography:
     """Insert the selections needed to make c projectable on all of `pids`.
 
     Branches are repaired first; the processes still unable to project the
     repaired conditional then receive a selection in both branches.  Calls
     sharing the projection `memo` must share `defs`; each level then projects
-    only what the levels below did not.  `done`, when given, maps terms to
-    their amendments; calls sharing it must share `defs` and `pids` too, and
-    then amend a shared subterm once.  `inserted`, when given, receives the
-    number of selections put in each branch of each conditional amended here
-    (not found in `done`).
+    only what the levels below did not.  `nested` tells that c lies in a
+    branch of a conditional being amended, which will project it: the
+    projections of c's repaired conditionals on the processes they inform are
+    then put in the memo too.  `done`, when given, maps terms to their
+    amendments; calls sharing it must share `defs` and `pids` too, and then
+    amend a shared subterm once.  `inserted`, when given, receives the number
+    of selections put in each branch of each conditional amended here (not
+    found in `done`).
+
+    A run of prefixes is walked with a loop down to a term found in `done` or
+    no prefix, and rebuilt on the way back up, so only conditionals and
+    entered calls recurse.  Every prefix of the run goes into `done`: a check
+    amends the residuals of the terms it steps, which are often suffixes of
+    runs amended already.
     """
     memo = {} if memo is None else memo
-    if done is not None:
+    done = {} if done is None else done
+    run = []  # the prefixes walked
+    out = done.get(c)
+    while out is None and isinstance(c, cc.Prefix):
+        run.append(c)
+        c = c.cont
         out = done.get(c)
-        if out is not None:
-            return out
-    if isinstance(c, cc.Prefix):
-        out = cc.Prefix(c.action, amend(defs, pids, c.cont, memo, done, inserted))
-    elif isinstance(c, cc.Cond):
-        then_a = amend(defs, pids, c.then_c, memo, done, inserted)
-        else_a = amend(defs, pids, c.else_c, memo, done, inserted)
-        uninformed = needs_selection(defs, c.pid, c.guard, pids, then_a, else_a, memo)
-        if inserted is not None:
-            inserted.append(len(uninformed))
-        out = cc.Cond(
-            c.pid,
-            c.guard,
-            add_selections(c.pid, cc.Label.LEFT, uninformed, then_a),
-            add_selections(c.pid, cc.Label.RIGHT, uninformed, else_a),
-        )
-    elif isinstance(c, cc.RunningCall):
-        out = cc.RunningCall(c.name, c.pending, amend(defs, pids, c.body, memo, done, inserted))
-    else:
-        out = c  # Call, End
-    if done is not None:
+    if out is None:
+        if isinstance(c, cc.Cond):
+            then_a = amend(defs, pids, c.then_c, memo, done, inserted, True)
+            else_a = amend(defs, pids, c.else_c, memo, done, inserted, True)
+            uninformed = needs_selection(defs, c.pid, c.guard, pids, then_a, else_a, memo)
+            if inserted is not None:
+                inserted.append(len(uninformed))
+            if not uninformed:
+                out = cc.Cond(c.pid, c.guard, then_a, else_a)
+            else:
+                out = cc.Cond(
+                    c.pid,
+                    c.guard,
+                    add_selections(c.pid, cc.Label.LEFT, uninformed, then_a),
+                    add_selections(c.pid, cc.Label.RIGHT, uninformed, else_a),
+                )
+                if nested:
+                    # A process the repair informs sees only its own selection
+                    # in either branch, and `needs_selection` has put the
+                    # projections of the amended branches, which every process
+                    # has, in the memo.
+                    for r in uninformed:
+                        memo[(out, r)] = sp.Offer(c.pid, memo[(then_a, r)], memo[(else_a, r)])
+        elif isinstance(c, cc.RunningCall):
+            body = amend(defs, pids, c.body, memo, done, inserted, nested)
+            out = cc.RunningCall(c.name, c.pending, body)
+        else:
+            out = c  # Call, End
         done[c] = out
+    while run:
+        c = run.pop()
+        out = done[c] = c if out is c.cont else cc.Prefix(c.action, out)
     return out
 
 

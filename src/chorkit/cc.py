@@ -12,6 +12,8 @@ import sys
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
+from functools import cache
+from types import CodeType, FunctionType
 from typing import AbstractSet, Mapping, Optional, Union
 
 from . import explore
@@ -27,6 +29,10 @@ class Label(Enum):
 
     LEFT = "left"
     RIGHT = "right"
+
+    # Members are singletons, so the identity hash, which runs in C, will do;
+    # `Enum` hashes the member's name in Python, on every node holding one.
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"Label.{self.name}"
@@ -49,6 +55,12 @@ class _Node:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __repr__(self) -> str:
+        # The dataclass repr, without its guard against cycles, which
+        # hash-consed terms cannot form.
+        fields = ", ".join([f"{n}={getattr(self, n)!r}" for n in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
 
 class _Ref(weakref.ref):
     """A weak reference to a node that remembers its table key."""
@@ -56,6 +68,9 @@ class _Ref(weakref.ref):
     __slots__ = ("key",)
 
 
+# The constructor of a class with fields _f0, _f1, ...; `_node` renames its
+# parameters to the field names, so keyword calls such as
+# `dataclasses.replace` work.
 _NODE_TEMPLATE = """
 def __new__(cls, {params}):
     args = ({params})
@@ -69,10 +84,20 @@ def __new__(cls, {params}):
     ref.key = args
     table[args] = ref
     return node
-
-def __repr__(self):
-    return f"{name}({fields})"
 """
+
+
+@cache
+def _constructor(arity: int, keyed: bool) -> CodeType:
+    """The code of `_NODE_TEMPLATE` for `arity` fields, which also stores
+    `key` of the field values when `keyed`; compiled once per shape."""
+    params = "".join(f"_f{i}, " for i in range(arity))
+    assign = "".join(f"    set{i}(node, _f{i})\n" for i in range(arity))
+    if keyed:
+        assign += f"    set_key(node, key({params}))\n"
+    env: dict = {}
+    exec(_NODE_TEMPLATE.format(params=params, assign=assign), env)
+    return env["__new__"].__code__
 
 
 def _node(cls=None, *, key=None):
@@ -86,9 +111,8 @@ def _node(cls=None, *, key=None):
     its nodes weakly.
 
     `dataclass` is asked only for the field metadata (`fields`, `replace`,
-    `__match_args__`): the constructor and the repr are generated here, and
-    `_Node` makes instances frozen.  The repr is the dataclass one without its
-    guard against cycles, which hash-consed terms cannot form.
+    `__match_args__`): the constructor is `_constructor`'s code bound to the
+    class's table, and `_Node` gives the repr and makes instances frozen.
 
     A node's sort key is `sort_key`'s structural one, unless `key` is given:
     then it is `key` called with the field values, when the node is created.
@@ -111,8 +135,6 @@ def _node(cls=None, *, key=None):
         if table.get(ref.key) is ref:
             del table[ref.key]
 
-    params = "".join(f"{n}, " for n in names)
-    stored = names + ("_key",) if key is not None else names
     env = {
         "get": table.get,
         "table": table,
@@ -120,22 +142,16 @@ def _node(cls=None, *, key=None):
         "Ref": _Ref,
         "remove": remove,
         "key": key,
+        # Fields are written through their slot descriptors, under the frozen
+        # __setattr__.
+        "set_key": cls.__dict__["_key"].__set__,
     }
-    # Fields are written through their slot descriptors, under the frozen
-    # __setattr__.
-    for n in stored:
-        env[f"set_{n}"] = cls.__dict__[n].__set__
-    src = _NODE_TEMPLATE.format(
-        params=params,
-        assign="".join(f"    set_{n}(node, {n})\n" for n in names)
-        + (f"    set__key(node, key({params}))\n" if key is not None else ""),
-        name=qualname,
-        fields=", ".join(f"{n}={{self.{n}!r}}" for n in names),
-    )
-    exec(src, env)
-    cls.__new__ = env["__new__"]
-    if "__repr__" not in ns:
-        cls.__repr__ = env["__repr__"]
+    for i, n in enumerate(names):
+        env[f"set{i}"] = cls.__dict__[n].__set__
+    code = _constructor(len(names), key is not None)
+    renamed = {f"_f{i}": n for i, n in enumerate(names)}
+    code = code.replace(co_varnames=tuple(renamed.get(v, v) for v in code.co_varnames))
+    cls.__new__ = FunctionType(code, env)
     return cls
 
 
@@ -523,36 +539,67 @@ def eta_processes(eta: Eta) -> frozenset[Pid]:
 
 def well_formed(c: Choreography) -> bool:
     """No self-communication anywhere; pending lists free of duplicates."""
-    if isinstance(c, Prefix):
-        return c.action.sender != c.action.receiver and well_formed(c.cont)
-    if isinstance(c, Cond):
-        return well_formed(c.then_c) and well_formed(c.else_c)
-    if isinstance(c, RunningCall):
-        return len(set(c.pending)) == len(c.pending) and well_formed(c.body)
-    return True
+    stack: list[Choreography] = []  # branches still to visit
+    while True:
+        while isinstance(c, Prefix):
+            eta = c.action
+            if eta.sender == eta.receiver:
+                return False
+            c = c.cont
+        if isinstance(c, Cond):
+            stack.append(c.else_c)
+            c = c.then_c
+        elif isinstance(c, RunningCall):
+            if len(set(c.pending)) != len(c.pending):
+                return False
+            c = c.body
+        elif stack:
+            c = stack.pop()
+        else:
+            return True
 
 
 def chor_processes(c: Choreography) -> frozenset[Pid]:
     """Processes occurring syntactically in a choreography."""
-    if isinstance(c, Prefix):
-        return eta_processes(c.action) | chor_processes(c.cont)
-    if isinstance(c, Cond):
-        return frozenset((c.pid,)) | chor_processes(c.then_c) | chor_processes(c.else_c)
-    if isinstance(c, RunningCall):
-        return frozenset(c.pending) | chor_processes(c.body)
-    return frozenset()
+    out: set[Pid] = set()
+    stack: list[Choreography] = []  # branches still to visit
+    while True:
+        while isinstance(c, Prefix):
+            eta = c.action
+            out.add(eta.sender)
+            out.add(eta.receiver)
+            c = c.cont
+        if isinstance(c, Cond):
+            out.add(c.pid)
+            stack.append(c.else_c)
+            c = c.then_c
+        elif isinstance(c, RunningCall):
+            out.update(c.pending)
+            c = c.body
+        elif stack:
+            c = stack.pop()
+        else:
+            return frozenset(out)
 
 
 def called_procedures(c: Choreography) -> frozenset[ProcName]:
-    if isinstance(c, Prefix):
-        return called_procedures(c.cont)
-    if isinstance(c, Cond):
-        return called_procedures(c.then_c) | called_procedures(c.else_c)
-    if isinstance(c, Call):
-        return frozenset((c.name,))
-    if isinstance(c, RunningCall):
-        return frozenset((c.name,)) | called_procedures(c.body)
-    return frozenset()
+    out: set[ProcName] = set()
+    stack: list[Choreography] = []  # branches still to visit
+    while True:
+        while isinstance(c, Prefix):
+            c = c.cont
+        if isinstance(c, Cond):
+            stack.append(c.else_c)
+            c = c.then_c
+        elif isinstance(c, RunningCall):
+            out.add(c.name)
+            c = c.body
+        else:
+            if isinstance(c, Call):
+                out.add(c.name)
+            if not stack:
+                return frozenset(out)
+            c = stack.pop()
 
 
 def wf_violations(prog: ChorProgram) -> list[str]:
@@ -565,24 +612,25 @@ def wf_violations(prog: ChorProgram) -> list[str]:
     out: list[str] = []
     if not well_formed(prog.main):
         out.append("the main choreography is not well-formed")
-    sites = [("main", prog.main)]
+    # Each site with the procedures it calls.
+    sites = [("main", called_procedures(prog.main))]
     for name in sorted(prog.procedures):
         proc = prog.procedures[name]
-        sites.append((f"procedure {name}", proc.body))
+        sites.append((f"procedure {name}", called_procedures(proc.body)))
         if not proc.pids:
             out.append(f"procedure {name} declares no processes")
         if len(set(proc.pids)) != len(proc.pids):
             out.append(f"procedure {name} declares a process twice")
         if not well_formed(proc.body):
             out.append(f"the body of procedure {name} is not well-formed")
-    for site, term in sites:
-        for called in sorted(called_procedures(term)):
+    for site, calls in sites:
+        for called in sorted(calls):
             if called not in prog.procedures:
                 out.append(f"{site} calls undefined procedure {called}")
-    for name in sorted(prog.procedures):
+    for name, (_, calls) in zip(sorted(prog.procedures), sites[1:]):
         proc = prog.procedures[name]
         used = set(chor_processes(proc.body))
-        for called in called_procedures(proc.body):
+        for called in calls:
             target = prog.procedures.get(called)
             if target is not None:
                 used |= set(target.pids)

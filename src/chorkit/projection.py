@@ -88,45 +88,66 @@ def _bproj(
 ) -> sp.Behaviour:
     """Project c on r, raising _Undefined with the innermost conditional whose
     branch merge fails.  `memo` belongs to one pass over fixed `defs`; since
-    terms are hash-consed its hits are exact."""
+    terms are hash-consed its hits are exact.
+
+    A run of prefixes is walked with a loop down to a memo hit or a term that
+    is no prefix, that tail is projected, and the behaviours of the run's
+    actions on r are built on the way back up; only the run's head and its
+    tail are memoised.  A run therefore takes no stack frame per prefix, and
+    only conditionals and entered calls recurse."""
     out = memo.get((c, r))
     if out is not None:
         if isinstance(out, cc.Cond):
             raise _Undefined(out)
         return out
-    if isinstance(c, cc.Prefix):
+    head = c
+    mine = []  # the run's actions that involve r
+    while isinstance(c, cc.Prefix):
         eta = c.action
-        out = _bproj(defs, c.cont, r, memo)
+        if r == eta.sender or r == eta.receiver:
+            mine.append(eta)
+        c = c.cont
+        out = memo.get((c, r))
+        if out is not None:
+            if isinstance(out, cc.Cond):
+                memo[(head, r)] = out
+                raise _Undefined(out)
+            break
+    else:
+        if isinstance(c, cc.Cond):
+            then_b = _bproj(defs, c.then_c, r, memo)
+            else_b = _bproj(defs, c.else_c, r, memo)
+            if r == c.pid:
+                out = sp.Cond(c.guard, then_b, else_b)
+            else:
+                out = merge(then_b, else_b)
+                if out is None:
+                    # A failure is memoised as the conditional it blames.
+                    memo[(c, r)] = memo[(head, r)] = c
+                    raise _Undefined(c)
+        elif isinstance(c, cc.Call):
+            proc = defs.get(c.name)
+            out = sp.Call(c.name) if proc is not None and r in proc.pids else sp.End()
+        elif isinstance(c, cc.RunningCall):
+            out = sp.Call(c.name) if r in c.pending else _bproj(defs, c.body, r, memo)
+        else:
+            out = sp.End()
+        memo[(c, r)] = out
+    while mine:
+        eta = mine.pop()
         if isinstance(eta, cc.Com):
             if r == eta.sender:
                 out = sp.Send(eta.receiver, eta.expr, out)
-            elif r == eta.receiver:
+            else:
                 out = sp.Recv(eta.sender, eta.var, out)
         elif r == eta.sender:
             out = sp.Choose(eta.receiver, eta.label, out)
-        elif r == eta.receiver:
-            if eta.label is cc.Label.LEFT:
-                out = sp.Offer(eta.sender, out, None)
-            else:
-                out = sp.Offer(eta.sender, None, out)
-    elif isinstance(c, cc.Cond):
-        then_b = _bproj(defs, c.then_c, r, memo)
-        else_b = _bproj(defs, c.else_c, r, memo)
-        if r == c.pid:
-            out = sp.Cond(c.guard, then_b, else_b)
+        elif eta.label is cc.Label.LEFT:
+            out = sp.Offer(eta.sender, out, None)
         else:
-            out = merge(then_b, else_b)
-            if out is None:
-                memo[(c, r)] = c
-                raise _Undefined(c)
-    elif isinstance(c, cc.Call):
-        proc = defs.get(c.name)
-        out = sp.Call(c.name) if proc is not None and r in proc.pids else sp.End()
-    elif isinstance(c, cc.RunningCall):
-        out = sp.Call(c.name) if r in c.pending else _bproj(defs, c.body, r, memo)
-    else:
-        out = sp.End()
-    memo[(c, r)] = out
+            out = sp.Offer(eta.sender, None, out)
+    if head is not c:
+        memo[(head, r)] = out
     return out
 
 

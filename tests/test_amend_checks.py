@@ -183,7 +183,7 @@ def test_counterexamples_match_the_oracles_under_a_broken_amendment(monkeypatch,
 
     amend = amendment.amend
 
-    def broken_amend(defs, pids, c, memo=None, done=None, inserted=None):
+    def broken_amend(defs, pids, c, memo=None, done=None, inserted=None, nested=False):
         # The insertion bound is the one of the amendment it breaks.
         amend(defs, pids, c, None, None, inserted)
         return _break(oracles._amend(defs, pids, c), flip)
