@@ -95,22 +95,18 @@ def amend(
             uninformed = needs_selection(defs, c.pid, c.guard, pids, then_a, else_a, memo)
             if inserted is not None:
                 inserted.append(len(uninformed))
-            if not uninformed:
-                out = cc.Cond(c.pid, c.guard, then_a, else_a)
-            else:
-                out = cc.Cond(
-                    c.pid,
-                    c.guard,
-                    add_selections(c.pid, cc.Label.LEFT, uninformed, then_a),
-                    add_selections(c.pid, cc.Label.RIGHT, uninformed, else_a),
-                )
-                if nested:
-                    # A process the repair informs sees only its own selection
-                    # in either branch, and `needs_selection` has put the
-                    # projections of the amended branches, which every process
-                    # has, in the memo.
-                    for r in uninformed:
-                        memo[(out, r)] = sp.Offer(c.pid, memo[(then_a, r)], memo[(else_a, r)])
+            out = cc.Cond(
+                c.pid,
+                c.guard,
+                add_selections(c.pid, cc.Label.LEFT, uninformed, then_a),
+                add_selections(c.pid, cc.Label.RIGHT, uninformed, else_a),
+            )
+            if nested:
+                # A process the repair informs sees only its own selection in
+                # either branch, and `needs_selection` has put the projections
+                # of the amended branches, which every process has, in the memo.
+                for r in uninformed:
+                    memo[(out, r)] = sp.Offer(c.pid, memo[(then_a, r)], memo[(else_a, r)])
         elif isinstance(c, cc.RunningCall):
             body = amend(defs, pids, c.body, memo, done, inserted, nested)
             out = cc.RunningCall(c.name, c.pending, body)
