@@ -62,10 +62,35 @@ class _Node:
         return f"{type(self).__qualname__}({fields})"
 
 
-class _Ref(weakref.ref):
-    """A weak reference to a node that remembers its table key."""
+# The intern table of every hash-consed class: (class, *field values) to a
+# weak reference to the node.  A dead entry stays until `_sweep` drops it.
+_TABLE: dict = {}
+_SWEEP_MIN = 256
+_SWEEP_GROWTH = 1.125
+# The table size past which a constructor sweeps: `_SWEEP_GROWTH` times the
+# entries the last sweep left, and at least `_SWEEP_MIN`.
+_sweep_at = [_SWEEP_MIN]
 
-    __slots__ = ("key",)
+
+def _sweep() -> None:
+    """Drop the dead entries of the intern table, newest first.
+
+    A dead entry's key holds its children, and children are interned before
+    their parents (a dead entry found by a constructor is deleted before its
+    new node goes in).  So dropping a parent's entry frees the children it
+    alone held before they are visited, and one pass frees a whole dead term.
+    Keys are popped off their list as they are visited, so the list does not
+    keep them alive, and each key's reference is popped off a list beside it,
+    so a live entry is not looked up.
+    """
+    table = _TABLE
+    keys, refs = list(table), list(table.values())
+    pop_key, pop_ref = keys.pop, refs.pop
+    while keys:
+        key = pop_key()
+        if pop_ref()() is None:
+            del table[key]
+    _sweep_at[0] = max(_SWEEP_MIN, int(len(table) * _SWEEP_GROWTH))
 
 
 # The constructor of a class with fields _f0, _f1, ...; `_node` renames its
@@ -73,16 +98,17 @@ class _Ref(weakref.ref):
 # `dataclasses.replace` work.
 _NODE_TEMPLATE = """
 def __new__(cls, {params}):
-    args = ({params})
+    args = (cls, {params})
     ref = get(args)
     if ref is not None:
         node = ref()
         if node is not None:
             return node
+        del table[args]
     node = new(cls)
-{assign}    ref = Ref(node, remove)
-    ref.key = args
-    table[args] = ref
+{assign}    table[args] = Ref(node)
+    if len(table) > sweep_at[0]:
+        sweep()
     return node
 """
 
@@ -104,15 +130,19 @@ def _node(cls=None, *, key=None):
     """Hash-cons a class of immutable terms (Filliâtre & Conchon, "Type-safe
     modular hash-consing", ML Workshop 2006).
 
-    The class becomes a frozen, slotted dataclass whose constructor looks its
-    field values up in a per-class table of live nodes and returns the node
-    already there on a hit.  Structurally equal nodes are therefore the same
-    object, and `==` and `hash` are the identity defaults.  The table holds
-    its nodes weakly.
+    The class becomes a frozen, slotted dataclass whose constructor looks the
+    class and its field values up in `_TABLE`, shared by every class, and
+    returns the live node found there.  Structurally equal nodes are
+    therefore the same object, and `==` and `hash` are the identity defaults.
+    The table maps each key to a plain weak reference, with no callback on
+    the node's death: a constructor that finds a dead entry replaces it, and
+    `_sweep` drops the others once the table outgrows the live size the last
+    sweep left by `_SWEEP_GROWTH`.
 
     `dataclass` is asked only for the field metadata (`fields`, `replace`,
     `__match_args__`): the constructor is `_constructor`'s code bound to the
-    class's table, and `_Node` gives the repr and makes instances frozen.
+    table and the class's slots, and `_Node` gives the repr and makes
+    instances frozen.
 
     A node's sort key is `sort_key`'s structural one, unless `key` is given:
     then it is `key` called with the field values, when the node is created.
@@ -129,18 +159,13 @@ def _node(cls=None, *, key=None):
     cls.__qualname__ = qualname
     cls = dataclass(eq=False, init=False, repr=False)(cls)
 
-    table: dict = {}
-
-    def remove(ref: _Ref) -> None:
-        if table.get(ref.key) is ref:
-            del table[ref.key]
-
     env = {
-        "get": table.get,
-        "table": table,
+        "get": _TABLE.get,
+        "table": _TABLE,
         "new": object.__new__,
-        "Ref": _Ref,
-        "remove": remove,
+        "Ref": weakref.ref,
+        "sweep_at": _sweep_at,
+        "sweep": _sweep,
         "key": key,
         # Fields are written through their slot descriptors, under the frozen
         # __setattr__.
@@ -561,7 +586,11 @@ def well_formed(c: Choreography) -> bool:
 
 def chor_processes(c: Choreography) -> frozenset[Pid]:
     """Processes occurring syntactically in a choreography."""
-    out: set[Pid] = set()
+    return frozenset(_add_processes(c, set()))
+
+
+def _add_processes(c: Choreography, out: set[Pid]) -> set[Pid]:
+    """Add the processes of `c` to `out`, and return it."""
     stack: list[Choreography] = []  # branches still to visit
     while True:
         while isinstance(c, Prefix):
@@ -579,7 +608,7 @@ def chor_processes(c: Choreography) -> frozenset[Pid]:
         elif stack:
             c = stack.pop()
         else:
-            return frozenset(out)
+            return out
 
 
 def called_procedures(c: Choreography) -> frozenset[ProcName]:
@@ -629,7 +658,7 @@ def wf_violations(prog: ChorProgram) -> list[str]:
                 out.append(f"{site} calls undefined procedure {called}")
     for name, (_, calls) in zip(sorted(prog.procedures), sites[1:]):
         proc = prog.procedures[name]
-        used = set(chor_processes(proc.body))
+        used = _add_processes(proc.body, set())
         for called in calls:
             target = prog.procedures.get(called)
             if target is not None:
@@ -650,9 +679,9 @@ def program_well_formed(prog: ChorProgram) -> bool:
 def process_names(prog: ChorProgram) -> frozenset[Pid]:
     """Every process a program can involve: those of the main choreography plus
     the declared processes of all procedures."""
-    out = set(chor_processes(prog.main))
+    out = _add_processes(prog.main, set())
     for proc in prog.procedures.values():
-        out |= set(proc.pids)
+        out.update(proc.pids)
     return frozenset(out)
 
 

@@ -171,21 +171,31 @@ class SPProgram:
 
 
 def _self_addressed(p: Pid, b: Behaviour) -> bool:
-    if isinstance(b, Send):
-        return b.dst == p or _self_addressed(p, b.cont)
-    if isinstance(b, Recv):
-        return b.src == p or _self_addressed(p, b.cont)
-    if isinstance(b, Choose):
-        return b.dst == p or _self_addressed(p, b.cont)
-    if isinstance(b, Offer):
-        if b.src == p:
-            return True
-        for opt in (b.left, b.right):
-            if opt is not None and _self_addressed(p, opt):
+    """Whether `b` addresses an action to `p` itself.  Shared subterms of a
+    hash-consed behaviour are visited once, and an explicit stack takes the
+    place of recursion; a missing offer option is a `None` that matches no
+    case."""
+    seen: set[Optional[Behaviour]] = set()
+    stack: list[Optional[Behaviour]] = [b]
+    while stack:
+        b = stack.pop()
+        if b in seen:
+            continue
+        seen.add(b)
+        if isinstance(b, (Send, Choose)):
+            if b.dst == p:
                 return True
-        return False
-    if isinstance(b, Cond):
-        return _self_addressed(p, b.then_b) or _self_addressed(p, b.else_b)
+            stack.append(b.cont)
+        elif isinstance(b, Recv):
+            if b.src == p:
+                return True
+            stack.append(b.cont)
+        elif isinstance(b, Offer):
+            if b.src == p:
+                return True
+            stack += (b.left, b.right)
+        elif isinstance(b, Cond):
+            stack += (b.then_b, b.else_b)
     return False
 
 

@@ -158,6 +158,14 @@ def test_process_names_includes_declared_pids_of_unused_procedures():
     assert cc.process_names(ChorProgram({"X": proc}, End())) == {"p", "q"}
 
 
+def test_process_names_are_the_main_processes_and_every_declared_one():
+    for prog in _corpus_programs():
+        declared = [p for proc in prog.procedures.values() for p in proc.pids]
+        names = cc.process_names(prog)
+        assert type(names) is frozenset
+        assert names == cc.chor_processes(prog.main).union(declared)
+
+
 # ---------------------------------------------------------------------------
 # Semantics
 

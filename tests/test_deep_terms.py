@@ -3,17 +3,22 @@
 Well-formedness, process names, projection, EPP and amendment walk a run of
 prefixes with a loop and recurse only at conditionals and entered calls, so a
 5,000-interaction line and a 400-level chain of conditionals go through them
-under the default limit.  Parsing, rendering, `projection._merge`,
-`projection._with_instances` and `sp._self_addressed` still recurse (ROADMAP
-item 3).
+under the default limit.  The network check `sp.require_wf` walks with an
+explicit stack and visits shared subterms once.  Parsing, rendering,
+`projection._merge` and `projection._with_instances` still recurse (ROADMAP
+item 4).
 """
 
 from __future__ import annotations
 
 import sys
+import time
 from contextlib import contextmanager
 
-from test_interning import _chain, _line
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_interning import PIDS, _chain, _line, behaviours
 from chorkit import amendment, cc, projection, sp
 
 DEFAULT_LIMIT = 1000  # CPython's
@@ -73,3 +78,53 @@ def test_a_400_level_chain():
     assert blamed == {"p": 398, "q": 399, "r": 399}
     assert {f.site for f in failures} == {"main"}
     assert still == []
+
+
+def _self_addressed(p: cc.Pid, b: sp.Behaviour) -> bool:
+    """The definition: some action of `b`, in any branch, addresses `p`."""
+    if isinstance(b, (sp.Send, sp.Choose)):
+        return b.dst == p or _self_addressed(p, b.cont)
+    if isinstance(b, sp.Recv):
+        return b.src == p or _self_addressed(p, b.cont)
+    if isinstance(b, sp.Offer):
+        return b.src == p or any(
+            opt is not None and _self_addressed(p, opt) for opt in (b.left, b.right))
+    if isinstance(b, sp.Cond):
+        return _self_addressed(p, b.then_b) or _self_addressed(p, b.else_b)
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PIDS), behaviours)
+def test_self_addressed_follows_its_definition(p, b):
+    assert sp._self_addressed(p, b) == _self_addressed(p, b)
+    assert sp.network_wf(sp.Network({p: b})) == (not _self_addressed(p, b))
+
+
+def test_a_shared_tower_of_40_conditionals():
+    # Both branches of each level are one node, so the tower has 40
+    # conditionals but 2**40 paths; the walk visits each node once.
+    guard = cc.Le(cc.Ref("x"), cc.Lit(0))
+    for leaf, addressed in ((sp.Send("q", cc.Lit(1), sp.End()), False),
+                            (sp.Choose("p", cc.Label.LEFT, sp.End()), True)):
+        b = leaf
+        for _ in range(40):
+            b = sp.Cond(guard, b, b)
+        began = time.perf_counter()
+        with recursion_limit(DEFAULT_LIMIT):
+            assert sp._self_addressed("p", b) is addressed
+            assert sp.network_wf(sp.Network({"p": b})) is not addressed
+        assert time.perf_counter() - began < 1.0
+
+
+def test_require_wf_on_the_projection_of_a_5000_interaction_line():
+    network = projection.epp(_line(5000)).net
+    with recursion_limit(DEFAULT_LIMIT):
+        sp.require_wf(network)
+        assert sp.network_wf(network)
+    # A self-addressed send below 5,000 receives.
+    deep = sp.Send("a", cc.Lit(0), sp.End())
+    for _ in range(5000):
+        deep = sp.Recv("b", "x", deep)
+    with recursion_limit(DEFAULT_LIMIT):
+        assert not sp.network_wf(network.set("a", deep))

@@ -1,5 +1,6 @@
-"""Hash-consed terms: sharing, unchanged repr, and a sort key that orders
-terms exactly as their repr strings do.
+"""Hash-consed terms: sharing, unchanged repr, a sort key that orders terms
+exactly as their repr strings do, and an intern table whose sweeps free dead
+terms whole.
 
 Also checks that the projection memo leaves the CLI's output unchanged: the
 memo-free projection and amendment in `oracles` must print the same.
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 import corpus
 import oracles
+from test_cli import _run_on_samples, _sample_commands
 from chorkit import amendment, cc, projection, sp, syntax
 from chorkit.cc import (
     BoolLit,
@@ -371,3 +375,104 @@ def test_sort_key_of_a_deep_term_needs_no_recursion():
     term = _line(5000).main
     key = cc.sort_key(term)
     assert key[0] == "Prefix" and cc.sort_key(term.cont) is key[2]
+
+
+# ---------------------------------------------------------------------------
+# The intern table
+
+
+def _nodes(term) -> list:
+    """The distinct nodes of a term, walked with an explicit stack."""
+    seen: dict = {}
+    stack = [term]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, cc._Node) and id(x) not in seen:
+            seen[id(x)] = x
+            stack.extend(getattr(x, n) for n in x.__match_args__)
+    return list(seen.values())
+
+
+def _dead_entries() -> int:
+    return sum(ref() is None for ref in cc._TABLE.values())
+
+
+def _assert_children_come_first() -> None:
+    """Every node a key holds has its own entry earlier in the table."""
+    where = {key: i for i, key in enumerate(cc._TABLE)}
+    for key, i in where.items():
+        for child in key[1:]:
+            if isinstance(child, cc._Node):
+                own = (type(child), *(getattr(child, n) for n in child.__match_args__))
+                assert where[own] < i, key
+
+
+def test_one_sweep_frees_dropped_deep_terms():
+    cc._sweep()
+    before = len(cc._TABLE)
+    line, chain = _line(5000), _chain(200)
+    # Projection and amendment build behaviours over the terms' expressions
+    # and selections over their interactions, so the dead terms span classes.
+    network = projection.epp(line).net
+    amended = amendment.amend_program(chain).main
+    assert isinstance(network.get("a"), sp.Send) and amended is not chain.main
+    built = len(cc._TABLE)
+    roots = [weakref.ref(t) for t in (line.main, chain.main, amended, network.get("a"))]
+    del line, chain, network, amended
+    assert [r() for r in roots] == [None] * 4
+    cc._sweep()
+    # A sweep that held the keys it visited would leave their children's
+    # entries behind, dead.
+    assert _dead_entries() == 0
+    assert len(cc._TABLE) <= before < built - 10_000
+
+
+def test_the_table_stays_bounded_over_many_dropped_programs():
+    kept = Prefix(Com("p", Lit(424242), "q", "kept"), End())
+    cc._sweep()
+    before = len(cc._TABLE)
+    rng = random.Random(ACCEPTANCE_SEED)
+    largest = peak = sweeps = 0
+    size = before
+    for _ in range(1000):
+        prog = corpus._random_program(rng)
+        largest = max(largest, sum(len(_nodes(c)) for c in (prog.main, *(
+            proc.body for proc in prog.procedures.values()))))
+        sweeps += len(cc._TABLE) < size
+        size = len(cc._TABLE)
+        peak = max(peak, size)
+    # A sweep runs while the last program and the one being built are both
+    # alive at most.
+    assert sweeps >= 10
+    assert peak <= max(cc._SWEEP_MIN, cc._SWEEP_GROWTH * (before + 2 * largest))
+    assert Prefix(Com("p", Lit(424242), "q", "kept"), End()) is kept
+    assert Com("p", Lit(424242), "q", "kept") is kept.action
+    _assert_children_come_first()
+
+
+def test_a_dead_entry_found_again_goes_in_after_its_children():
+    cc._sweep()  # leaves room for the nodes below without another sweep
+    action = Com("p", Lit(515151), "q", "again")
+    key = (Prefix, action, End())
+    Prefix(action, End())  # dies at once; its entry stays
+    assert cc._TABLE[key]() is None
+    newer = Lit(616161)
+    again = Prefix(action, End())
+    order = list(cc._TABLE)
+    # The entry moved from its old slot, before `newer`'s, to the end.
+    assert order.index((Lit, newer.value)) < order.index(key) == len(order) - 1
+    assert cc._TABLE[key]() is again
+    _assert_children_come_first()
+
+
+def test_cli_outputs_do_not_depend_on_node_addresses(capsys):
+    commands = _sample_commands()
+    first = [_run_on_samples(command, capsys) for command in commands]
+    # The nodes of the first run die, so the second run builds its terms
+    # anew, at other addresses, and sets of nodes iterate in another order.
+    big = projection.epp(_line(3000))
+    del big
+    cc._sweep()
+    second = [_run_on_samples(command, capsys) for command in commands]
+    for command, a, b in zip(commands, first, second):
+        assert a == b, command
