@@ -558,76 +558,38 @@ def eval_bexpr(b: BExpr, s: State, p: Pid) -> bool:
 # Well-formedness
 
 
-def eta_processes(eta: Eta) -> frozenset[Pid]:
-    return frozenset((eta.sender, eta.receiver))
-
-
-def well_formed(c: Choreography) -> bool:
-    """No self-communication anywhere; pending lists free of duplicates."""
+def _walk(c: Choreography) -> tuple[bool, set[Pid], set[ProcName]]:
+    """Whether `c` is well-formed (no self-communication, pending lists free
+    of duplicates), the processes occurring in it and the procedures it
+    calls, in one walk with an explicit stack."""
+    wf = True
+    procs: set[Pid] = set()
+    add = procs.add
+    calls: set[ProcName] = set()
     stack: list[Choreography] = []  # branches still to visit
     while True:
         while isinstance(c, Prefix):
             eta = c.action
             if eta.sender == eta.receiver:
-                return False
+                wf = False
+            add(eta.sender)
+            add(eta.receiver)
             c = c.cont
         if isinstance(c, Cond):
+            add(c.pid)
             stack.append(c.else_c)
             c = c.then_c
         elif isinstance(c, RunningCall):
             if len(set(c.pending)) != len(c.pending):
-                return False
-            c = c.body
-        elif stack:
-            c = stack.pop()
-        else:
-            return True
-
-
-def chor_processes(c: Choreography) -> frozenset[Pid]:
-    """Processes occurring syntactically in a choreography."""
-    return frozenset(_add_processes(c, set()))
-
-
-def _add_processes(c: Choreography, out: set[Pid]) -> set[Pid]:
-    """Add the processes of `c` to `out`, and return it."""
-    stack: list[Choreography] = []  # branches still to visit
-    while True:
-        while isinstance(c, Prefix):
-            eta = c.action
-            out.add(eta.sender)
-            out.add(eta.receiver)
-            c = c.cont
-        if isinstance(c, Cond):
-            out.add(c.pid)
-            stack.append(c.else_c)
-            c = c.then_c
-        elif isinstance(c, RunningCall):
-            out.update(c.pending)
-            c = c.body
-        elif stack:
-            c = stack.pop()
-        else:
-            return out
-
-
-def called_procedures(c: Choreography) -> frozenset[ProcName]:
-    out: set[ProcName] = set()
-    stack: list[Choreography] = []  # branches still to visit
-    while True:
-        while isinstance(c, Prefix):
-            c = c.cont
-        if isinstance(c, Cond):
-            stack.append(c.else_c)
-            c = c.then_c
-        elif isinstance(c, RunningCall):
-            out.add(c.name)
+                wf = False
+            procs.update(c.pending)
+            calls.add(c.name)
             c = c.body
         else:
             if isinstance(c, Call):
-                out.add(c.name)
+                calls.add(c.name)
             if not stack:
-                return frozenset(out)
+                return wf, procs, calls
             c = stack.pop()
 
 
@@ -639,31 +601,29 @@ def wf_violations(prog: ChorProgram) -> list[str]:
     makes the declaration cover everything the body can engage at runtime.
     """
     out: list[str] = []
-    if not well_formed(prog.main):
+    defs = prog.procedures
+    main_wf, _, main_calls = _walk(prog.main)
+    if not main_wf:
         out.append("the main choreography is not well-formed")
-    # Each site with the procedures it calls.
-    sites = [("main", called_procedures(prog.main))]
-    for name in sorted(prog.procedures):
-        proc = prog.procedures[name]
-        sites.append((f"procedure {name}", called_procedures(proc.body)))
-        if not proc.pids:
+    walks = {name: _walk(defs[name].body) for name in sorted(defs)}
+    sites = [("main", main_calls)]  # each with the procedures it calls
+    for name, (body_wf, _, calls) in walks.items():
+        pids = defs[name].pids
+        sites.append((f"procedure {name}", calls))
+        if not pids:
             out.append(f"procedure {name} declares no processes")
-        if len(set(proc.pids)) != len(proc.pids):
+        if len(set(pids)) != len(pids):
             out.append(f"procedure {name} declares a process twice")
-        if not well_formed(proc.body):
+        if not body_wf:
             out.append(f"the body of procedure {name} is not well-formed")
     for site, calls in sites:
         for called in sorted(calls):
-            if called not in prog.procedures:
+            if called not in defs:
                 out.append(f"{site} calls undefined procedure {called}")
-    for name, (_, calls) in zip(sorted(prog.procedures), sites[1:]):
-        proc = prog.procedures[name]
-        used = _add_processes(proc.body, set())
-        for called in calls:
-            target = prog.procedures.get(called)
-            if target is not None:
-                used |= set(target.pids)
-        extra = used - set(proc.pids)
+    for name, (_, used, calls) in walks.items():
+        for called in defs.keys() & calls:
+            used.update(defs[called].pids)
+        extra = used.difference(defs[name].pids)
         if extra:
             out.append(
                 f"the body of procedure {name} uses undeclared processes: "
@@ -672,14 +632,10 @@ def wf_violations(prog: ChorProgram) -> list[str]:
     return out
 
 
-def program_well_formed(prog: ChorProgram) -> bool:
-    return not wf_violations(prog)
-
-
 def process_names(prog: ChorProgram) -> frozenset[Pid]:
     """Every process a program can involve: those of the main choreography plus
     the declared processes of all procedures."""
-    out = _add_processes(prog.main, set())
+    out = _walk(prog.main)[1]
     for proc in prog.procedures.values():
         out.update(proc.pids)
     return frozenset(out)

@@ -139,8 +139,7 @@ def _print_failures(failures: list[projection.ProjectionFailure]) -> None:
 
 
 def _inline_state(s: cc.State) -> str:
-    bindings = [f"{p}.{x} = {cc.nat_text(v)}" for (p, x), v in s.items()]
-    return ", ".join(bindings) if bindings else "(all zero)"
+    return cc.state_text(s).replace("\n", ", ")
 
 
 def _cmd_check(args) -> int:

@@ -10,7 +10,7 @@ behaviour, or branch offers distinguished by incoming selection labels).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import cc, sp
 
@@ -189,15 +189,6 @@ def projectable(
     return bproj(defs, c, r, memo) is not None
 
 
-def projectable_all(
-    defs: Mapping[cc.ProcName, cc.Procedure],
-    c: cc.Choreography,
-    pids: Iterable[cc.Pid],
-) -> bool:
-    memo: Memo = {}
-    return all(projectable(defs, c, p, memo) for p in pids)
-
-
 @dataclass(frozen=True)
 class ProjectionFailure:
     """One (term, process) pair at which projection is undefined."""
@@ -239,14 +230,11 @@ def _with_instances(b: sp.Behaviour, p: cc.Pid) -> sp.Behaviour:
     return b
 
 
-def project_failures(
-    prog: cc.ChorProgram, memo: Memo | None = None, pids: list[cc.Pid] | None = None
-) -> list[ProjectionFailure]:
-    """Every (term, process) pair at which EPP of the program is undefined.
-    `pids` is `sorted(cc.process_names(prog))` where the caller has it."""
+def project_failures(prog: cc.ChorProgram, memo: Memo | None = None) -> list[ProjectionFailure]:
+    """Every (term, process) pair at which EPP of the program is undefined."""
     memo = {} if memo is None else memo
     failures: list[ProjectionFailure] = []
-    for p in sorted(cc.process_names(prog)) if pids is None else pids:
+    for p in sorted(cc.process_names(prog)):
         term = blame(prog.procedures, prog.main, p, memo)
         if term is not None:
             failures.append(ProjectionFailure(p, term, "main"))
@@ -275,13 +263,12 @@ def epp(prog: cc.ChorProgram) -> sp.SPProgram:
     """
     cc.require_wf(prog)
     memo: Memo = {}
-    names = cc.process_names(prog)
-    pids = sorted(names)
-    failures = project_failures(prog, memo, pids)
+    failures = project_failures(prog, memo)
     if failures:
         raise UnprojectableError(failures)
+    names = cc.process_names(prog)
     net: dict[cc.Pid, sp.Behaviour] = {}
-    for p in pids:
+    for p in sorted(names):
         body = _bproj(prog.procedures, prog.main, p, memo)
         # Without procedures no call can occur, and the copy would change nothing.
         net[p] = _with_instances(body, p) if prog.procedures else body

@@ -142,21 +142,6 @@ class Network:
         return f"Network({dict(sorted(self._map.items()))!r})"
 
 
-def singleton(p: Pid, b: Behaviour) -> Network:
-    return Network({p: b})
-
-
-def compose(n1: Network, n2: Network) -> Network:
-    """Left-biased composition: n1's entry wins wherever it is not End."""
-    merged = dict(n2._map)
-    merged.update(n1._map)
-    return Network(merged)
-
-
-def remove(n: Network, p: Pid) -> Network:
-    return n.set(p, End())
-
-
 @dataclass
 class SPProgram:
     """A finite set of behaviour procedures plus the running network.

@@ -19,8 +19,9 @@ the words of the grammar are reserved.  Tokens may be separated by any
 whitespace, and '#' starts a comment that runs to the end of the line.
 
 Entered procedure calls are runtime-only and have no surface form.  Initial
-state files hold lines "p.x = 3"; table files hold lines "n1,n2 -> n" or
-"n1,n2 -> undef".  Blank lines and '#' comments are allowed in both.
+state files hold lines "p.x = 3", of names p and x, each pair once; table
+files hold lines "n1,n2 -> n" or "n1,n2 -> undef", each input once.  Blank
+lines and '#' comments are allowed in both.
 """
 
 from __future__ import annotations
@@ -280,8 +281,17 @@ def _too_long(digits: str) -> str:
     return f"natural too long: {len(digits)} digits, the limit is {sys.get_int_max_str_digits()}"
 
 
+_WORD = re.compile(r"\w+")
+
+
+def _is_name(text: str) -> bool:
+    """Whether `text` is a name: word characters led by a letter or '_', no keyword."""
+    return bool(_WORD.fullmatch(text)) and not text[0].isnumeric() and text not in KEYWORDS
+
+
 def parse_state_text(text: str) -> cc.State:
     entries: dict[tuple[cc.Pid, cc.VarName], int] = {}
+    lines: dict[tuple[cc.Pid, cc.VarName], int] = {}  # where each is bound first
     diagnostics: list[Diagnostic] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -294,8 +304,13 @@ def parse_state_text(text: str) -> cc.State:
             diagnostics.append(
                 Diagnostic("error", lineno, 1, f"expected 'p.x = n', found {raw.strip()!r}")
             )
+        elif bad := [n for n in (p, x) if not _is_name(n)]:
+            diagnostics.append(Diagnostic("error", lineno, 1, f"not a name: {bad[0]!r}"))
         elif (n := _natural(value)) is None:
             diagnostics.append(Diagnostic("error", lineno, raw.find(value) + 1, _too_long(value)))
+        elif (first := lines.setdefault((p, x), lineno)) != lineno:
+            message = f"{p}.{x} bound twice, first on line {first}"
+            diagnostics.append(Diagnostic("error", lineno, 1, message))
         else:
             entries[(p, x)] = n
     if diagnostics:
@@ -305,6 +320,7 @@ def parse_state_text(text: str) -> cc.State:
 
 def parse_table_text(text: str) -> cc.FnTable:
     entries: dict[tuple[int, ...], int | None] = {}
+    lines: dict[tuple[int, ...], int] = {}  # where each input is given first
     diagnostics: list[Diagnostic] = []
     arity: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -330,6 +346,10 @@ def parse_table_text(text: str) -> cc.FnTable:
             diagnostics.append(
                 Diagnostic("error", lineno, 1, f"expected {arity} inputs, found {len(key)}")
             )
+            continue
+        if (first := lines.setdefault(key, lineno)) != lineno:
+            message = f"input {','.join(parts)} given twice, first on line {first}"
+            diagnostics.append(Diagnostic("error", lineno, 1, message))
             continue
         if rhs == "undef":
             entries[key] = None
@@ -448,14 +468,3 @@ def render_sp_program(program: sp.SPProgram) -> str:
     ]
     parts.append(render_network(program.net))
     return "\n".join(parts)
-
-
-def render(obj) -> str:
-    """Render a choreography, behaviour, or network."""
-    if isinstance(obj, sp.Network):
-        return render_network(obj)
-    if isinstance(
-        obj, (sp.End, sp.Send, sp.Recv, sp.Choose, sp.Offer, sp.Cond, sp.Call)
-    ):
-        return render_behaviour(obj)
-    return render_chor(obj)

@@ -252,6 +252,6 @@ def random_programs(seed: int, count: int) -> list[ChorProgram]:
     out: list[ChorProgram] = []
     while len(out) < count:
         prog = _random_program(rng)
-        if cc.program_well_formed(prog):
+        if not cc.wf_violations(prog):
             out.append(prog)
     return out

@@ -282,7 +282,7 @@ def steps(defs, c: cc.Choreography, s: cc.State) -> list:
                         s.set(eta.receiver, eta.var, v)))
         else:
             out.append((cc.SelectEvent(eta.sender, eta.receiver, eta.label), c.cont, s))
-        blocked = cc.eta_processes(eta)
+        blocked = frozenset((eta.sender, eta.receiver))
         for t, c2, s2 in steps(defs, c.cont, s):
             if blocked.isdisjoint(cc.label_processes(t)):
                 out.append((t, cc.Prefix(eta, c2), s2))

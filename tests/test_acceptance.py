@@ -180,12 +180,14 @@ def test_criterion_07_amendment_syntactic_suite():
     for name, prog in _full_corpus():
         pids = amendment.amend_pids(prog)
         repaired = amendment.amend_program(prog)
-        if not cc.program_well_formed(repaired):
+        memo: projection.Memo = {}
+        defs = repaired.procedures
+        if cc.wf_violations(repaired):
             failures.append((name, "wf"))
-        if not projection.projectable_all(repaired.procedures, repaired.main, pids):
+        if not all(projection.projectable(defs, repaired.main, p, memo) for p in pids):
             failures.append((name, "main projectability"))
-        for proc_name, proc in repaired.procedures.items():
-            if not projection.projectable_all(repaired.procedures, proc.body, pids):
+        for proc_name, proc in defs.items():
+            if not all(projection.projectable(defs, proc.body, p, memo) for p in pids):
                 failures.append((name, f"procedure {proc_name} projectability"))
         if projection.projectable_program(prog) and repaired != prog:
             failures.append((name, "identity"))

@@ -181,17 +181,18 @@ def _corpus_programs():
 
 def test_amend_preserves_well_formedness():
     for prog in _corpus_programs():
-        assert cc.well_formed(amend(prog.procedures, amendment.amend_pids(prog), prog.main))
-        assert cc.program_well_formed(amend_program(prog))
+        amended = amend(prog.procedures, amendment.amend_pids(prog), prog.main)
+        assert not cc.wf_violations(cc.ChorProgram(prog.procedures, amended))
+        assert not cc.wf_violations(amend_program(prog))
 
 
 def test_amend_output_is_projectable_for_all_covered_processes():
     for prog in _corpus_programs():
         pids = amendment.amend_pids(prog)
         repaired = amend_program(prog)
-        assert projection.projectable_all(repaired.procedures, repaired.main, pids)
-        for proc in repaired.procedures.values():
-            assert projection.projectable_all(repaired.procedures, proc.body, pids)
+        defs, memo = repaired.procedures, {}
+        for c in [repaired.main, *(proc.body for proc in defs.values())]:
+            assert all(projection.projectable(defs, c, p, memo) for p in pids)
 
 
 def test_amend_is_identity_on_projectable_programs():

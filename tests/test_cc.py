@@ -15,12 +15,14 @@ from chorkit.cc import (
     Cond,
     End,
     Eq,
+    Label,
     Le,
     Lit,
     Prefix,
     Procedure,
     Ref,
     RunningCall,
+    Sel,
     State,
     Succ,
     TauEvent,
@@ -102,35 +104,41 @@ def test_state_extensional_equality_and_hash():
 # Well-formedness and process sets
 
 
+def _main_violations(c) -> list[str]:
+    return cc.wf_violations(ChorProgram({"X": Procedure(("p",), End())}, c))
+
+
 def test_purchase_choreographies_are_well_formed():
-    assert cc.well_formed(corpus.purchase_unsafe().main)
-    assert cc.well_formed(corpus.purchase_safe().main)
+    assert cc.wf_violations(corpus.purchase_unsafe()) == []
+    assert cc.wf_violations(corpus.purchase_safe()) == []
 
 
 def test_self_communication_is_not_well_formed():
     bad = Prefix(Com("p", Ref("e"), "p", "x"), End())
-    assert not cc.well_formed(bad)
+    assert _main_violations(bad) == ["the main choreography is not well-formed"]
 
 
 def test_end_is_well_formed():
-    assert cc.well_formed(End())
+    assert _main_violations(End()) == []
 
 
 def test_duplicate_pending_is_not_well_formed():
-    assert not cc.well_formed(RunningCall("X", ("p", "p"), End()))
+    assert _main_violations(RunningCall("X", ("p", "p"), End())) == [
+        "the main choreography is not well-formed"
+    ]
 
 
 def test_program_wf_accepts_purchase_safe():
-    assert cc.program_well_formed(corpus.purchase_safe())
+    assert not cc.wf_violations(corpus.purchase_safe())
 
 
 def test_program_wf_rejects_undefined_procedure():
-    assert not cc.program_well_formed(ChorProgram({}, Call("X")))
+    assert cc.wf_violations(ChorProgram({}, Call("X")))
 
 
 def test_program_wf_rejects_body_outside_declared_processes():
     proc = Procedure(("p",), Prefix(Com("q", Ref("e"), "r", "x"), End()))
-    assert not cc.program_well_formed(ChorProgram({"X": proc}, End()))
+    assert cc.wf_violations(ChorProgram({"X": proc}, End()))
 
 
 def test_program_wf_requires_called_processes_to_be_declared():
@@ -138,11 +146,80 @@ def test_program_wf_requires_called_processes_to_be_declared():
     inner = Procedure(("p", "r"), Prefix(Com("p", Ref("e"), "r", "x"), End()))
     outer = Procedure(("p", "q"), Call("Y"))
     prog = ChorProgram({"Y": inner, "X": outer}, Call("X"))
-    assert not cc.program_well_formed(prog)
+    assert cc.wf_violations(prog)
     widened = ChorProgram(
         {"Y": inner, "X": Procedure(("p", "q", "r"), Call("Y"))}, Call("X")
     )
-    assert cc.program_well_formed(widened)
+    assert not cc.wf_violations(widened)
+
+
+def _com(a, b, cont):
+    return Prefix(Com(a, Ref("e"), b, "x"), cont)
+
+
+# Programs with several violations at once, and every message they get, in
+# order: the main choreography, then each procedure by name (its
+# declaration, then its body), then undefined calls by site and name, then
+# undeclared processes by procedure, with those of called procedures.
+WF_PINS = [
+    (
+        ChorProgram(
+            {
+                "A": Procedure(("p",), _com("p", "r", Call("B"))),
+                "B": Procedure(("q", "s", "q"), Prefix(Sel("q", "q", Label.LEFT), Call("V"))),
+                "C": Procedure((), _com("t", "u", End())),
+            },
+            _com("p", "p", RunningCall(
+                "Z", ("p", "p"), Cond("q", BoolLit(True), Call("W"), Call("A"))
+            )),
+        ),
+        [
+            "the main choreography is not well-formed",
+            "procedure B declares a process twice",
+            "the body of procedure B is not well-formed",
+            "procedure C declares no processes",
+            "main calls undefined procedure W",
+            "main calls undefined procedure Z",
+            "procedure B calls undefined procedure V",
+            "the body of procedure A uses undeclared processes: q, r, s",
+            "the body of procedure C uses undeclared processes: t, u",
+        ],
+    ),
+    (
+        ChorProgram(
+            {
+                "X": Procedure(("p", "q"), RunningCall(
+                    "Y", ("q", "q"), Cond("r", BoolLit(False), Call("U"), Call("Y"))
+                )),
+                "Y": Procedure(("p", "s"), _com("s", "s", Call("X"))),
+            },
+            Call("X"),
+        ),
+        [
+            "the body of procedure X is not well-formed",
+            "the body of procedure Y is not well-formed",
+            "procedure X calls undefined procedure U",
+            "the body of procedure X uses undeclared processes: r, s",
+            "the body of procedure Y uses undeclared processes: q",
+        ],
+    ),
+    (
+        ChorProgram({}, Cond(
+            "p", BoolLit(True), _com("q", "q", Call("B")), RunningCall("A", ("r", "s", "r"), Call("C"))
+        )),
+        [
+            "the main choreography is not well-formed",
+            "main calls undefined procedure A",
+            "main calls undefined procedure B",
+            "main calls undefined procedure C",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("prog, messages", WF_PINS)
+def test_wf_violations_lists_every_message_in_order(prog, messages):
+    assert cc.wf_violations(prog) == messages
 
 
 def test_process_names_of_purchase():
@@ -163,7 +240,7 @@ def test_process_names_are_the_main_processes_and_every_declared_one():
         declared = [p for proc in prog.procedures.values() for p in proc.pids]
         names = cc.process_names(prog)
         assert type(names) is frozenset
-        assert names == cc.chor_processes(prog.main).union(declared)
+        assert names == cc._walk(prog.main)[1].union(declared)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +353,7 @@ def test_label_determinism_on_corpus():
 def test_wf_preservation_on_corpus():
     for prog in _corpus_programs():
         for _, c, _ in cc.traces(prog.procedures, prog.main, State(), 4):
-            assert cc.program_well_formed(ChorProgram(prog.procedures, c))
+            assert not cc.wf_violations(ChorProgram(prog.procedures, c))
 
 
 def test_labels_mention_only_program_processes():

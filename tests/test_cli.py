@@ -395,6 +395,21 @@ def test_naturals_longer_than_int_converts_are_diagnostics(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_repeated_inputs_and_bindings_and_bad_names_are_usage_errors(tmp_path, capsys):
+    # Without the diagnostic the last row would win, and `implements` would
+    # check against 5 and exit 1.
+    kinds = _file_kinds(tmp_path, b"main = end\n", b"p q.x = 1\np.x = 1\np.x = 7\n", b"0 -> 1\n0 -> 5\n")
+    errors = [
+        "line 1 col 1: not a name: 'p q'\n{path}: error: line 3 col 1: p.x bound twice, first on line 2",
+        "line 2 col 1: input 0 given twice, first on line 1",
+    ]
+    for (path, argv), error in zip(kinds[1:], errors):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err == f"{path}: error: {error.format(path=path)}\n"
+
+
 def test_computed_naturals_past_the_conversion_limit_are_printed(tmp_path, capsys):
     # The literal is read; its successor has 4,301 digits, past the default
     # limit of `str` on integers.

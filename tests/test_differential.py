@@ -2,7 +2,7 @@
 `oracles`: the projection of every site on every process and the conditional
 each (process, site) pair blames, the failure report, EPP, the amended program,
 its insertion bound, and every projection an amendment memoises; and the
-well-formedness walks against the recursive definitions they follow.
+well-formedness walk against the recursive definitions it follows.
 
 Inputs: the corpus, the samples, nested chains and long lines built with the
 term constructors, and generated programs.  The oracles recurse once per
@@ -198,7 +198,8 @@ def test_generated_programs_agree_with_the_oracles(prog):
     _agree(prog)
 
 
-# The recursive definitions the well-formedness walks follow.
+# The recursive definitions `cc._walk` follows: well-formedness, processes and
+# called procedures.
 
 
 def _well_formed(c: cc.Choreography) -> bool:
@@ -213,7 +214,7 @@ def _well_formed(c: cc.Choreography) -> bool:
 
 def _processes(c: cc.Choreography) -> frozenset:
     if isinstance(c, cc.Prefix):
-        return cc.eta_processes(c.action) | _processes(c.cont)
+        return frozenset((c.action.sender, c.action.receiver)) | _processes(c.cont)
     if isinstance(c, cc.Cond):
         return frozenset((c.pid,)) | _processes(c.then_c) | _processes(c.else_c)
     if isinstance(c, cc.RunningCall):
@@ -238,9 +239,7 @@ def _called(c: cc.Choreography) -> frozenset:
 def test_term_walks_follow_their_recursive_definitions(prog):
     for _, term, _ in _sites(prog):
         for sub in _subterms(term):
-            assert cc.well_formed(sub) == _well_formed(sub)
-            assert cc.chor_processes(sub) == _processes(sub)
-            assert cc.called_procedures(sub) == _called(sub)
+            assert cc._walk(sub) == (_well_formed(sub), _processes(sub), _called(sub))
     assert cc.process_names(prog) == _processes(prog.main).union(*(
         proc.pids for proc in prog.procedures.values()
     ))

@@ -1,9 +1,12 @@
 """The package's modules import only modules below them in one fixed order,
-and each report verdict and well-formedness error is made in one place."""
+each report verdict and well-formedness error is made in one place, and
+every public definition has a caller in the package or is documented."""
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chorkit"
@@ -98,3 +101,40 @@ def test_only_amendment_amends():
     # inserted selections all come from one `amendment.Amendment`.
     assert _sites(_constructs("amend")) == {"amendment.amend", "amendment.Amendment"}
     assert _sites(_constructs("needs_selection")) == {"amendment.amend"}
+
+
+README = PACKAGE.parent.parent / "README.md"
+
+
+def _names(node: ast.AST) -> set[str]:
+    """The names a piece of code uses: in a `Name`, in an `Attribute` and in a
+    string constant (`cli.VERIFY` names the checkers it runs by string)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.Name, ast.Attribute)):
+            out.add(_tail(sub))
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
+
+
+def test_every_public_definition_has_a_caller_or_is_documented():
+    # A public function or class must be used by other code of the package,
+    # or be named in README's Library section, which names its caller.
+    tops = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        tops += [(path.stem, top) for top in tree.body]
+    readme = README.read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    documented = {name.rsplit(".", 1)[-1] for name in re.findall(r"`([\w.]+)", library)}
+    names = [_names(top) for _, top in tops]
+    users = Counter(name for used in names for name in used)
+    unused = []
+    for (module, top), own in zip(tops, names):
+        name = getattr(top, "name", "_")
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_"):
+            # A recursive function names itself; that is no caller.
+            if users[name] == (name in own) and name not in documented:
+                unused.append(f"{module}.{name}")
+    assert unused == []

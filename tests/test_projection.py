@@ -15,7 +15,6 @@ from chorkit.projection import (
     epp,
     merge,
     projectable,
-    projectable_all,
 )
 from chorkit.sp import Choose, Cond, End, Network, Offer, Recv, Send
 
@@ -177,12 +176,16 @@ def test_projectable_decisions():
 
 
 def test_projectable_all():
+    def projectable_all(c, pids):
+        memo: projection.Memo = {}
+        return all(projectable({}, c, p, memo) for p in pids)
+
     safe = corpus.purchase_safe()
     unsafe = corpus.purchase_unsafe()
-    assert projectable_all({}, safe.main, ["buyer", "seller"])
-    assert projectable_all({}, unsafe.main, ["seller"])
-    assert not projectable_all({}, unsafe.main, ["seller", "buyer"])
-    assert projectable_all({}, unsafe.main, [])
+    assert projectable_all(safe.main, ["buyer", "seller"])
+    assert projectable_all(unsafe.main, ["seller"])
+    assert not projectable_all(unsafe.main, ["seller", "buyer"])
+    assert projectable_all(unsafe.main, [])
 
 
 # ---------------------------------------------------------------------------

@@ -28,43 +28,49 @@ def purchase_network() -> Network:
 
 
 def test_singleton_of_end_is_empty():
-    assert sp.singleton("p", End()) == Network()
-    assert sp.singleton("p", End()).support() == ()
+    assert Network({"p": End()}) == Network()
+    assert Network({"p": End()}).support() == ()
 
 
 def test_singleton_read_back():
     b = Send("q", Ref("e"), End())
-    assert sp.singleton("p", b).get("p") == b
+    assert Network({"p": b}).get("p") == b
 
 
 def test_singleton_other_processes_default_to_end():
-    assert sp.singleton("p", Send("q", Ref("e"), End())).get("q") == End()
+    assert Network({"p": Send("q", Ref("e"), End())}).get("q") == End()
+
+
+# Networks compose by writing the entries of one into the other.
 
 
 def test_compose_is_left_biased():
     b1 = Send("q", Ref("e"), End())
     b2 = Recv("q", "x", End())
-    assert sp.compose(sp.singleton("p", b1), sp.singleton("p", b2)).get("p") == b1
+    assert Network({"p": b2}).set("p", b1).get("p") == b1
 
 
 def test_compose_left_identity():
     n = purchase_network()
-    assert sp.compose(Network(), n) == n
+    assert Network(dict(n.items())) == n
+    assert hash(Network(dict(n.items()))) == hash(n)
 
 
 def test_compose_disjoint_domains():
     b1 = Send("q", Ref("e"), End())
     b2 = Recv("p", "x", End())
-    n = sp.compose(sp.singleton("p", b1), sp.singleton("q", b2))
+    n = Network({"p": b1}).set("q", b2)
     assert n.get("q") == b2 and n.get("p") == b1
+    assert n == Network({"q": b2, "p": b1})
 
 
 def test_remove_drops_one_process():
     b = Send("q", Ref("e"), End())
-    assert sp.remove(sp.singleton("p", b), "p") == Network()
-    assert sp.remove(Network(), "p") == Network()
-    n = sp.compose(sp.singleton("p", b), sp.singleton("q", Recv("p", "x", End())))
-    assert sp.remove(n, "p").get("q") == Recv("p", "x", End())
+    assert Network({"p": b}).set("p", End()) == Network()
+    assert Network().set("p", End()) == Network()
+    n = Network({"p": b, "q": Recv("p", "x", End())})
+    assert n.set("p", End()).get("q") == Recv("p", "x", End())
+    assert n.set("p", End()).support() == ("q",)
 
 
 def test_network_wf_accepts_purchase_network():
@@ -72,7 +78,7 @@ def test_network_wf_accepts_purchase_network():
 
 
 def test_network_wf_rejects_self_addressed_send():
-    assert not sp.network_wf(sp.singleton("p", Send("p", Ref("e"), End())))
+    assert not sp.network_wf(Network({"p": Send("p", Ref("e"), End())}))
 
 
 def test_network_wf_accepts_empty():
@@ -123,7 +129,7 @@ def test_missing_branch_blocks_selection():
 
 
 def test_conditional_resolves_locally():
-    n = sp.singleton("p", Cond(Le(Lit(1), Lit(0)), End(), Send("q", Ref("e"), End())))
+    n = Network({"p": Cond(Le(Lit(1), Lit(0)), End(), Send("q", Ref("e"), End()))})
     steps = sp.enabled({}, n, State())
     assert len(steps) == 1
     t, n2, _ = steps[0]
@@ -133,18 +139,18 @@ def test_conditional_resolves_locally():
 
 def test_call_unfolds_from_the_procedure_set():
     defs = {"X": Send("q", Ref("e"), End())}
-    steps = sp.enabled(defs, sp.singleton("p", sp.Call("X")), State())
-    assert steps == ((TauEvent("p"), sp.singleton("p", defs["X"]), State()),)
+    steps = sp.enabled(defs, Network({"p": sp.Call("X")}), State())
+    assert steps == ((TauEvent("p"), Network({"p": defs["X"]}), State()),)
 
 
 def test_undefined_procedure_is_an_execution_error():
     with pytest.raises(sp.UndefinedProcedureError):
-        sp.enabled({}, sp.singleton("p", sp.Call("X")), State())
+        sp.enabled({}, Network({"p": sp.Call("X")}), State())
 
 
 def test_enabled_rejects_ill_formed_networks():
     with pytest.raises(sp.IllFormedNetworkError):
-        sp.enabled({}, sp.singleton("p", Send("p", Ref("e"), End())), State())
+        sp.enabled({}, Network({"p": Send("p", Ref("e"), End())}), State())
 
 
 def test_purchase_network_accepting_run_prefix():

@@ -29,7 +29,7 @@ def test_parsing_does_not_check_well_formedness():
     unit = parse_source("main = p.e -> p.x; end")
     prog = unit.to_program()
     assert prog.main == Prefix(Com("p", Ref("e"), "p", "x"), End())
-    assert not cc.program_well_formed(prog)
+    assert cc.wf_violations(prog) == ["the main choreography is not well-formed"]
 
 
 def test_parse_definitions_and_calls():
@@ -79,7 +79,7 @@ def test_comments_and_whitespace_are_ignored():
 
 def test_render_end():
     assert syntax.render_chor(End()) == "end"
-    assert syntax.render(End()) == "end"
+    assert syntax.render_behaviour(sp.End()) == "end"
 
 
 def test_render_parse_round_trip_for_all_samples():
@@ -138,6 +138,45 @@ def test_parse_state_file():
 def test_parse_state_file_rejects_garbage():
     with pytest.raises(ParseError):
         parse_state_text("buyer = 2\n")
+
+
+def _diagnostics(parse, text: str) -> list[str]:
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    return [d.text() for d in exc.value.diagnostics]
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("p q.x = 1\n", "p q"), ("1.x = 1\n", "1"), ("p.x y = 1\n", "x y"), ("p.if = 1\n", "if"),
+    ("main.x = 1\n", "main"), ("p.x.y = 1\n", "x.y"), ("\u00b2p.x = 1\n", "\u00b2p"),
+])
+def test_state_file_processes_and_variables_are_names(text, bad):
+    assert _diagnostics(parse_state_text, text) == [f"error: line 1 col 1: not a name: {bad!r}"]
+
+
+def test_state_file_names_follow_the_source_grammar():
+    s = parse_state_text("p\u00b2.x_1 = 1\n_q.\u00c4 = 2\n")
+    assert s == State({("p\u00b2", "x_1"): 1, ("_q", "\u00c4"): 2})
+    unit = parse_source("main = p\u00b2.x_1 -> _q.\u00c4; end")
+    assert unit.main == Prefix(Com("p\u00b2", Ref("x_1"), "_q", "\u00c4"), End())
+
+
+def test_state_file_binds_each_variable_once():
+    text = "p.x = 1\n# again\np.y = 2\np.x = 7\nq.x = 3\np.x = 0\n"
+    assert _diagnostics(parse_state_text, text) == [
+        "error: line 4 col 1: p.x bound twice, first on line 1",
+        "error: line 6 col 1: p.x bound twice, first on line 1",
+    ]
+
+
+def test_table_file_gives_each_input_once():
+    assert _diagnostics(parse_table_text, "0 -> 1\n0 -> 5\n") == [
+        "error: line 2 col 1: input 0 given twice, first on line 1"
+    ]
+    # Inputs are compared as numbers, and an `undef` row counts as well.
+    assert _diagnostics(parse_table_text, "0, 1 -> undef\n1,1 -> 2\n00,1 -> 1\n") == [
+        "error: line 3 col 1: input 00,1 given twice, first on line 1"
+    ]
 
 
 def test_parse_table_file():
