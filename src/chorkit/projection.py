@@ -230,11 +230,14 @@ def _with_instances(b: sp.Behaviour, p: cc.Pid) -> sp.Behaviour:
     return b
 
 
-def project_failures(prog: cc.ChorProgram, memo: Memo | None = None) -> list[ProjectionFailure]:
-    """Every (term, process) pair at which EPP of the program is undefined."""
+def project_failures(
+    prog: cc.ChorProgram, memo: Memo | None = None, names: frozenset[cc.Pid] | None = None
+) -> list[ProjectionFailure]:
+    """Every (term, process) pair at which EPP of the program is undefined;
+    `names`, when given, are the program's `cc.process_names`."""
     memo = {} if memo is None else memo
     failures: list[ProjectionFailure] = []
-    for p in sorted(cc.process_names(prog)):
+    for p in sorted(cc.process_names(prog) if names is None else names):
         term = blame(prog.procedures, prog.main, p, memo)
         if term is not None:
             failures.append(ProjectionFailure(p, term, "main"))
@@ -263,10 +266,10 @@ def epp(prog: cc.ChorProgram) -> sp.SPProgram:
     """
     cc.require_wf(prog)
     memo: Memo = {}
-    failures = project_failures(prog, memo)
+    names = cc.process_names(prog)
+    failures = project_failures(prog, memo, names)
     if failures:
         raise UnprojectableError(failures)
-    names = cc.process_names(prog)
     net: dict[cc.Pid, sp.Behaviour] = {}
     for p in sorted(names):
         body = _bproj(prog.procedures, prog.main, p, memo)

@@ -17,6 +17,7 @@ NAT is a run of decimal digits (what `int` reads: '٣' is one, '²' is not).
 NAME, pid and var are names: a letter or '_', then letters, digits and '_';
 the words of the grammar are reserved.  Tokens may be separated by any
 whitespace, and '#' starts a comment that runs to the end of the line.
+Parsing is a loop, so a source may nest to any depth; rendering recurses.
 
 Entered procedure calls are runtime-only and have no surface form.  Initial
 state files hold lines "p.x = 3", of names p and x, each pair once; table
@@ -30,24 +31,10 @@ import itertools
 import re
 import sys
 from dataclasses import dataclass
-from typing import NoReturn
 
 from . import cc, sp
 
-KEYWORDS = {
-    "def",
-    "main",
-    "if",
-    "then",
-    "else",
-    "call",
-    "end",
-    "succ",
-    "true",
-    "false",
-    "left",
-    "right",
-}
+KEYWORDS = set("def main if then else call end succ true false left right".split())
 
 
 @dataclass(frozen=True)
@@ -84,9 +71,13 @@ class SourceUnit:
         return cc.ChorProgram(procedures, self.main)
 
 
-# After any whitespace and comments, one token: a natural, a name, a symbol,
-# a character no token starts with, or the empty token at the end of the input.
-_TOKEN = re.compile(r"\s*(?:#[^\n]*\s*)*(\d+|\w+|->|==|<=|[.;\[\]{}(),=]|.|)")
+# The kinds of token: a natural, a name, a symbol, or a character no token
+# starts with.  `_TOKEN` finds one after any whitespace and comments, or the
+# empty token at the end of the input; only `_error` uses it, to locate a token.
+_KINDS = r"\d+|\w+|->|==|<=|[.;\[\]{}(),=]|."
+_TOKEN = re.compile(rf"\s*(?:#[^\n]*\s*)*({_KINDS}|)")
+_PIECES = re.compile(_KINDS)
+_COMMENT = re.compile(r"#[^\n]*")
 _SYMBOLS = frozenset(("->", "==", "<=", *".;[]{}(),="))
 _LABELS = {"left": cc.Label.LEFT, "right": cc.Label.RIGHT}
 
@@ -96,16 +87,22 @@ def _scan(text: str) -> tuple[list[str], set[str]]:
     are identifiers (names that are not keywords).
 
     A token is just its text; its first character tells its kind, and
-    `_error` works out where it is only when a diagnostic needs that.
-    """
-    tokens = _TOKEN.findall(text)
+    `_error` locates one only when a diagnostic needs that.  No token holds
+    whitespace or a comment, so the text, comments blanked, is cut at
+    whitespace and each distinct chunk split into tokens once."""
+    chunks = (_COMMENT.sub(" ", text) if "#" in text else text).split()
+    pieces = {chunk: _PIECES.findall(chunk) for chunk in set(chunks)}
+    tokens: list[str] = []
+    for chunk in chunks:
+        tokens += pieces[chunk]
+    tokens.append("")
     names: set[str] = set()
     first_bad = len(tokens)
-    for tok in set(tokens):
-        head = tok[:1]
+    for tok in set(itertools.chain.from_iterable(pieces.values())):
+        head = tok[0]
         if head.isalpha() or head == "_":
             names.add(tok)
-        elif not (tok in _SYMBOLS or head.isdecimal() or not tok):
+        elif not (tok in _SYMBOLS or head.isdecimal()):
             # A character no token starts with, or a run of word characters
             # opened by a numeric character that is not a decimal digit,
             # such as '²' or '½'.
@@ -130,142 +127,145 @@ def _error(text: str, index: int, message: str) -> ParseError:
     return ParseError([Diagnostic("error", line, col, message)])
 
 
-class _Parser:
-    """Recursive descent over the tokens of one source; `_pos` never moves
-    past the empty token that ends them."""
-
-    def __init__(self, text: str):
-        self._text = text
-        self._tokens, self._names = _scan(text)
-        self._pos = 0
-
-    def _fail(self, message: str, index: int | None = None) -> NoReturn:
-        raise _error(self._text, self._pos if index is None else index, message)
-
-    def _expect(self, tok: str) -> None:
-        """Step over `tok`, a symbol or a keyword."""
-        found = self._tokens[self._pos]
-        if found != tok:
-            self._fail(f"expected {tok!r}, found {found!r}")
-        self._pos += 1
-
-    def _identifier(self, what: str) -> str:
-        tok = self._tokens[self._pos]
-        if tok not in self._names:
-            self._fail(f"expected {what}, found {tok!r}")
-        self._pos += 1
-        return tok
-
-    def parse_unit(self) -> SourceUnit:
-        tokens = self._tokens
-        definitions: list[Definition] = []
-        names: set[str] = set()
-        while tokens[self._pos] == "def":
-            at = self._pos
-            self._pos += 1
-            name = self._identifier("procedure name")
-            if name in names:
-                self._fail(f"duplicate definition of {name}", at)
-            names.add(name)
-            self._expect("(")
-            pids = [self._identifier("process name")]
-            while tokens[self._pos] == ",":
-                self._pos += 1
-                pids.append(self._identifier("process name"))
-            self._expect(")")
-            self._expect("=")
-            definitions.append(Definition(name, tuple(pids), self.parse_chor()))
-        self._expect("main")
-        self._expect("=")
-        main = self.parse_chor()
-        if tokens[self._pos]:
-            self._fail(f"unexpected trailing input {tokens[self._pos]!r}")
-        return SourceUnit(tuple(definitions), main)
-
-    def parse_chor(self) -> cc.Choreography:
-        tok = self._tokens[self._pos]
-        if tok == "end":
-            self._pos += 1
-            return cc.End()
-        if tok == "call":
-            self._pos += 1
-            return cc.Call(self._identifier("procedure name"))
-        if tok == "if":
-            self._pos += 1
-            pid = self._identifier("process name")
-            self._expect(".")
-            guard = self.parse_bexpr()
-            self._expect("then")
-            self._expect("{")
-            then_c = self.parse_chor()
-            self._expect("}")
-            self._expect("else")
-            self._expect("{")
-            else_c = self.parse_chor()
-            self._expect("}")
-            return cc.Cond(pid, guard, then_c, else_c)
-        eta = self.parse_eta()
-        self._expect(";")
-        return cc.Prefix(eta, self.parse_chor())
-
-    def parse_eta(self) -> cc.Eta:
-        sender = self._identifier("process name")
-        tok = self._tokens[self._pos]
-        if tok == ".":
-            self._pos += 1
-            expr = self.parse_expr()
-            self._expect("->")
-            receiver = self._identifier("process name")
-            self._expect(".")
-            return cc.Com(sender, expr, receiver, self._identifier("variable name"))
-        if tok == "->":
-            self._pos += 1
-            receiver = self._identifier("process name")
-            self._expect("[")
-            label = _LABELS.get(self._tokens[self._pos])
-            if label is None:
-                self._fail(f"unknown label {self._tokens[self._pos]!r}")
-            self._pos += 1
-            self._expect("]")
-            return cc.Sel(sender, receiver, label)
-        self._fail(f"expected '.' or '->' after process name, found {tok!r}")
-
-    def parse_expr(self) -> cc.Expr:
-        tok = self._tokens[self._pos]
-        if tok[:1].isdecimal():
-            value = _natural(tok)
-            if value is None:
-                self._fail(_too_long(tok))
-            self._pos += 1
-            return cc.Lit(value)
-        if tok == "succ":
-            self._pos += 1
-            self._expect("(")
-            inner = self.parse_expr()
-            self._expect(")")
-            return cc.Succ(inner)
-        return cc.Ref(self._identifier("variable name"))
-
-    def parse_bexpr(self) -> cc.BExpr:
-        tok = self._tokens[self._pos]
-        if tok in ("true", "false"):
-            self._pos += 1
-            return cc.BoolLit(tok == "true")
-        left = self.parse_expr()
-        tok = self._tokens[self._pos]
-        if tok == "==":
-            self._pos += 1
-            return cc.Eq(left, self.parse_expr())
-        if tok == "<=":
-            self._pos += 1
-            return cc.Le(left, self.parse_expr())
-        self._fail(f"expected '==' or '<=', found {tok!r}")
-
-
 def parse_source(text: str) -> SourceUnit:
     """Parse a choreography source file; raises ParseError with located
-    diagnostics on failure."""
-    return _Parser(text).parse_unit()
+    diagnostics on failure.  Nothing recurses: `chor` builds each run of
+    prefixes bottom-up once the term ending it is read, with a stack of the
+    open conditionals, and `expr` counts `succ(`.  A position is a token
+    index, never past the empty token at the end.  Tokens are tested inline;
+    `expect` tests them again to find the error."""
+    tokens, names = _scan(text)
+    atoms: dict[str, cc.Expr] = {}  # each name and natural read, as a term
+
+    def expect(pos: int, *wanted: str) -> int:
+        """The index after the tokens `wanted`, each a symbol, a keyword or (with
+        a space) a kind of name; raises the error at the first one missing."""
+        for want in wanted:
+            tok = tokens[pos]
+            if " " in want:
+                if tok not in names:
+                    raise _error(text, pos, f"expected {want}, found {tok!r}")
+            elif tok != want:
+                raise _error(text, pos, f"expected {want!r}, found {tok!r}")
+            pos += 1
+        return pos
+
+    def expr(pos: int) -> tuple[cc.Expr, int]:
+        depth = 0
+        while tokens[pos] == "succ":
+            pos = expect(pos + 1, "(")
+            depth += 1
+        tok = tokens[pos]
+        e = atoms.get(tok)
+        if e is None:
+            if tok in names:
+                e = cc.Ref(tok)
+            elif tok[:1].isdecimal():
+                if (value := _natural(tok)) is None:
+                    raise _error(text, pos, _too_long(tok))
+                e = cc.Lit(value)
+            else:
+                expect(pos, "variable name")
+            atoms[tok] = e
+        pos += 1
+        while depth:
+            pos = expect(pos, ")")
+            e = cc.Succ(e)
+            depth -= 1
+        return e, pos
+
+    def chor(pos: int) -> tuple[cc.Choreography, int]:
+        Com, Prefix = cc.Com, cc.Prefix
+        run: list[cc.Eta] = []
+        # Per open conditional: the run before it, its pid, guard and then-branch.
+        opened: list[tuple[list[cc.Eta], str, cc.BExpr, cc.Choreography | None]] = []
+        while True:
+            sender = tokens[pos]
+            if sender in names:
+                tok = tokens[pos + 1]
+                if tok == ".":
+                    e = atoms.get(tokens[pos + 2])
+                    e, pos = (e, pos + 3) if e is not None else expr(pos + 2)
+                    if not (tokens[pos] == "->" and tokens[pos + 1] in names
+                            and tokens[pos + 2] == "." and tokens[pos + 3] in names
+                            and tokens[pos + 4] == ";"):
+                        expect(pos, "->", "process name", ".", "variable name", ";")
+                    run.append(Com(sender, e, tokens[pos + 1], tokens[pos + 3]))
+                    pos += 5
+                elif tok == "->":
+                    label = _LABELS.get(tokens[expect(pos + 2, "process name", "[")])
+                    if label is None:
+                        raise _error(text, pos + 4, f"unknown label {tokens[pos + 4]!r}")
+                    run.append(cc.Sel(sender, tokens[pos + 2], label))
+                    pos = expect(pos + 5, "]", ";")
+                else:
+                    message = f"expected '.' or '->' after process name, found {tok!r}"
+                    raise _error(text, pos + 1, message)
+                continue
+            if sender == "if":
+                pid = tokens[pos + 1]
+                if pid not in names or tokens[pos + 2] != ".":
+                    expect(pos + 1, "process name", ".")
+                tok = tokens[pos + 3]
+                if tok in ("true", "false"):
+                    guard: cc.BExpr = cc.BoolLit(tok == "true")
+                    pos += 4
+                else:
+                    left, pos = expr(pos + 3)
+                    tok = tokens[pos]
+                    if tok not in ("==", "<="):
+                        raise _error(text, pos, f"expected '==' or '<=', found {tok!r}")
+                    right, pos = expr(pos + 1)
+                    guard = (cc.Eq if tok == "==" else cc.Le)(left, right)
+                if tokens[pos] != "then" or tokens[pos + 1] != "{":
+                    expect(pos, "then", "{")
+                opened.append((run, pid, guard, None))
+                run = []
+                pos += 2
+                continue
+            if sender == "end":
+                c: cc.Choreography = cc.End()
+                pos += 1
+            elif sender == "call":
+                pos = expect(pos + 1, "procedure name")
+                c = cc.Call(tokens[pos - 1])
+            else:
+                expect(pos, "process name")
+            while True:
+                for eta in reversed(run):
+                    c = Prefix(eta, c)
+                if not opened:
+                    return c, pos
+                if tokens[pos] != "}":
+                    expect(pos, "}")
+                run, pid, guard, then_c = opened.pop()
+                if then_c is None:
+                    if tokens[pos + 1] != "else" or tokens[pos + 2] != "{":
+                        expect(pos + 1, "else", "{")
+                    opened.append((run, pid, guard, c))
+                    run = []
+                    pos += 3
+                    break
+                c = cc.Cond(pid, guard, then_c, c)
+                pos += 1
+
+    definitions: dict[str, Definition] = {}
+    pos = 0
+    while tokens[pos] == "def":
+        name = tokens[expect(pos + 1, "procedure name") - 1]
+        if name in definitions:
+            raise _error(text, pos, f"duplicate definition of {name}")
+        pos = expect(pos + 2, "(", "process name")
+        pids = [tokens[pos - 1]]
+        while tokens[pos] == ",":
+            pos = expect(pos + 1, "process name")
+            pids.append(tokens[pos - 1])
+        body, pos = chor(expect(pos, ")", "="))
+        definitions[name] = Definition(name, tuple(pids), body)
+    main, pos = chor(expect(pos, "main", "="))
+    if tokens[pos]:
+        raise _error(text, pos, f"unexpected trailing input {tokens[pos]!r}")
+    return SourceUnit(tuple(definitions.values()), main)
 
 
 def _natural(digits: str) -> int | None:

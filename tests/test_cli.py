@@ -326,14 +326,22 @@ def _deep_chain(d: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def test_check_of_a_1200_interaction_line_succeeds(tmp_path, capsys):
+    # Parsing is a loop, so `check`, which renders nothing, gets through.
+    src = tmp_path / "deep.chor"
+    src.write_text(_deep_line(1200), encoding="utf-8")
+    code = main(["check", str(src)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, "ok: well-formed and projectable\n", "")
+
+
 @pytest.mark.parametrize("text,command", [
-    (_deep_line(1200), "check"),
     (_deep_line(1200), "amend"),
     (_deep_chain(200), "amend"),
 ])
 def test_inputs_too_deep_to_process_are_one_line_usage_errors(tmp_path, capsys, text, command):
-    # Parsing the line and rendering the chain's amendment recurse past the
-    # default recursion limit.
+    # Rendering the amendment recurses once per prefix and per nesting level,
+    # past the default recursion limit.
     src = tmp_path / "deep.chor"
     src.write_text(text, encoding="utf-8")
     code = main([command, str(src)])

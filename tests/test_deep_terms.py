@@ -1,12 +1,13 @@
 """Terms far deeper than the interpreter's default recursion limit.
 
-Well-formedness, process names, projection, EPP and amendment walk a run of
-prefixes with a loop and recurse only at conditionals and entered calls, so a
-5,000-interaction line and a 400-level chain of conditionals go through them
-under the default limit.  The network check `sp.require_wf` walks with an
-explicit stack and visits shared subterms once.  Parsing, rendering,
-`projection._merge` and `projection._with_instances` still recurse (ROADMAP
-item 4).
+Parsing is one loop with a stack of the open conditionals, and counts a tower
+of `succ(` in a loop.  Well-formedness, process names, projection, EPP and
+amendment walk a run of prefixes with a loop and recurse only at conditionals
+and entered calls, so a 5,000-interaction line and a 400-level chain of
+conditionals go through them under the default limit.  The network check
+`sp.require_wf` walks with an explicit stack and visits shared subterms once.
+Rendering, `projection._merge` and `projection._with_instances` still recurse
+(ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_interning import PIDS, _chain, _line, behaviours
-from chorkit import amendment, cc, projection, sp
+from chorkit import amendment, cc, projection, sp, syntax
 
 DEFAULT_LIMIT = 1000  # CPython's
 
@@ -78,6 +79,23 @@ def test_a_400_level_chain():
     assert blamed == {"p": 398, "q": 399, "r": 399}
     assert {f.site for f in failures} == {"main"}
     assert still == []
+
+
+def test_parsing_deep_sources():
+    progs = [_line(5000), _chain(400)]
+    with recursion_limit(20_000):  # rendering recurses once per level
+        texts = [syntax.render_program(prog) for prog in progs]
+    tower = "main = p.x -> q.y;\nif q.y <= " + "succ(" * 5000 + "0" + ")" * 5000 + (
+        " then { end } else { end }\n")
+    with recursion_limit(DEFAULT_LIMIT):
+        parsed = [syntax.parse_source(text).main for text in texts]
+        guard = syntax.parse_source(tower).main.cont.guard
+    # Hash-consing makes an equal term the very same object.
+    assert all(got is prog.main for got, prog in zip(parsed, progs))
+    e, depth = guard.right, 0
+    while isinstance(e, cc.Succ):
+        e, depth = e.arg, depth + 1
+    assert (guard.left, e, depth) == (cc.Ref("y"), cc.Lit(0), 5000)
 
 
 def _self_addressed(p: cc.Pid, b: sp.Behaviour) -> bool:

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import re
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from chorkit import cc, sp, syntax
 from chorkit.cc import Com, End, Le, Lit, Prefix, Ref, State
 from chorkit.syntax import ParseError, parse_source, parse_state_text, parse_table_text
+from test_parse_golden import WHITESPACE
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -71,6 +76,48 @@ def test_unknown_label_is_an_error():
 def test_comments_and_whitespace_are_ignored():
     text = "# protocol\nmain =  end  # done"
     assert parse_source(text).main == End()
+
+
+def test_split_cuts_at_the_whitespace_the_regular_expression_skips():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(every.split()) == re.sub(r"\s", "", every)
+
+
+def _scan_by_regex(text: str) -> tuple[list[str], set[str]]:
+    """The scanner that cutting at whitespace replaced: one regular
+    expression over the whole text, with the same check of characters."""
+    tokens = syntax._TOKEN.findall(text)
+    tokens = tokens[: tokens.index("") + 1]
+    names = set()
+    first_bad = len(tokens)
+    for tok in set(tokens):
+        head = tok[:1]
+        if head.isalpha() or head == "_":
+            names.add(tok)
+        elif not (tok in syntax._SYMBOLS or head.isdecimal() or not tok):
+            first_bad = min(first_bad, tokens.index(tok))
+    if first_bad < len(tokens):
+        raise syntax._error(text, first_bad, f"unexpected character {tokens[first_bad][0]!r}")
+    return tokens, names - syntax.KEYWORDS
+
+
+def _scanned(scan, text: str):
+    try:
+        return scan(text)
+    except ParseError as exc:
+        return exc.diagnostics
+
+
+# Whitespace of every kind, comment starts, carriage returns, which end no
+# comment, a digit that is not decimal and one that is, symbols, and words.
+_SCAN_PIECES = [*WHITESPACE, " ", "\n", "#", "\r", "\u00b2", "\u0663", *"-><=.;[]{}(),",
+                *"apqxZ_019", "if", "end", "succ"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_SCAN_PIECES), max_size=40).map("".join))
+def test_scanning_agrees_with_one_regular_expression(text):
+    assert _scanned(syntax._scan, text) == _scanned(_scan_by_regex, text)
 
 
 # ---------------------------------------------------------------------------
