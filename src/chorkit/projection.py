@@ -212,22 +212,73 @@ def instance_name(name: cc.ProcName, p: cc.Pid) -> cc.ProcName:
     return f"{name}@{p}"
 
 
+_ACTIONS = frozenset((sp.Send, sp.Recv, sp.Choose))
+_END = sp.End()
+
+
 def _with_instances(b: sp.Behaviour, p: cc.Pid) -> sp.Behaviour:
-    if isinstance(b, sp.Send):
-        return sp.Send(b.dst, b.expr, _with_instances(b.cont, p))
-    if isinstance(b, sp.Recv):
-        return sp.Recv(b.src, b.var, _with_instances(b.cont, p))
-    if isinstance(b, sp.Choose):
-        return sp.Choose(b.dst, b.label, _with_instances(b.cont, p))
-    if isinstance(b, sp.Offer):
-        left = None if b.left is None else _with_instances(b.left, p)
-        right = None if b.right is None else _with_instances(b.right, p)
-        return sp.Offer(b.src, left, right)
-    if isinstance(b, sp.Cond):
-        return sp.Cond(b.guard, _with_instances(b.then_b, p), _with_instances(b.else_b, p))
-    if isinstance(b, sp.Call):
-        return sp.Call(instance_name(b.name, p))
-    return b
+    """`b` with each call naming p's instance of the procedure it calls.
+
+    Each shared subterm is worked out once, into `done`, and kept as it is
+    when it has no call.  A run of actions is walked with a loop down to a
+    subterm that is done, a call, the end or a branch, and rebuilt on the way
+    back up.  A branch whose options are not done yet goes back on an
+    explicit stack under them, so deep behaviours need no recursion.  Calls
+    among a branch's options are renamed in place: they are most of the
+    options projection builds.
+    """
+    if b is _END:
+        return b
+    Call, Offer, Send, Recv = sp.Call, sp.Offer, sp.Send, sp.Recv
+    done: dict = {None: None, _END: _END}
+    # The stack itself marks a subterm not worked out yet.
+    stack = [b]
+    run = []  # the run of actions being walked, emptied on the way back up
+    while stack:
+        head = stack.pop()
+        c = head
+        while type(c) in _ACTIONS and c not in done:
+            run.append(c)
+            c = c.cont
+        out = done.get(c, stack)
+        if out is stack:
+            if type(c) is Call:
+                out = Call(instance_name(c.name, p))
+            else:
+                offer = type(c) is Offer
+                k1, k2 = (c.left, c.right) if offer else (c.then_b, c.else_b)
+                one, two = done.get(k1, stack), done.get(k2, stack)
+                if one is stack and type(k1) is Call:
+                    one = done[k1] = Call(instance_name(k1.name, p))
+                if two is stack and type(k2) is Call:
+                    two = done[k2] = Call(instance_name(k2.name, p))
+                if one is stack or two is stack:
+                    run.clear()
+                    stack.append(head)
+                    if one is stack:
+                        stack.append(k1)
+                    if two is stack and k2 is not k1:
+                        stack.append(k2)
+                    continue
+                if one is k1 and two is k2:
+                    out = c
+                elif offer:
+                    out = Offer(c.src, one, two)
+                else:
+                    out = sp.Cond(c.guard, one, two)
+            done[c] = out
+        while run:
+            c = run.pop()
+            if out is c.cont:
+                out = c
+            elif type(c) is Send:
+                out = Send(c.dst, c.expr, out)
+            elif type(c) is Recv:
+                out = Recv(c.src, c.var, out)
+            else:
+                out = sp.Choose(c.dst, c.label, out)
+            done[c] = out
+    return done[b]
 
 
 def project_failures(
@@ -282,3 +333,108 @@ def epp(prog: cc.ChorProgram) -> sp.SPProgram:
             body = _bproj(prog.procedures, proc.body, p, memo)
             procedures[instance_name(name, p)] = _with_instances(body, p)
     return sp.SPProgram(procedures, sp.Network(net), names)
+
+
+def independent_groups(prog: cc.ChorProgram, compiled: sp.SPProgram) -> list[frozenset]:
+    """The processes of a procedure-free program and of a network for it, in
+    groups that never interact, ordered by their least process, for the EPP
+    check to walk apart; [] when the program's processes form one group,
+    when it has procedures, and when the network calls one or addresses a
+    process the program lacks: the check then walks them all together.
+
+    The groups are closed under the endpoints of each interaction, a
+    conditional's deciding process with every process in its branches, and
+    each network behaviour with the partners of its actions in any branch.
+    The network is read for itself, so a projection that couples two groups
+    of the choreography couples them here too.  The walk stops as soon as one
+    group holds every process.
+    """
+    if prog.procedures or compiled.procedures:
+        return []
+    net = compiled.net._map
+    names = compiled.processes if compiled.processes is not None else cc.process_names(prog)
+    # Most programs are connected along their first interactions: grow the
+    # group of the first one down the top-level run and the first branches,
+    # while each interaction or conditional meets it.
+    first: set = set()
+    c = prog.main
+    while True:
+        if type(c) is cc.Prefix:
+            p, q, c = c.action.sender, c.action.receiver, c.cont
+        elif type(c) is cc.Cond:
+            p = q = c.pid
+            c = c.then_c
+        else:
+            break
+        if first and p not in first and q not in first:
+            break
+        first.add(p)
+        first.add(q)
+        if len(first) == len(names):
+            return []
+    group = {p: {p} for p in names.union(net)}
+    total = len(group)
+    if total < 2:
+        return []
+
+    def join(p: cc.Pid, q: cc.Pid) -> bool:
+        """Merge the groups of p and q; whether one holds every process."""
+        gp, gq = group[p], group[q]
+        if gp is not gq:
+            if len(gp) < len(gq):
+                gp, gq = gq, gp
+            gp |= gq
+            for x in gq:
+                group[x] = gp
+        return len(gp) == total
+
+    # Runs are walked with a loop.  A conditional is entered once per
+    # deciding process around it, and a branching behaviour once per
+    # process, so branches shared down a tower are walked once.
+    seen: set = set()
+    todo: list = [(prog.main, None)]  # (term, decider of the conditional around it)
+    while todo:
+        c, decider = todo.pop()
+        while type(c) is cc.Prefix:
+            eta = c.action
+            if join(eta.sender, eta.receiver) or (
+                decider is not None and join(decider, eta.sender)
+            ):
+                return []
+            c = c.cont
+        if type(c) is cc.Cond and (c, decider) not in seen:
+            seen.add((c, decider))
+            if decider is not None and join(decider, c.pid):
+                return []
+            todo += ((c.then_c, c.pid), (c.else_c, c.pid))
+    for p, b in net.items():
+        seen = set()
+        stack = [b]
+        while stack:
+            b = stack.pop()
+            while True:
+                kind = type(b)
+                if kind is sp.Send or kind is sp.Choose:
+                    partner = b.dst
+                elif kind is sp.Recv:
+                    partner = b.src
+                elif kind is sp.Offer or kind is sp.Cond:
+                    if b not in seen:
+                        seen.add(b)
+                        if kind is sp.Cond:
+                            stack += (b.then_b, b.else_b)
+                        elif b.src not in group or join(p, b.src):
+                            return []
+                        else:
+                            stack += (b.left, b.right)
+                    break
+                elif kind is sp.Call:
+                    return []  # a call may run anything
+                else:
+                    break  # the end, or a missing offer option
+                # A partner outside the program is a faulty network's: no split.
+                if partner not in group or join(p, partner):
+                    return []
+                b = b.cont
+    distinct = {id(g): g for g in group.values()}.values()
+    return sorted((frozenset(g) for g in distinct), key=min)

@@ -540,7 +540,12 @@ class _Subsets:
 
 
 def _first_divergence(
-    chor: _Subsets, net: _Subsets, depth: int, budget: explore.Budget
+    chor: _Subsets,
+    net: _Subsets,
+    depth: int,
+    budget: explore.Budget,
+    group: Optional[frozenset] = None,
+    expanded: Optional[set] = None,
 ) -> Optional[Witness]:
     """The first label trace, in `cc.label_key` order, that only one side has,
     with the first configuration it reaches there; a choreography-only trace
@@ -548,8 +553,15 @@ def _first_divergence(
 
     Walks the product of configuration sets reached by the same trace
     depth-first in pre-order, which visits traces in that order, and charges
-    `budget` once for each product node it expands.
+    `budget` once for each product node it expands.  Given `group`, the walk
+    follows only the labels of the processes in it.  Given `expanded`, the
+    product nodes charged so far, shared by several walks, a node is charged
+    the first time it is expanded only.
     """
+
+    def mine(t: cc.TransitionLabel) -> bool:
+        # A label's processes are all in one group.
+        return not group.isdisjoint(cc.label_processes(t))
 
     def witness(path, cfg, note: str) -> Witness:
         trace = []
@@ -580,10 +592,17 @@ def _first_divergence(
             continue
         if r == 0 or done.get((cs, ns), -1) >= r:
             continue
-        budget.charge()
+        if expanded is None:
+            budget.charge()
+        elif (cs, ns) not in expanded:
+            expanded.add((cs, ns))
+            budget.charge()
         stack.append((cs, ns, r, None, True))
         c_succ = chor.succ(cs)
         n_succ = net.succ(ns)
+        if group is not None:
+            c_succ = {t: js for t, js in c_succ.items() if mine(t)}
+            n_succ = {t: js for t, js in n_succ.items() if mine(t)}
         if c_succ.keys() == n_succ.keys():  # the usual case, already in order
             labels = reversed(c_succ)
         else:
@@ -591,6 +610,34 @@ def _first_divergence(
         for t in labels:
             stack.append((c_succ.get(t, ()), n_succ.get(t, ()), r - 1, (t, path), False))
     return net_only
+
+
+def _epp_walk(
+    prog: cc.ChorProgram,
+    compiled: sp.SPProgram,
+    state: cc.State,
+    depth: int,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+    groups: Sequence[Optional[frozenset]] = (None,),
+) -> Report:
+    """The EPP check's report from one `_first_divergence` walk per group of
+    `groups`, in order, each following only its group's labels (every label
+    for None) from the start configurations, over one pair of `_Subsets` and
+    one budget; with several groups, a product node is charged once however
+    many of the walks expand it."""
+    budget = explore.Budget(state_budget)
+    chor = _Subsets(cc.successors(prog.procedures), (prog.main, state), budget)
+    net = _Subsets(sp.successors(compiled.procedures), (compiled.net, state), budget)
+    expanded = set() if len(groups) > 1 else None
+
+    def search() -> Optional[Witness]:
+        for group in groups:
+            found = _first_divergence(chor, net, depth, budget, group, expanded)
+            if found is not None:
+                return found
+        return None
+
+    return _checked("epp-correspondence", budget, depth, search)
 
 
 def check_epp_correspondence(
@@ -606,16 +653,23 @@ def check_epp_correspondence(
     by the same trace, so traces are never listed.  The budget is charged once
     for each pair of sets the walk expands and once for each configuration
     either side steps, and `states_explored` is what it was charged.
+
+    Processes in different `projection.independent_groups` evolve
+    independently on both sides, so the traces agree up to the bound exactly
+    when each group's do, and the check first walks each group's labels
+    alone: the sum of the groups' spaces, not their product.  Unless those
+    walks hold, the whole product is walked afresh, under the same budget
+    limit, and its report is the check's.
     """
     compiled = projection.epp(prog)
     sp.require_wf(compiled.net)
     state = state if state is not None else cc.State()
-    budget = explore.Budget(state_budget)
-    chor = _Subsets(cc.successors(prog.procedures), (prog.main, state), budget)
-    net = _Subsets(sp.successors(compiled.procedures), (compiled.net, state), budget)
-    return _checked(
-        "epp-correspondence", budget, depth, lambda: _first_divergence(chor, net, depth, budget)
-    )
+    groups = projection.independent_groups(prog, compiled)
+    if groups:
+        report = _epp_walk(prog, compiled, state, depth, state_budget, groups)
+        if report.holds:
+            return report
+    return _epp_walk(prog, compiled, state, depth, state_budget)
 
 
 def _terminal_analysis(

@@ -335,9 +335,24 @@ def test_check_of_a_1200_interaction_line_succeeds(tmp_path, capsys):
     assert (code, captured.out, captured.err) == (0, "ok: well-formed and projectable\n", "")
 
 
+def test_verify_epp_of_a_3000_interaction_line_ending_in_a_call_succeeds(tmp_path, capsys):
+    # The network of a program with procedures names each process's
+    # instances with a loop, so no action of the line takes a stack frame.
+    head, _ = _deep_line(3000).rsplit("end", 1)
+    src = tmp_path / "deep.chor"
+    src.write_text(f"def X(p, q) = p.1 -> q.y; end\n{head}call X\n", encoding="utf-8")
+    code = main(["verify", "epp", str(src)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == (
+        "check: epp-correspondence\nverdict: holds-within-bound\n"
+        "stats: 18 states explored, max depth 6\n"
+    )
+
+
 @pytest.mark.parametrize("text,command", [
-    (_deep_line(1200), "amend"),
-    (_deep_chain(200), "amend"),
+    pytest.param(_deep_line(1200), "amend", id="line1200-amend"),
+    pytest.param(_deep_chain(200), "amend", id="chain200-amend"),
 ])
 def test_inputs_too_deep_to_process_are_one_line_usage_errors(tmp_path, capsys, text, command):
     # Rendering the amendment recurses once per prefix and per nesting level,

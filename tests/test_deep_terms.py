@@ -5,9 +5,10 @@ of `succ(` in a loop.  Well-formedness, process names, projection, EPP and
 amendment walk a run of prefixes with a loop and recurse only at conditionals
 and entered calls, so a 5,000-interaction line and a 400-level chain of
 conditionals go through them under the default limit.  The network check
-`sp.require_wf` walks with an explicit stack and visits shared subterms once.
-Rendering, `projection._merge` and `projection._with_instances` still recurse
-(ROADMAP item 4).
+`sp.require_wf` and `projection._with_instances`, which names each
+participant's procedure instances in the networks of programs with
+procedures, walk with explicit stacks and visit shared subterms once.
+Rendering and `projection._merge` still recurse (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_interning import PIDS, _chain, _line, behaviours
-from chorkit import amendment, cc, projection, sp, syntax
+from chorkit import amendment, cc, projection, sp, syntax, verifier
 
 DEFAULT_LIMIT = 1000  # CPython's
 
@@ -146,3 +147,66 @@ def test_require_wf_on_the_projection_of_a_5000_interaction_line():
         deep = sp.Recv("b", "x", deep)
     with recursion_limit(DEFAULT_LIMIT):
         assert not sp.network_wf(network.set("a", deep))
+
+
+def _with_instances(b: sp.Behaviour, p: cc.Pid) -> sp.Behaviour:
+    """The definition: every call in `b` renamed to p's instance."""
+    if isinstance(b, sp.Send):
+        return sp.Send(b.dst, b.expr, _with_instances(b.cont, p))
+    if isinstance(b, sp.Recv):
+        return sp.Recv(b.src, b.var, _with_instances(b.cont, p))
+    if isinstance(b, sp.Choose):
+        return sp.Choose(b.dst, b.label, _with_instances(b.cont, p))
+    if isinstance(b, sp.Offer):
+        return sp.Offer(b.src, *(None if o is None else _with_instances(o, p)
+                                 for o in (b.left, b.right)))
+    if isinstance(b, sp.Cond):
+        return sp.Cond(b.guard, _with_instances(b.then_b, p), _with_instances(b.else_b, p))
+    if isinstance(b, sp.Call):
+        return sp.Call(projection.instance_name(b.name, p))
+    return b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PIDS), behaviours)
+def test_with_instances_follows_its_definition(p, b):
+    assert projection._with_instances(b, p) is _with_instances(b, p)
+
+
+def test_with_instances_on_a_shared_tower_of_40_conditionals():
+    # 2**40 paths through 40 conditionals, each rebuilt once; without a call
+    # the tower is kept as it is.
+    guard = cc.Le(cc.Ref("x"), cc.Lit(0))
+    for leaf, renamed in ((sp.Call("X"), sp.Call("X@p")), (sp.End(), sp.End())):
+        b, want = leaf, renamed
+        for _ in range(40):
+            b, want = sp.Cond(guard, b, b), sp.Cond(guard, want, want)
+        began = time.perf_counter()
+        with recursion_limit(DEFAULT_LIMIT):
+            assert projection._with_instances(b, "p") is want
+        assert time.perf_counter() - began < 1.0
+
+
+def test_a_5000_interaction_line_ending_in_a_call():
+    """EPP names each process's instance at the bottom of its 2,500 actions,
+    and the EPP check holds on it."""
+    line = _line(5000)
+    body = cc.Prefix(cc.Com("a", cc.Lit(1), "b", "y"), cc.End())
+    c = cc.Call("X")
+    prefixes = []
+    term = line.main
+    while isinstance(term, cc.Prefix):
+        prefixes.append(term.action)
+        term = term.cont
+    for eta in reversed(prefixes):
+        c = cc.Prefix(eta, c)
+    prog = cc.ChorProgram({"X": cc.Procedure(("a", "b"), body)}, c)
+    with recursion_limit(DEFAULT_LIMIT):
+        network = projection.epp(prog)
+        report = verifier.check_epp_correspondence(prog, cc.State(), 4)
+    assert report.verdict == verifier.HOLDS
+    for p in "abcd":
+        b = network.net.get(p)
+        while isinstance(b, (sp.Send, sp.Recv)):
+            b = b.cont
+        assert b == (sp.Call(f"X@{p}") if p in "ab" else sp.End()), p

@@ -14,6 +14,7 @@ import dataclasses
 import math
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 import corpus
 import oracles
 from test_parse_golden import _programs
-from chorkit import amendment, cc, explore, projection, sp, verifier
+from chorkit import amendment, cc, explore, projection, sp, syntax, verifier
 from chorkit.cc import ChorProgram, Com, End, Label, Lit, Prefix, State
 from chorkit.cli import main
 
@@ -99,21 +100,43 @@ def test_corpus_agrees_with_trace_listing():
         assert _same(prog, 5)["verdict"] == verifier.HOLDS, name
 
 
-# states_explored of `_pairs(k)` at depths 4 to 7.  Each side has 4 ** k
-# configurations, and every path to one is as long as the messages sent, so
-# past the longest run, 3 * k steps, each configuration is stepped once and
-# each pair expanded once: 3 * 4 ** k.
+def _whole(prog, depth, budget=math.inf) -> verifier.Report:
+    """The walk of the whole product, which the check falls back on."""
+    return verifier._epp_walk(prog, projection.epp(prog), State(), depth, budget)
+
+
+# states_explored of the whole walk on `_pairs(k)` at depths 4 to 7.  Each
+# side has 4 ** k configurations, and every path to one is as long as the
+# messages sent, so past the longest run, 3 * k steps, each configuration is
+# stepped once and each pair expanded once: 3 * 4 ** k.
 PAIRS_EXPLORED = {1: [12, 12, 12, 12], 2: [30, 39, 45, 48], 3: [60, 96, 132, 162]}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_independent_pairs_agree_with_trace_listing(k):
-    explored = []
+    # The check walks each pair alone from the start: the start pair and
+    # the start configurations once, and per pair three more pairs and three
+    # more configurations on each side, 3 + 9 * k at any depth of at least 3.
+    explored, whole = [], []
     for depth in range(4, 8):
         record = _same(_pairs(k), depth)
         assert record["verdict"] == verifier.HOLDS
         explored.append(record["stats"]["states_explored"])
-    assert explored == PAIRS_EXPLORED[k]
+        report = _whole(_pairs(k), depth)
+        assert report.verdict == verifier.HOLDS
+        whole.append(report.stats.states_explored)
+    assert explored == [3 + 9 * k] * 4
+    assert whole == PAIRS_EXPLORED[k]
+
+
+def test_eight_pairs_at_depth_24_hold_within_100_units():
+    # The whole walk charges 196,605 units: 3 * 4 ** 8, less the last pair,
+    # which the bound reaches with no step left, and its configurations.
+    began = time.perf_counter()
+    report = verifier.check_epp_correspondence(_pairs(8), State(), 24)
+    took = time.perf_counter() - began
+    assert (report.verdict, report.stats.states_explored) == (verifier.HOLDS, 3 + 9 * 8)
+    assert took < 0.1
 
 
 def test_endless_loop_at_depth_2000_agrees_with_trace_listing():
@@ -415,6 +438,171 @@ def test_self_addressed_network_is_rejected_whatever_the_budget(monkeypatch):
     # Trace listing looks at the network only once the choreography's
     # listing fits the budget.
     assert oracles.epp_by_traces(prog, State(), 5, 2).verdict == verifier.EXHAUSTED
+
+
+# ---------------------------------------------------------------------------
+# Independent processes walked apart
+#
+# `projection.independent_groups` splits the processes of a procedure-free
+# program and of its network into groups that never interact, and the check
+# walks each group's labels alone before it falls back on the whole product
+# walk.  The whole walk is the oracle: where it holds, the check holds having
+# charged no more; a counterexample or an exhausted search is its report,
+# byte for byte.
+
+GROUP_PIDS = (("a", "b", "c"), ("d", "e", "f"), ("g", "h", "i"))
+
+
+def _interactions(pids: tuple) -> st.SearchStrategy:
+    ends = st.permutations(pids).map(lambda ps: ps[:2])
+    return st.one_of(
+        st.builds(lambda sr, v, var: Com(sr[0], Lit(v), sr[1], var),
+                  ends, st.integers(0, 2), st.sampled_from("xy")),
+        st.builds(lambda sr, label: cc.Sel(sr[0], sr[1], label), ends, st.sampled_from(Label)),
+    )
+
+
+def _seq(etas, tail=End()) -> cc.Choreography:
+    for eta in reversed(etas):
+        tail = Prefix(eta, tail)
+    return tail
+
+
+@st.composite
+def _disjoint_unions(draw) -> ChorProgram:
+    """Two or three groups of processes, each with a run of interactions of
+    its own, interleaved at the top level; the last group may end in a
+    conditional over its processes.  Amended where it is not projectable."""
+    k = draw(st.integers(2, 3))
+    runs = [draw(st.lists(_interactions(GROUP_PIDS[i]), min_size=1, max_size=3)) for i in range(k)]
+    order = draw(st.permutations([i for i, run in enumerate(runs) for _ in run]))
+    etas = [runs[i].pop(0) for i in order]
+    tail = End()
+    if draw(st.booleans()):
+        pids = GROUP_PIDS[k - 1]
+        branch = st.lists(_interactions(pids), max_size=2).map(_seq)
+        guard = cc.Le(cc.Ref("x"), Lit(draw(st.integers(0, 2))))
+        tail = cc.Cond(draw(st.sampled_from(pids)), guard, draw(branch), draw(branch))
+    prog = ChorProgram({}, _seq(etas, tail))
+    return prog if projection.projectable_program(prog) else amendment.amend_program(prog)
+
+
+def _couple(b: sp.Send) -> sp.Send:
+    """The send addressed to a process of another group, which its sender,
+    in the group of its partner, never is."""
+    other = GROUP_PIDS[1] if b.dst in GROUP_PIDS[0] else GROUP_PIDS[0]
+    return sp.Send(other[0], b.expr, b.cont)
+
+
+EDITS = {**MUTATIONS, "couple": (sp.Send, _couple)}
+
+
+def _agrees_with_the_whole_walk(prog, depth) -> verifier.Report:
+    """The check's report at an unlimited budget, once it agrees with the
+    whole walk there and at every budget up to one over the whole walk's
+    count, and keeps `_within`'s contract."""
+    whole = _whole(prog, depth)
+    got = verifier.check_epp_correspondence(prog, State(), depth, math.inf)
+    assert (got.verdict, got.witness) == (whole.verdict, whole.witness)
+    assert _without_stats(got.text()) == _without_stats(whole.text())
+    if got.holds:
+        assert got.stats.states_explored <= whole.stats.states_explored
+    else:
+        assert (got.to_dict(), got.text()) == (whole.to_dict(), whole.text())
+    for budget in range(whole.stats.states_explored + 2):
+        report = verifier.check_epp_correspondence(prog, State(), depth, budget)
+        oracle = _whole(prog, depth, budget)
+        if report.holds:
+            assert oracle.verdict != verifier.COUNTEREXAMPLE
+        else:
+            assert (report.to_dict(), report.text()) == (oracle.to_dict(), oracle.text())
+        if budget >= got.stats.states_explored:
+            assert report.to_dict() == got.to_dict()
+        else:
+            assert (report.verdict, report.witness, report.stats) == (
+                verifier.EXHAUSTED, None, verifier.SearchStats(budget + 1, depth)
+            )
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(_disjoint_unions(), st.sampled_from([6, 7, 5, 4, 3, 2, 1, 0]),
+       st.sampled_from([None, *EDITS]), st.integers(0, 1))
+def test_disjoint_unions_agree_with_the_whole_walk(prog, depth, edit, n):
+    with pytest.MonkeyPatch.context() as m:
+        if edit is not None:
+            _patch_epp(m, _nth(*EDITS[edit], n))
+        try:
+            report = _agrees_with_the_whole_walk(prog, depth)
+        except sp.IllFormedNetworkError:
+            assert edit is not None
+            return
+    if edit is None:
+        assert report.holds  # the EPP theorem
+
+
+def test_holds_counts_never_exceed_the_whole_walks():
+    # parallel_orders sends two independent orders: the check walks each
+    # alone, and past depth 2 the whole walk also expands the pair after
+    # both and steps its configurations.
+    source = (SAMPLES / "parallel_orders.chor").read_text(encoding="utf-8")
+    prog = syntax.parse_source(source).to_program()
+    counts = [(_agrees_with_the_whole_walk(prog, depth).stats.states_explored,
+               _whole(prog, depth).stats.states_explored) for depth in range(4)]
+    assert counts == [(0, 0), (3, 3), (9, 9), (9, 12)]
+    for k, depths in ((2, range(8)), (3, [7])):
+        for depth in depths:
+            assert _agrees_with_the_whole_walk(_pairs(k), depth).holds
+
+
+def test_groups_follow_interactions_conditionals_and_the_network(monkeypatch):
+    parallel = ChorProgram({}, _seq([Com("o1", Lit(0), "p1", "x"), Com("o2", Lit(0), "p2", "y")]))
+    assert projection.independent_groups(parallel, projection.epp(parallel)) == [
+        frozenset({"o1", "p1"}), frozenset({"o2", "p2"})
+    ]
+    # q -> r is in both branches, so it commutes past p's conditional, and
+    # no selection tells q or r the outcome: p's behaviour never meets them
+    # in the network, but the conditional joins them.
+    guard = cc.Le(cc.Ref("x"), Lit(0))
+    branch = _seq([Com("q", Lit(1), "r", "x")])
+    prog = ChorProgram({}, _seq([Com("s", Lit(1), "t", "x")], cc.Cond("p", guard, branch, branch)))
+    compiled = projection.epp(prog)
+    assert compiled.net.get("p") == sp.Cond(guard, sp.End(), sp.End())
+    assert projection.independent_groups(prog, compiled) == [frozenset("pqr"), frozenset("st")]
+    report = _agrees_with_the_whole_walk(prog, 6)
+    assert report.holds and report.stats.states_explored < _whole(prog, 6).stats.states_explored
+    # A conditional with nothing in its branches is a group of its own; one
+    # nested in another joins the group of the outer one.
+    alone = cc.Cond("d", guard, End(), End())
+    prog = ChorProgram({}, _seq([Com("a", Lit(1), "b", "x"), Com("b", Lit(2), "c", "x")], alone))
+    groups = projection.independent_groups(prog, projection.epp(prog))
+    assert groups == [frozenset("abc"), frozenset("d")]
+    assert _agrees_with_the_whole_walk(prog, 4).stats.states_explored == 12
+    nested = ChorProgram({}, cc.Cond("p", guard, alone, End()))
+    assert projection.independent_groups(nested, sp.SPProgram({}, sp.Network())) == []
+    # One group, procedures, or a network that couples the groups: no split.
+    for connected in (_pairs(1), corpus.purchase_safe(), _loop(cc.Call("L"))):
+        assert projection.independent_groups(connected, projection.epp(connected)) == []
+    with monkeypatch.context() as m:
+        _patch_epp(m, _nth(sp.Send, _couple, 0))
+        assert projection.independent_groups(parallel, projection.epp(parallel)) == []
+        assert _agrees_with_the_whole_walk(parallel, 6).verdict == verifier.COUNTEREXAMPLE
+    # A network in which p1 relays its order to p2 once both have theirs:
+    # neither group can take the extra step alone, so only the network's
+    # partners join them, and the whole walk finds the relay.
+    relay = sp.Network({
+        "o1": sp.Send("p1", Lit(0), sp.End()),
+        "o2": sp.Send("p2", Lit(0), sp.End()),
+        "p1": sp.Recv("o1", "x", sp.Send("p2", Lit(1), sp.End())),
+        "p2": sp.Recv("o2", "y", sp.Recv("p1", "x", sp.End())),
+    })
+    monkeypatch.setattr(projection, "epp", lambda prog: sp.SPProgram({}, relay))
+    assert projection.independent_groups(parallel, projection.epp(parallel)) == []
+    report = _agrees_with_the_whole_walk(parallel, 6)
+    assert report.witness.note == "projection trace missing from the choreography"
+    assert [cc.label_text(t) for t in report.witness.trace] == [
+        "o1 -> p1 : 0", "o2 -> p2 : 0", "p1 -> p2 : 1"
+    ]
 
 
 # ---------------------------------------------------------------------------

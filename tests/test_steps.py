@@ -170,8 +170,10 @@ def test_network_steps_match_the_oracle_where_the_epp_check_goes(monkeypatch):
         if projection.projectable_program(prog):
             checks.append((prog, 5))
         checks.append((amendment.amend_program(prog), 5))
+    # The whole product walk, which steps every configuration the check can
+    # reach: the check itself walks independent processes apart.
     for prog, depth in checks:
-        report = verifier.check_epp_correspondence(prog, State(), depth)
+        report = verifier._epp_walk(prog, projection.epp(prog), State(), depth)
         assert report.verdict == verifier.HOLDS
     monkeypatch.undo()
     assert len(stepped) > 600
