@@ -84,11 +84,16 @@ Memo = dict  # (term, process) -> its projection, or the conditional blamed
 
 
 def _bproj(
-    defs: Mapping[cc.ProcName, cc.Procedure], c: cc.Choreography, r: cc.Pid, memo: Memo
+    defs: Mapping[cc.ProcName, cc.Procedure],
+    c: cc.Choreography,
+    r: cc.Pid,
+    memo: Memo,
+    instances: bool = False,
 ) -> sp.Behaviour:
     """Project c on r, raising _Undefined with the innermost conditional whose
-    branch merge fails.  `memo` belongs to one pass over fixed `defs`; since
-    terms are hash-consed its hits are exact.
+    branch merge fails.  With `instances`, each call names r's instance of the
+    procedure it calls.  `memo` belongs to one pass over fixed `defs` and
+    `instances`; since terms are hash-consed its hits are exact.
 
     A run of prefixes is walked with a loop down to a memo hit or a term that
     is no prefix, that tail is projected, and the behaviours of the run's
@@ -115,8 +120,8 @@ def _bproj(
             break
     else:
         if isinstance(c, cc.Cond):
-            then_b = _bproj(defs, c.then_c, r, memo)
-            else_b = _bproj(defs, c.else_c, r, memo)
+            then_b = _bproj(defs, c.then_c, r, memo, instances)
+            else_b = _bproj(defs, c.else_c, r, memo, instances)
             if r == c.pid:
                 out = sp.Cond(c.guard, then_b, else_b)
             else:
@@ -127,9 +132,15 @@ def _bproj(
                     raise _Undefined(c)
         elif isinstance(c, cc.Call):
             proc = defs.get(c.name)
-            out = sp.Call(c.name) if proc is not None and r in proc.pids else sp.End()
+            if proc is not None and r in proc.pids:
+                out = sp.Call(instance_name(c.name, r) if instances else c.name)
+            else:
+                out = sp.End()
         elif isinstance(c, cc.RunningCall):
-            out = sp.Call(c.name) if r in c.pending else _bproj(defs, c.body, r, memo)
+            if r in c.pending:
+                out = sp.Call(instance_name(c.name, r) if instances else c.name)
+            else:
+                out = _bproj(defs, c.body, r, memo, instances)
         else:
             out = sp.End()
         memo[(c, r)] = out
@@ -212,83 +223,11 @@ def instance_name(name: cc.ProcName, p: cc.Pid) -> cc.ProcName:
     return f"{name}@{p}"
 
 
-_ACTIONS = frozenset((sp.Send, sp.Recv, sp.Choose))
-_END = sp.End()
-
-
-def _with_instances(b: sp.Behaviour, p: cc.Pid) -> sp.Behaviour:
-    """`b` with each call naming p's instance of the procedure it calls.
-
-    Each shared subterm is worked out once, into `done`, and kept as it is
-    when it has no call.  A run of actions is walked with a loop down to a
-    subterm that is done, a call, the end or a branch, and rebuilt on the way
-    back up.  A branch whose options are not done yet goes back on an
-    explicit stack under them, so deep behaviours need no recursion.  Calls
-    among a branch's options are renamed in place: they are most of the
-    options projection builds.
-    """
-    if b is _END:
-        return b
-    Call, Offer, Send, Recv = sp.Call, sp.Offer, sp.Send, sp.Recv
-    done: dict = {None: None, _END: _END}
-    # The stack itself marks a subterm not worked out yet.
-    stack = [b]
-    run = []  # the run of actions being walked, emptied on the way back up
-    while stack:
-        head = stack.pop()
-        c = head
-        while type(c) in _ACTIONS and c not in done:
-            run.append(c)
-            c = c.cont
-        out = done.get(c, stack)
-        if out is stack:
-            if type(c) is Call:
-                out = Call(instance_name(c.name, p))
-            else:
-                offer = type(c) is Offer
-                k1, k2 = (c.left, c.right) if offer else (c.then_b, c.else_b)
-                one, two = done.get(k1, stack), done.get(k2, stack)
-                if one is stack and type(k1) is Call:
-                    one = done[k1] = Call(instance_name(k1.name, p))
-                if two is stack and type(k2) is Call:
-                    two = done[k2] = Call(instance_name(k2.name, p))
-                if one is stack or two is stack:
-                    run.clear()
-                    stack.append(head)
-                    if one is stack:
-                        stack.append(k1)
-                    if two is stack and k2 is not k1:
-                        stack.append(k2)
-                    continue
-                if one is k1 and two is k2:
-                    out = c
-                elif offer:
-                    out = Offer(c.src, one, two)
-                else:
-                    out = sp.Cond(c.guard, one, two)
-            done[c] = out
-        while run:
-            c = run.pop()
-            if out is c.cont:
-                out = c
-            elif type(c) is Send:
-                out = Send(c.dst, c.expr, out)
-            elif type(c) is Recv:
-                out = Recv(c.src, c.var, out)
-            else:
-                out = sp.Choose(c.dst, c.label, out)
-            done[c] = out
-    return done[b]
-
-
-def project_failures(
-    prog: cc.ChorProgram, memo: Memo | None = None, names: frozenset[cc.Pid] | None = None
-) -> list[ProjectionFailure]:
-    """Every (term, process) pair at which EPP of the program is undefined;
-    `names`, when given, are the program's `cc.process_names`."""
-    memo = {} if memo is None else memo
+def project_failures(prog: cc.ChorProgram) -> list[ProjectionFailure]:
+    """Every (term, process) pair at which EPP of the program is undefined."""
+    memo: Memo = {}
     failures: list[ProjectionFailure] = []
-    for p in sorted(cc.process_names(prog) if names is None else names):
+    for p in sorted(cc.process_names(prog)):
         term = blame(prog.procedures, prog.main, p, memo)
         if term is not None:
             failures.append(ProjectionFailure(p, term, "main"))
@@ -318,20 +257,24 @@ def epp(prog: cc.ChorProgram) -> sp.SPProgram:
     cc.require_wf(prog)
     memo: Memo = {}
     names = cc.process_names(prog)
-    failures = project_failures(prog, memo, names)
+    defs = prog.procedures
+    failures: list[ProjectionFailure] = []
+
+    def project(c: cc.Choreography, p: cc.Pid, site: str) -> Optional[sp.Behaviour]:
+        try:
+            return _bproj(defs, c, p, memo, True)
+        except _Undefined as exc:
+            failures.append(ProjectionFailure(p, exc.args[0], site))
+            return None
+
+    net = {p: project(prog.main, p, "main") for p in sorted(names)}
+    procedures = {
+        instance_name(name, p): project(defs[name].body, p, name)
+        for name in sorted(defs)
+        for p in defs[name].pids
+    }
     if failures:
         raise UnprojectableError(failures)
-    net: dict[cc.Pid, sp.Behaviour] = {}
-    for p in sorted(names):
-        body = _bproj(prog.procedures, prog.main, p, memo)
-        # Without procedures no call can occur, and the copy would change nothing.
-        net[p] = _with_instances(body, p) if prog.procedures else body
-    procedures: dict[cc.ProcName, sp.Behaviour] = {}
-    for name in sorted(prog.procedures):
-        proc = prog.procedures[name]
-        for p in proc.pids:
-            body = _bproj(prog.procedures, proc.body, p, memo)
-            procedures[instance_name(name, p)] = _with_instances(body, p)
     return sp.SPProgram(procedures, sp.Network(net), names)
 
 
@@ -353,25 +296,6 @@ def independent_groups(prog: cc.ChorProgram, compiled: sp.SPProgram) -> list[fro
         return []
     net = compiled.net._map
     names = compiled.processes if compiled.processes is not None else cc.process_names(prog)
-    # Most programs are connected along their first interactions: grow the
-    # group of the first one down the top-level run and the first branches,
-    # while each interaction or conditional meets it.
-    first: set = set()
-    c = prog.main
-    while True:
-        if type(c) is cc.Prefix:
-            p, q, c = c.action.sender, c.action.receiver, c.cont
-        elif type(c) is cc.Cond:
-            p = q = c.pid
-            c = c.then_c
-        else:
-            break
-        if first and p not in first and q not in first:
-            break
-        first.add(p)
-        first.add(q)
-        if len(first) == len(names):
-            return []
     group = {p: {p} for p in names.union(net)}
     total = len(group)
     if total < 2:

@@ -727,6 +727,24 @@ def project_failures(prog: cc.ChorProgram) -> list[projection.ProjectionFailure]
     return failures
 
 
+def _with_instances(b: sp.Behaviour, p: cc.Pid) -> sp.Behaviour:
+    """Every call in `b` renamed to p's instance."""
+    if isinstance(b, sp.Send):
+        return sp.Send(b.dst, b.expr, _with_instances(b.cont, p))
+    if isinstance(b, sp.Recv):
+        return sp.Recv(b.src, b.var, _with_instances(b.cont, p))
+    if isinstance(b, sp.Choose):
+        return sp.Choose(b.dst, b.label, _with_instances(b.cont, p))
+    if isinstance(b, sp.Offer):
+        return sp.Offer(b.src, *(None if o is None else _with_instances(o, p)
+                                 for o in (b.left, b.right)))
+    if isinstance(b, sp.Cond):
+        return sp.Cond(b.guard, _with_instances(b.then_b, p), _with_instances(b.else_b, p))
+    if isinstance(b, sp.Call):
+        return sp.Call(projection.instance_name(b.name, p))
+    return b
+
+
 def epp(prog: cc.ChorProgram) -> sp.SPProgram:
     problems = cc.wf_violations(prog)
     if problems:
@@ -736,13 +754,13 @@ def epp(prog: cc.ChorProgram) -> sp.SPProgram:
         raise projection.UnprojectableError(failures)
     net = {}
     for p in sorted(cc.process_names(prog)):
-        net[p] = projection._with_instances(_bproj(prog.procedures, prog.main, p), p)
+        net[p] = _with_instances(_bproj(prog.procedures, prog.main, p), p)
     procedures = {}
     for name in sorted(prog.procedures):
         proc = prog.procedures[name]
         for p in proc.pids:
             body = _bproj(prog.procedures, proc.body, p)
-            procedures[projection.instance_name(name, p)] = projection._with_instances(body, p)
+            procedures[projection.instance_name(name, p)] = _with_instances(body, p)
     return sp.SPProgram(procedures, sp.Network(net))
 
 

@@ -4,10 +4,9 @@ Parsing is one loop with a stack of the open conditionals, and counts a tower
 of `succ(` in a loop.  Well-formedness, process names, projection, EPP and
 amendment walk a run of prefixes with a loop and recurse only at conditionals
 and entered calls, so a 5,000-interaction line and a 400-level chain of
-conditionals go through them under the default limit.  The network check
-`sp.require_wf` and `projection._with_instances`, which names each
-participant's procedure instances in the networks of programs with
-procedures, walk with explicit stacks and visit shared subterms once.
+conditionals go through them under the default limit; EPP names each
+participant's procedure instances while it projects.  The network check
+`sp.require_wf` walks with an explicit stack and visits shared subterms once.
 Rendering and `projection._merge` still recurse (ROADMAP item 4).
 """
 
@@ -147,44 +146,6 @@ def test_require_wf_on_the_projection_of_a_5000_interaction_line():
         deep = sp.Recv("b", "x", deep)
     with recursion_limit(DEFAULT_LIMIT):
         assert not sp.network_wf(network.set("a", deep))
-
-
-def _with_instances(b: sp.Behaviour, p: cc.Pid) -> sp.Behaviour:
-    """The definition: every call in `b` renamed to p's instance."""
-    if isinstance(b, sp.Send):
-        return sp.Send(b.dst, b.expr, _with_instances(b.cont, p))
-    if isinstance(b, sp.Recv):
-        return sp.Recv(b.src, b.var, _with_instances(b.cont, p))
-    if isinstance(b, sp.Choose):
-        return sp.Choose(b.dst, b.label, _with_instances(b.cont, p))
-    if isinstance(b, sp.Offer):
-        return sp.Offer(b.src, *(None if o is None else _with_instances(o, p)
-                                 for o in (b.left, b.right)))
-    if isinstance(b, sp.Cond):
-        return sp.Cond(b.guard, _with_instances(b.then_b, p), _with_instances(b.else_b, p))
-    if isinstance(b, sp.Call):
-        return sp.Call(projection.instance_name(b.name, p))
-    return b
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(PIDS), behaviours)
-def test_with_instances_follows_its_definition(p, b):
-    assert projection._with_instances(b, p) is _with_instances(b, p)
-
-
-def test_with_instances_on_a_shared_tower_of_40_conditionals():
-    # 2**40 paths through 40 conditionals, each rebuilt once; without a call
-    # the tower is kept as it is.
-    guard = cc.Le(cc.Ref("x"), cc.Lit(0))
-    for leaf, renamed in ((sp.Call("X"), sp.Call("X@p")), (sp.End(), sp.End())):
-        b, want = leaf, renamed
-        for _ in range(40):
-            b, want = sp.Cond(guard, b, b), sp.Cond(guard, want, want)
-        began = time.perf_counter()
-        with recursion_limit(DEFAULT_LIMIT):
-            assert projection._with_instances(b, "p") is want
-        assert time.perf_counter() - began < 1.0
 
 
 def test_a_5000_interaction_line_ending_in_a_call():
