@@ -561,11 +561,13 @@ def eval_bexpr(b: BExpr, s: State, p: Pid) -> bool:
 def _walk(c: Choreography) -> tuple[bool, set[Pid], set[ProcName]]:
     """Whether `c` is well-formed (no self-communication, pending lists free
     of duplicates), the processes occurring in it and the procedures it
-    calls, in one walk with an explicit stack."""
+    calls, in one walk with an explicit stack.  Each conditional of a
+    hash-consed term is entered once, however many paths lead to it."""
     wf = True
     procs: set[Pid] = set()
     add = procs.add
     calls: set[ProcName] = set()
+    entered: set[Cond] = set()
     stack: list[Choreography] = []  # branches still to visit
     while True:
         while isinstance(c, Prefix):
@@ -575,7 +577,8 @@ def _walk(c: Choreography) -> tuple[bool, set[Pid], set[ProcName]]:
             add(eta.sender)
             add(eta.receiver)
             c = c.cont
-        if isinstance(c, Cond):
+        if isinstance(c, Cond) and c not in entered:
+            entered.add(c)
             add(c.pid)
             stack.append(c.else_c)
             c = c.then_c

@@ -5,13 +5,15 @@ a memoised one-step relation, for at most `depth` steps, charging a budget
 once per entry found.  Searches differ only in which ways of reaching a
 configuration they keep apart, and that is the tag: the trace itself, the
 multiset of its labels, or nothing at all.  A search can be deepened a level
-at a time and stopped as soon as its caller has seen enough.  This module
+at a time and stopped as soon as its caller has seen enough, and it can count
+only some labels against a second bound, as weak transitions do.  This module
 knows nothing of choreographies or networks; configurations are any hashable
 values.
 """
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Callable, Hashable
 
 Step = Callable[[Hashable], tuple]  # configuration -> ((label, successor), ...)
@@ -31,8 +33,8 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def charge(self, n: int = 1) -> None:
-        self.used += n
+    def charge(self) -> None:
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceeded(f"more than {self.limit} configurations explored")
 
@@ -74,177 +76,93 @@ class Search:
     Successors come in the order `space` gives them, so the search is
     deterministic, and growing it in steps finds what one call would.
 
+    Given `level_of`, the search is bounded by level too, as weak transitions
+    count only visible steps: `level_of(tag)` is the level of the traces of an
+    entry with that tag, say how many of their labels are loud, and one label
+    adds at most one to it.  Entries are then not found in order of length, so
+    tags must fix the length of their traces, as label multisets do: what is
+    found within both bounds is what a full search keeps within them.
+
     `found` maps each configuration to {tag: first trace to the entry},
     `order` lists every (configuration, tag, trace) in insertion order,
-    `depth` is how many levels have been searched, and `closed` says the
-    frontier emptied before that, so nothing else is reachable.
+    `depth` and `level` are the bounds searched to, and `closed` says no
+    entry waits for them to rise, so nothing else is reachable.
     """
 
-    __slots__ = ("space", "budget", "tag", "found", "order", "depth", "closed", "_lo", "_shown")
+    __slots__ = ("space", "budget", "tag", "level_of", "found", "order", "depth", "level",
+                 "closed", "_waiting", "_held", "_shown")
 
-    _by_level = False  # see WeakSearch
-
-    def __init__(self, space: Space, start: Hashable, budget: Budget, tag: Tag):
+    def __init__(
+        self, space: Space, start: Hashable, budget: Budget, tag: Tag,
+        level_of: Callable[[tuple], int] | None = None,
+    ):
         self.space = space
         self.budget = budget
         self.tag = tag
+        self.level_of = level_of
         self.found = {start: {(): ()}}
         self.order = [(start, (), ())]
         budget.charge()
-        self.depth = 0
+        self.depth = self.level = 0
         self.closed = False
-        self._lo = 0  # where the last level searched starts in `order`
+        self._waiting = self.order[:]  # the entries with moves left to take
+        # id of a waiting entry, which `order` keeps alive -> the loud moves it has left
+        self._held: dict = {}
         self._shown = 0  # entries `grow` has already returned
 
-    def grow(self, depth: int) -> list:
-        """Search to `depth` levels; the entries not returned before, the
-        start among them on the first call."""
-        if depth > self.depth:
-            self._deepen(depth)
+    def grow(self, depth: int, level: int = 0) -> list:
+        """Search to traces of at most `depth` labels and, given `level_of`,
+        at most level `level`; the entries not returned before, the start
+        among them on the first call.  Neither bound is ever lowered."""
+        if depth > self.depth or level > self.level:
+            self._search(max(depth, self.depth), max(level, self.level))
         new = self.order[self._shown:]
         self._shown = len(self.order)
         return new
 
-    def _deepen(self, depth: int) -> None:
+    def _search(self, depth: int, level: int) -> None:
+        """Take every move within the bounds, of the entries that waited and
+        then of each entry found, in turn.  An entry at `depth` waits to take
+        any move; one at `level` takes its quiet moves and waits, in `_held`,
+        to take its loud ones."""
+        self.depth, self.level = depth, level
         found, order, tag, charge = self.found, self.order, self.tag, self.budget.charge
-        by_level = self._by_level
-        d, lo = self.depth, self._lo
-        enabled = self.space.enabled
-        if by_level:
-            depth = max(depth, d)
-            d, lo = self._next(0, depth), len(order)
-        while d < depth and not self.closed:
-            hi = len(order)
-            if by_level:
-                frontier, enabled = self._frontier(d, lo, hi)
-            else:
-                frontier = order[lo:hi]
-            for cfg, g, trace in frontier:
-                for t, cfg2 in enabled(cfg):
-                    g2 = tag(g, t)
-                    bucket = found.get(cfg2)
-                    if bucket is None:
-                        bucket = found[cfg2] = {}
-                    if g2 not in bucket:
-                        charge()
-                        # A trace tag is the trace: one tuple for both keeps a
-                        # listing's live objects, which the collector walks, down.
-                        trace2 = g2 if tag is per_trace else trace + (t,)
-                        bucket[g2] = trace2
-                        order.append((cfg2, g2, trace2))
-            d, lo = d + 1, hi
-            if len(order) == hi:
-                if by_level:
-                    d = self._next(d, depth)
-                else:
-                    self.closed = True
-        self.depth, self._lo = d, lo
-        if by_level:
-            self._settle(d, lo)
-
-
-class WeakSearch(Search):
-    """A `Search` that also grows by level: how many labels of a trace are
-    loud, that is, not `silent`, as weak transitions count only visible steps.
-
-    `level_of(tag)` is the number of loud labels on the traces of an entry
-    with that tag, and `grow(depth, level)` keeps exactly the entries of a
-    search to `depth` with at most `level` loud labels.  Searching one length
-    at a time, an entry at `depth` waits for the depth to rise to take any
-    move, and an entry at `level` waits for the level to rise to take its
-    loud ones, so entries are not found in order of length, and the trace
-    kept for one need not be the first a `Search` would keep.  `closed` says
-    no entry is waiting, so nothing else is reachable.
-    """
-
-    __slots__ = ("level", "_level_of", "_moves", "_fresh", "_held")
-
-    _by_level = True
-
-    # Which moves an entry of the frontier takes; QUIET and LOUD index the
-    # pair `_moves` keeps for each configuration whose moves it splits.
-    QUIET, LOUD, ALL = 0, 1, 2
-
-    def __init__(
-        self, space: Space, start: Hashable, budget: Budget, tag: Tag,
-        silent: Callable[[object], bool], level_of: Callable[[tuple], int],
-    ):
-        Search.__init__(self, space, start, budget, tag)
-        self.level = 0
-        self._level_of = level_of
-        self._fresh = {0: self.order[:]}  # length -> entries that took no move
-        self._held: dict = {}  # length -> entries whose loud moves wait
-        enabled = space.enabled
-        memo: dict = {}
-
-        def moves(key: tuple) -> tuple:
-            """The moves of a configuration of one kind, for a (configuration,
-            kind) key."""
-            cfg, kind = key
-            if kind == WeakSearch.ALL:
-                return enabled(cfg)
-            split = memo.get(cfg)
-            if split is None:
-                ms = enabled(cfg)
-                quiet = [m for m in ms if silent(m[0])]
-                split = memo[cfg] = (quiet, [m for m in ms if not silent(m[0])] if quiet else ms)
-            return split[kind]
-
-        self._moves = moves
-
-    def grow(self, depth: int, level: int) -> list:
-        """Search to traces of at most `depth` labels, `level` of them loud;
-        the entries not returned before.  Neither bound is ever lowered."""
-        if level > self.level:
-            self.level = level
-            self._deepen(depth)
-        return Search.grow(self, depth)
-
-    def _next(self, d: int, depth: int) -> int:
-        """The first length from `d` on with entries waiting, or `depth`."""
-        if not (self._fresh or self._held):
-            return depth
-        return min([k for k in (*self._fresh, *self._held) if k >= d], default=depth)
-
-    def _frontier(self, d: int, lo: int, hi: int) -> tuple:
-        """The entries at length `d` with moves to take now, and the moves of
-        an entry: every move of the entries that took none, `order[lo:hi]`
-        and those waiting for the depth, and the loud moves of those waiting
-        for the level, but that entries at the level wait for it to rise.
-        Unless every entry takes every move, each configuration is keyed by
-        the kind of moves it takes."""
-        level, level_of = self.level, self._level_of
-        waiting = self._held.pop(d, ()) if self._held else ()
-        fresh = self.order[lo:hi]
-        if d in self._fresh:
-            fresh = self._fresh.pop(d) + fresh
-        if d < level:  # no entry of length d has more loud labels than that
-            if not waiting:
-                return fresh, self.space.enabled
-            return [((c, self.LOUD), g, tr) for c, g, tr in waiting] + [
-                ((c, self.ALL), g, tr) for c, g, tr in fresh
-            ], self._moves
-        out, held = [], []
-        for e in waiting:
-            if level_of(e[1]) < level:
-                out.append(((e[0], self.LOUD), e[1], e[2]))
-            else:
-                held.append(e)
-        for e in fresh:
-            if level_of(e[1]) < level:
-                out.append(((e[0], self.ALL), e[1], e[2]))
-            else:
-                out.append(((e[0], self.QUIET), e[1], e[2]))
-                held.append(e)
-        if held:
-            self._held[d] = held
-        return out, self._moves
-
-    def _settle(self, d: int, lo: int) -> None:
-        """Keep the entries found at `d`, the depth reached, for later."""
-        if lo < len(self.order):
-            self._fresh.setdefault(d, []).extend(self.order[lo:])
-        self.closed = not (self._fresh or self._held)
+        enabled, level_of, held = self.space.enabled, self.level_of, self._held
+        waiting, self._waiting = self._waiting, []
+        wait = self._waiting.append
+        entries = chain(waiting, islice(order, len(order), None))
+        for entry in entries:
+            cfg, g, trace = entry
+            if len(trace) >= depth:
+                wait(entry)
+                if level_of is None:  # entries come by length: the rest wait too
+                    self._waiting += entries
+                    break
+                continue
+            moves = held.pop(id(entry), None) if held else None
+            if moves is None:
+                moves = enabled(cfg)
+            # Only an entry at the level has moves that would pass it.
+            loud = [] if level_of is not None and level_of(g) >= level else None
+            for t, cfg2 in moves:
+                g2 = tag(g, t)
+                if loud is not None and level_of(g2) > level:
+                    loud.append((t, cfg2))
+                    continue
+                bucket = found.get(cfg2)
+                if bucket is None:
+                    bucket = found[cfg2] = {}
+                if g2 not in bucket:
+                    charge()
+                    # A trace tag is the trace: one tuple for both keeps a
+                    # listing's live objects, which the collector walks, down.
+                    trace2 = g2 if tag is per_trace else trace + (t,)
+                    bucket[g2] = trace2
+                    order.append((cfg2, g2, trace2))
+            if loud:
+                held[id(entry)] = loud
+                wait(entry)
+        self.closed = not self._waiting
 
 
 def bfs(
@@ -253,5 +171,5 @@ def bfs(
     """Every (configuration, tag) entry within `depth` steps of `start`, as
     `(found, order, closed)` of one `Search` grown to `depth`."""
     search = Search(space, start, budget, tag)
-    search._deepen(depth)  # `grow` would copy `order`, which listings make long
+    search._search(depth, 0)  # `grow` would copy `order`, which listings make long
     return search.found, search.order, search.closed

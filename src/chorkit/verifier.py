@@ -371,9 +371,8 @@ def check_amend_complete(
 
     def search() -> Optional[Witness]:
         orig = sides.reach(sides.orig, sides.orig_start, depth)
-        amended = explore.WeakSearch(
-            sides.amended, sides.amended_start, sides.budget, sides.ranks.add,
-            cc.is_selection, _level,
+        amended = explore.Search(
+            sides.amended, sides.amended_start, sides.budget, sides.ranks.add, _level
         )
         indexes: dict = {}
 

@@ -7,14 +7,19 @@ and entered calls, so a 5,000-interaction line and a 400-level chain of
 conditionals go through them under the default limit; EPP names each
 participant's procedure instances while it projects.  The network check
 `sp.require_wf` walks with an explicit stack and visits shared subterms once.
-Rendering and `projection._merge` still recurse (ROADMAP item 4).
+Rendering and `projection._merge` still recurse (ROADMAP item 4).  A
+hash-consed tower of conditionals whose branches are one node goes through
+well-formedness, projection and amendment, which enter each conditional once.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +138,35 @@ def test_a_shared_tower_of_40_conditionals():
             assert sp._self_addressed("p", b) is addressed
             assert sp.network_wf(sp.Network({"p": b})) is not addressed
         assert time.perf_counter() - began < 1.0
+
+
+TOWER = """
+from chorkit import amendment, cc, projection
+guard = cc.Le(cc.Ref("x"), cc.Lit(0))
+c = cc.Prefix(cc.Com("q", cc.Lit(1), "r", "y"), cc.End())
+for _ in range(40):
+    c = cc.Cond("p", guard, c, c)
+prog = cc.ChorProgram({}, c)
+print(cc.wf_violations(prog), sorted(cc.process_names(prog)))
+print(projection.project_failures(prog), projection.epp(prog).net.get("r"))
+print(amendment.amend_program(prog).main is c)
+"""
+
+
+def test_a_shared_tower_of_40_chor_conditionals():
+    """40 conditionals but 2**40 paths: a walk that followed every path would
+    not end, so the tower runs in a fresh interpreter that can be stopped."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", TOWER], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[] ['p', 'q', 'r']",
+        "[] Recv(src='q', var='y', cont=End())",
+        "True",
+    ]
 
 
 def test_require_wf_on_the_projection_of_a_5000_interaction_line():

@@ -6,12 +6,14 @@ multiset-keyed `_reach` and the terminal analysis behind `implements`, each
 with its own memo and budget.  The engine-backed versions must return the same
 entries in the same order, the same dead lists and closure flags, and run out
 of budget at the same entry, and a search grown a level at a time must do all
-of that as one `explore.bfs` call does.  A `WeakSearch`, grown by its length
-and its count of labels that are not selections, must keep what one
-`explore.bfs` call keeps within both bounds.  The checkers and the CLI built on
-them must print the same, byte for byte, except that amend-complete and
-amend-sound deepen their extension searches only until every run is matched,
-so they explore fewer states (`test_amend_checks.assert_deepened`).
+of that as one `explore.bfs` call does.  A search given a level, its count of
+labels that are not selections, and grown by length and level, must keep what
+one `explore.bfs` call keeps within both bounds, and what a plain search
+keeps, in its order, while the level holds nothing back.  The checkers and the
+CLI built on them must print the same, byte for byte, except that
+amend-complete and amend-sound deepen their extension searches only until
+every run is matched, so they explore fewer states
+(`test_amend_checks.assert_deepened`).
 """
 
 from __future__ import annotations
@@ -237,28 +239,31 @@ def _steps(rng: random.Random, top: int) -> list[tuple[int, int]]:
 
 
 def _same_as_filtered_bfs(step, start, top: int, rng: random.Random) -> int:
-    """A `WeakSearch`, grown in steps, keeps at each step exactly the
+    """A search by level, grown in steps, keeps at each step exactly the
     entries of one full search filtered to both bounds, charges one budget
     unit for each, returns each once, and keeps for each a trace of its
-    labels that reaches it.  The steps where the length bound leaves out
-    entries the level lets in are counted."""
-    full, order, _ = explore.bfs(explore.Space(step), start, top, explore.Budget(),
+    labels that reaches it.  Once it says it is closed, the full search has
+    nothing more within one more step on either bound.  The steps where the
+    length bound leaves out entries the level lets in are counted."""
+    full, order, _ = explore.bfs(explore.Space(step), start, top + 1, explore.Budget(),
                                  oracles.mkey_add)
+
+    def within(depth: int, level: int) -> set:
+        return {(cfg, mk) for cfg, mk, _ in order if len(mk) <= depth and _level(mk) <= level}
+
     # A search that overruns the full one runs out rather than on and on.
     budget = explore.Budget(len(order))
-    search = explore.WeakSearch(explore.Space(step), start, budget, oracles.mkey_add,
-                                cc.is_selection, _level)
+    search = explore.Search(explore.Space(step), start, budget, oracles.mkey_add, _level)
     shown = []
     capped = 0
     for depth, level in _steps(rng, top):
         shown += search.grow(depth, level)
-        want = {
-            (cfg, mk) for cfg, bucket in full.items() for mk in bucket
-            if len(mk) <= depth and _level(mk) <= level
-        }
-        capped += any(len(mk) > depth and _level(mk) <= level for _, mk, _ in order)
+        want = within(depth, level)
+        capped += any(depth < len(mk) <= top and _level(mk) <= level for _, mk, _ in order)
         got = {(cfg, mk) for cfg, bucket in search.found.items() for mk in bucket}
         assert got == want, (depth, level)
+        if search.closed:
+            assert within(depth + 1, level + 1) == got, (depth, level)
         assert budget.used == len(want) == len(search.order)
         assert shown == search.order
     for cfg, mk, trace in search.order:
@@ -285,6 +290,24 @@ def test_a_search_by_level_keeps_the_entries_of_a_full_search_within_both_bounds
     for step in _automata(150, SELECTIONS):
         capped += _same_as_filtered_bfs(step, 0, 7, rng)
     assert capped > 200
+
+
+def _same_as_plain(step, start, top: int) -> None:
+    """A search by level never held back by its level finds what a plain
+    search finds, in the same order, with the same traces."""
+    plain = explore.Search(explore.Space(step), start, explore.Budget(), oracles.mkey_add)
+    weak = explore.Search(explore.Space(step), start, explore.Budget(), oracles.mkey_add,
+                          _level)
+    for depth in range(top + 1):
+        assert weak.grow(depth, depth + depth % 2) == plain.grow(depth), depth
+        assert (weak.order, weak.closed) == (plain.order, plain.closed), depth
+
+
+def test_a_search_by_level_at_a_level_of_its_depth_is_a_plain_search():
+    for _, prog in _programs():
+        _same_as_plain(cc.successors(prog.procedures), (prog.main, State()), 4)
+    for step in _automata(150, SELECTIONS):
+        _same_as_plain(step, 0, 7)
 
 
 # ---------------------------------------------------------------------------
