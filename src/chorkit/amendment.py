@@ -119,12 +119,6 @@ def amend(
     return out
 
 
-def amend_pids(prog: cc.ChorProgram) -> list[cc.Pid]:
-    """The process list amendment covers for a program: everything it uses,
-    in a fixed lexicographic order so output is reproducible."""
-    return sorted(cc.process_names(prog))
-
-
 class Amendment:
     """A well-formed program's amendment for every process it uses.
 
@@ -135,9 +129,10 @@ class Amendment:
     """
 
     def __init__(self, prog: cc.ChorProgram):
-        cc.require_wf(prog)
+        # Every process the program uses, in a fixed order so output is
+        # reproducible.
+        self.pids = sorted(cc.require_wf(prog))
         self.defs = prog.procedures
-        self.pids = amend_pids(prog)
         self.memo: Memo = {}
         self._done: dict = {}
         self._inserted: list[int] = []

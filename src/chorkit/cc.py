@@ -596,8 +596,9 @@ def _walk(c: Choreography) -> tuple[bool, set[Pid], set[ProcName]]:
             c = stack.pop()
 
 
-def wf_violations(prog: ChorProgram) -> list[str]:
-    """All reasons why a program is ill-formed, empty when it is fine.
+def wf_violations(prog: ChorProgram, names: set[Pid] | None = None) -> list[str]:
+    """All reasons why a program is ill-formed, empty when it is fine.  Given
+    `names`, the walk also adds the program's `process_names` to it.
 
     A procedure body may only use processes declared for it, where "use"
     includes the declared processes of any procedure the body invokes; this
@@ -605,7 +606,9 @@ def wf_violations(prog: ChorProgram) -> list[str]:
     """
     out: list[str] = []
     defs = prog.procedures
-    main_wf, _, main_calls = _walk(prog.main)
+    main_wf, main_procs, main_calls = _walk(prog.main)
+    if names is not None:
+        names.update(main_procs, *(proc.pids for proc in defs.values()))
     if not main_wf:
         out.append("the main choreography is not well-formed")
     walks = {name: _walk(defs[name].body) for name in sorted(defs)}
@@ -665,12 +668,14 @@ def _transition_key(tr: Transition) -> tuple:
     return tr[0]._key
 
 
-def require_wf(prog: ChorProgram) -> None:
+def require_wf(prog: ChorProgram) -> frozenset[Pid]:
     """Raise IllFormedError, naming every violation, unless `prog` is
-    well-formed."""
-    problems = wf_violations(prog)
+    well-formed; its `process_names` otherwise, from the same walk."""
+    names: set[Pid] = set()
+    problems = wf_violations(prog, names)
     if problems:
         raise IllFormedError("; ".join(problems))
+    return frozenset(names)
 
 
 _NOBODY: frozenset[Pid] = frozenset()

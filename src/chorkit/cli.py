@@ -146,8 +146,7 @@ def _cmd_check(args) -> int:
     prog = _read(args.file, _program)
     if prog is None:
         return USAGE
-    cc.require_wf(prog)
-    failures = projection.project_failures(prog)
+    failures = projection.project_failures(prog, cc.require_wf(prog))
     if failures:
         _print_failures(failures)
         return FAIL
@@ -161,7 +160,7 @@ def _cmd_project(args) -> int:
         return USAGE
     compiled = projection.epp(prog)
     if args.process is not None:
-        if args.process not in cc.process_names(prog):
+        if args.process not in compiled.processes:
             print(f"error: {args.file} has no process {args.process}", file=sys.stderr)
             return USAGE
         print(syntax.render_behaviour(compiled.net.get(args.process)))

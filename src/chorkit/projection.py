@@ -223,11 +223,14 @@ def instance_name(name: cc.ProcName, p: cc.Pid) -> cc.ProcName:
     return f"{name}@{p}"
 
 
-def project_failures(prog: cc.ChorProgram) -> list[ProjectionFailure]:
-    """Every (term, process) pair at which EPP of the program is undefined."""
+def project_failures(
+    prog: cc.ChorProgram, names: frozenset | None = None
+) -> list[ProjectionFailure]:
+    """Every (term, process) pair at which EPP of the program is undefined;
+    `names`, when given, are the program's `cc.process_names`."""
     memo: Memo = {}
     failures: list[ProjectionFailure] = []
-    for p in sorted(cc.process_names(prog)):
+    for p in sorted(cc.process_names(prog) if names is None else names):
         term = blame(prog.procedures, prog.main, p, memo)
         if term is not None:
             failures.append(ProjectionFailure(p, term, "main"))
@@ -254,9 +257,8 @@ def epp(prog: cc.ChorProgram) -> sp.SPProgram:
     Raises IllFormedError on ill-formed programs and UnprojectableError (with
     the full failure report) when any required projection is undefined.
     """
-    cc.require_wf(prog)
+    names = cc.require_wf(prog)
     memo: Memo = {}
-    names = cc.process_names(prog)
     defs = prog.procedures
     failures: list[ProjectionFailure] = []
 
@@ -362,3 +364,42 @@ def independent_groups(prog: cc.ChorProgram, compiled: sp.SPProgram) -> list[fro
                 b = b.cont
     distinct = {id(g): g for g in group.values()}.values()
     return sorted((frozenset(g) for g in distinct), key=min)
+
+
+def restrict(c: cc.Choreography, group: frozenset) -> cc.Choreography:
+    """The part of a procedure-free choreography that the processes of one of
+    its `independent_groups` play: the interactions between them, and the
+    conditionals they decide with both branches restricted.  The group is
+    closed, so an interaction has both endpoints in it or neither, and a
+    conditional decided outside it has no process of it in its branches and
+    restricts to the end.  Terms are hash-consed, so restricting to every
+    process gives `c` itself.
+
+    Runs are walked with a loop and branches with an explicit stack, and each
+    shared term is restricted once."""
+    done: dict = {}  # term -> its restriction
+    stack = [c]
+    while stack:
+        top = stack[-1]
+        run = []  # the prefixes down to a restricted term or no prefix
+        while type(top) is cc.Prefix and top not in done:
+            run.append(top)
+            top = top.cont
+        out = done.get(top)
+        if out is None:
+            if type(top) is cc.Cond and top.pid in group:
+                then_c, else_c = done.get(top.then_c), done.get(top.else_c)
+                if then_c is None or else_c is None:
+                    stack += [b for b in (top.then_c, top.else_c) if b not in done]
+                    continue
+                out = cc.Cond(top.pid, top.guard, then_c, else_c)
+            else:
+                out = cc.End()
+            done[top] = out
+        while run:
+            top = run.pop()
+            if top.action.sender in group:
+                out = top if out is top.cont else cc.Prefix(top.action, out)
+            done[top] = out
+        stack.pop()
+    return done[c]

@@ -501,13 +501,21 @@ class _Subsets:
     order, which is the order in which a breadth-first listing of traces
     meets them.  Each configuration is stepped once, straight through the
     step function, when the set of it alone is first asked for, and charged
-    to `budget` then.  `step` gives moves in `cc.label_key` order, as
-    `cc.successors` and `sp.successors` do.
+    to `budget` then, but for the start when `start_charged`: another walk
+    from the same start has paid for it.  `step` gives moves in
+    `cc.label_key` order, as `cc.successors` and `sp.successors` do.
     """
 
-    def __init__(self, step: explore.Step, start: Hashable, budget: explore.Budget):
+    def __init__(
+        self,
+        step: explore.Step,
+        start: Hashable,
+        budget: explore.Budget,
+        start_charged: bool = False,
+    ):
         self._step = step
         self._charge = budget.charge
+        self._start_charged = start_charged
         self.cfgs = [start]
         self._ids = {start: 0}
         self._succ: dict = {}
@@ -519,7 +527,8 @@ class _Subsets:
         if out is None:
             out = {}
             if len(cfgs) == 1:
-                self._charge()
+                if cfgs[0] or not self._start_charged:
+                    self._charge()
                 for t, cfg in self._step(self.cfgs[cfgs[0]]):
                     j = self._ids.get(cfg)
                     if j is None:
@@ -543,7 +552,6 @@ def _first_divergence(
     net: _Subsets,
     depth: int,
     budget: explore.Budget,
-    group: Optional[frozenset] = None,
     expanded: Optional[set] = None,
 ) -> Optional[Witness]:
     """The first label trace, in `cc.label_key` order, that only one side has,
@@ -552,15 +560,10 @@ def _first_divergence(
 
     Walks the product of configuration sets reached by the same trace
     depth-first in pre-order, which visits traces in that order, and charges
-    `budget` once for each product node it expands.  Given `group`, the walk
-    follows only the labels of the processes in it.  Given `expanded`, the
-    product nodes charged so far, shared by several walks, a node is charged
-    the first time it is expanded only.
+    `budget` once for each product node it expands.  Given `expanded`, the
+    product nodes charged so far, a node is charged the first time it is
+    expanded only.
     """
-
-    def mine(t: cc.TransitionLabel) -> bool:
-        # A label's processes are all in one group.
-        return not group.isdisjoint(cc.label_processes(t))
 
     def witness(path, cfg, note: str) -> Witness:
         trace = []
@@ -599,9 +602,6 @@ def _first_divergence(
         stack.append((cs, ns, r, None, True))
         c_succ = chor.succ(cs)
         n_succ = net.succ(ns)
-        if group is not None:
-            c_succ = {t: js for t, js in c_succ.items() if mine(t)}
-            n_succ = {t: js for t, js in n_succ.items() if mine(t)}
         if c_succ.keys() == n_succ.keys():  # the usual case, already in order
             labels = reversed(c_succ)
         else:
@@ -611,27 +611,42 @@ def _first_divergence(
     return net_only
 
 
+_START = ((0,), (0,))  # the product node of the two start configurations
+
+
 def _epp_walk(
     prog: cc.ChorProgram,
     compiled: sp.SPProgram,
     state: cc.State,
     depth: int,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    groups: Sequence[Optional[frozenset]] = (None,),
+    groups: Sequence[frozenset] = (),
 ) -> Report:
-    """The EPP check's report from one `_first_divergence` walk per group of
-    `groups`, in order, each following only its group's labels (every label
-    for None) from the start configurations, over one pair of `_Subsets` and
-    one budget; with several groups, a product node is charged once however
-    many of the walks expand it."""
+    """The EPP check's report from one `_first_divergence` walk of the whole
+    product, or, given `groups`, one per group in order, on the part of the
+    choreography that `projection.restrict` keeps for it and the network cut
+    down to its processes.
+
+    The group walks share one budget, in which their common start, the pair
+    and each side's configuration, counts once, and each walk charges a
+    product node once however often it expands it."""
     budget = explore.Budget(state_budget)
-    chor = _Subsets(cc.successors(prog.procedures), (prog.main, state), budget)
-    net = _Subsets(sp.successors(compiled.procedures), (compiled.net, state), budget)
-    expanded = set() if len(groups) > 1 else None
+    chor_step = cc.successors(prog.procedures)
+    net_step = sp.successors(compiled.procedures)
+    if not groups:
+        chor = _Subsets(chor_step, (prog.main, state), budget)
+        net = _Subsets(net_step, (compiled.net, state), budget)
+        return _checked("epp-correspondence", budget, depth,
+                        lambda: _first_divergence(chor, net, depth, budget))
 
     def search() -> Optional[Witness]:
-        for group in groups:
-            found = _first_divergence(chor, net, depth, budget, group, expanded)
+        for i, group in enumerate(groups):
+            main = projection.restrict(prog.main, group)
+            cut = sp.Network({p: b for p, b in compiled.net.items() if p in group})
+            chor = _Subsets(chor_step, (main, state), budget, start_charged=i > 0)
+            net = _Subsets(net_step, (cut, state), budget, start_charged=i > 0)
+            expanded = {_START} if i > 0 else set()
+            found = _first_divergence(chor, net, depth, budget, expanded)
             if found is not None:
                 return found
         return None
@@ -654,11 +669,13 @@ def check_epp_correspondence(
     either side steps, and `states_explored` is what it was charged.
 
     Processes in different `projection.independent_groups` evolve
-    independently on both sides, so the traces agree up to the bound exactly
-    when each group's do, and the check first walks each group's labels
-    alone: the sum of the groups' spaces, not their product.  Unless those
-    walks hold, the whole product is walked afresh, under the same budget
-    limit, and its report is the check's.
+    independently on both sides.  Trace equivalence is preserved by parallel
+    composition (Milner, *Communication and Concurrency*, 1989), so the
+    traces agree up to the bound exactly when each group's do, and the check
+    first walks each group alone, on the part of the choreography and of the
+    network that it plays: the sum of the groups' spaces, not their product.
+    Unless those walks hold, the whole product is walked afresh, under the
+    same budget limit, and its report is the check's.
     """
     compiled = projection.epp(prog)
     sp.require_wf(compiled.net)
@@ -750,11 +767,11 @@ def check_implements(
     defined every run must end with the output process holding the result in
     x, and where it is undefined no run may complete within the bound.
     """
-    cc.require_wf(prog)
+    names = cc.require_wf(prog)
     budget = explore.Budget(state_budget)
     return _checked("implements", budget, bound, lambda: _implements_verdict(
         table, inputs, output, bound, budget, cc.successors(prog.procedures), prog.main,
-        lambda term: term == cc.End(), cc.process_names(prog),
+        lambda term: term == cc.End(), names,
     ))
 
 

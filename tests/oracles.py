@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 
-from chorkit import amendment, cc, projection, sp, verifier
+from chorkit import amendment, cc, explore, projection, sp, verifier
 from chorkit.verifier import (
     COUNTEREXAMPLE,
     DEFAULT_DEPTH,
@@ -624,6 +624,104 @@ def epp_by_traces(
     return Report("epp-correspondence", HOLDS, None, stats)
 
 
+def _divergence_by_label_filter(
+    chor: verifier._Subsets,
+    net: verifier._Subsets,
+    depth: int,
+    budget,
+    group: frozenset | None = None,
+    expanded: set | None = None,
+) -> Witness | None:
+    """`verifier._first_divergence` on the whole configurations of both
+    sides, following only the labels of `group`'s processes when it is
+    given, and charging each product node in `expanded` once."""
+
+    def mine(t: cc.TransitionLabel) -> bool:
+        # A label's processes are all in one group.
+        return not group.isdisjoint(cc.label_processes(t))
+
+    def witness(path, cfg, note: str) -> Witness:
+        trace = []
+        while path is not None:
+            t, path = path
+            trace.append(t)
+        return Witness(tuple(reversed(trace)), cfg[0], cfg[1], note)
+
+    done: dict = {}
+    net_only = None
+    stack = [((0,), (0,), depth, None, False)]
+    while stack:
+        cs, ns, r, path, leaving = stack.pop()
+        if leaving:
+            done[(cs, ns)] = r
+            continue
+        if not ns:
+            return witness(
+                path, chor.cfgs[cs[0]], "choreography trace missing from the projection"
+            )
+        if not cs:
+            if net_only is None:
+                net_only = witness(
+                    path, net.cfgs[ns[0]], "projection trace missing from the choreography"
+                )
+            continue
+        if r == 0 or done.get((cs, ns), -1) >= r:
+            continue
+        if expanded is None:
+            budget.charge()
+        elif (cs, ns) not in expanded:
+            expanded.add((cs, ns))
+            budget.charge()
+        stack.append((cs, ns, r, None, True))
+        c_succ = chor.succ(cs)
+        n_succ = net.succ(ns)
+        if group is not None:
+            c_succ = {t: js for t, js in c_succ.items() if mine(t)}
+            n_succ = {t: js for t, js in n_succ.items() if mine(t)}
+        labels = sorted(c_succ.keys() | n_succ.keys(), key=cc.label_key, reverse=True)
+        for t in labels:
+            stack.append((c_succ.get(t, ()), n_succ.get(t, ()), r - 1, (t, path), False))
+    return net_only
+
+
+def epp_by_label_filter(
+    prog: cc.ChorProgram,
+    state: cc.State | None = None,
+    depth: int = DEFAULT_DEPTH,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> Report:
+    """The EPP check with each of the `projection.independent_groups` walked
+    on the whole program: every group's walk steps whole configurations on
+    both sides, over one pair of `verifier._Subsets` all the walks share, and
+    drops the labels of the other groups.  A product node is charged once
+    however many walks expand it.  Unless the group walks hold, the whole
+    product is walked afresh and its report is the check's."""
+    compiled = projection.epp(prog)
+    sp.require_wf(compiled.net)
+    state = state if state is not None else cc.State()
+    groups = projection.independent_groups(prog, compiled)
+
+    def walk(groups, expanded) -> Report:
+        budget = explore.Budget(state_budget)
+        chor = verifier._Subsets(cc.successors(prog.procedures), (prog.main, state), budget)
+        net = verifier._Subsets(sp.successors(compiled.procedures), (compiled.net, state), budget)
+
+        def search() -> Witness | None:
+            for group in groups:
+                found = _divergence_by_label_filter(chor, net, depth, budget, group, expanded)
+                if found is not None:
+                    return found
+            return None
+
+        return verifier._checked("epp-correspondence", budget, depth, search)
+
+    if groups:
+        report = walk(groups, set())
+        if report.holds:
+            return report
+    return walk([None], None)
+
+
 # ---------------------------------------------------------------------------
 # Projection and amendment without the projection memo: every call projects
 # its whole term again, and merging never short-cuts on identical behaviours.
@@ -712,7 +810,11 @@ def _blame(defs, c: cc.Choreography, r: cc.Pid):
         return exc.args[0]
 
 
-def project_failures(prog: cc.ChorProgram) -> list[projection.ProjectionFailure]:
+def project_failures(
+    prog: cc.ChorProgram, names: frozenset | None = None
+) -> list[projection.ProjectionFailure]:
+    """`projection.project_failures`, which lists the processes itself
+    whatever `names` says."""
     failures = []
     for p in sorted(cc.process_names(prog)):
         term = _blame(prog.procedures, prog.main, p)
@@ -794,7 +896,7 @@ def amend_program(prog: cc.ChorProgram) -> cc.ChorProgram:
     problems = cc.wf_violations(prog)
     if problems:
         raise cc.IllFormedError("; ".join(problems))
-    pids = amendment.amend_pids(prog)
+    pids = sorted(cc.process_names(prog))
     defs = {
         name: cc.Procedure(proc.pids, _amend(prog.procedures, pids, proc.body))
         for name, proc in prog.procedures.items()
@@ -805,7 +907,7 @@ def amend_program(prog: cc.ChorProgram) -> cc.ChorProgram:
 def max_insertions(prog: cc.ChorProgram) -> int:
     """The most selections `_amend` inserts at one conditional of the program,
     in `main` or a procedure body."""
-    pids = amendment.amend_pids(prog)
+    pids = sorted(cc.process_names(prog))
 
     def most(c: cc.Choreography) -> int:
         if isinstance(c, cc.Prefix):

@@ -178,7 +178,7 @@ def test_criterion_06_amendment_correspondence_suite():
 def test_criterion_07_amendment_syntactic_suite():
     failures = []
     for name, prog in _full_corpus():
-        pids = amendment.amend_pids(prog)
+        pids = sorted(cc.process_names(prog))
         repaired = amendment.amend_program(prog)
         memo: projection.Memo = {}
         defs = repaired.procedures

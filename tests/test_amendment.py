@@ -181,14 +181,14 @@ def _corpus_programs():
 
 def test_amend_preserves_well_formedness():
     for prog in _corpus_programs():
-        amended = amend(prog.procedures, amendment.amend_pids(prog), prog.main)
+        amended = amend(prog.procedures, sorted(cc.process_names(prog)), prog.main)
         assert not cc.wf_violations(cc.ChorProgram(prog.procedures, amended))
         assert not cc.wf_violations(amend_program(prog))
 
 
 def test_amend_output_is_projectable_for_all_covered_processes():
     for prog in _corpus_programs():
-        pids = amendment.amend_pids(prog)
+        pids = sorted(cc.process_names(prog))
         repaired = amend_program(prog)
         defs, memo = repaired.procedures, {}
         for c in [repaired.main, *(proc.body for proc in defs.values())]:

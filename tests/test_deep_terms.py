@@ -57,7 +57,9 @@ def test_a_5000_interaction_line():
         failures = projection.project_failures(prog)
         network = projection.epp(prog)
         amended = amendment.amend_program(prog)
+        restricted = projection.restrict(prog.main, names)
     assert (problems, names, failures) == ([], frozenset("abcd"), [])
+    assert restricted is prog.main
     # Each process of the ring takes part in two of every four interactions.
     assert {p: _actions(network.net.get(p)) for p in "abcd"} == dict.fromkeys("abcd", 2500)
     assert amended.main is prog.main
@@ -150,6 +152,7 @@ prog = cc.ChorProgram({}, c)
 print(cc.wf_violations(prog), sorted(cc.process_names(prog)))
 print(projection.project_failures(prog), projection.epp(prog).net.get("r"))
 print(amendment.amend_program(prog).main is c)
+print(projection.restrict(c, frozenset("pqr")) is c, projection.restrict(c, frozenset("s")))
 """
 
 
@@ -166,6 +169,7 @@ def test_a_shared_tower_of_40_chor_conditionals():
         "[] ['p', 'q', 'r']",
         "[] Recv(src='q', var='y', cont=End())",
         "True",
+        "True End()",
     ]
 
 

@@ -552,6 +552,55 @@ def test_holds_counts_never_exceed_the_whole_walks():
             assert _agrees_with_the_whole_walk(_pairs(k), depth).holds
 
 
+def _agrees_with_label_filtering(prog, depth) -> None:
+    """The check's report is the label-filtering walk's, byte for byte, at
+    an unlimited budget and at every budget up to one over its count."""
+    got = verifier.check_epp_correspondence(prog, State(), depth, math.inf)
+    assert got.to_dict() == oracles.epp_by_label_filter(prog, State(), depth, math.inf).to_dict()
+    for budget in range(got.stats.states_explored + 2):
+        report = verifier.check_epp_correspondence(prog, State(), depth, budget)
+        oracle = oracles.epp_by_label_filter(prog, State(), depth, budget)
+        assert report.to_dict() == oracle.to_dict(), budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(_disjoint_unions(), st.sampled_from([6, 5, 4, 3, 2, 1, 0]),
+       st.sampled_from([None, *EDITS]), st.integers(0, 1))
+def test_restricted_group_walks_agree_with_label_filtering(prog, depth, edit, n):
+    with pytest.MonkeyPatch.context() as m:
+        if edit is not None:
+            _patch_epp(m, _nth(*EDITS[edit], n))
+        try:
+            _agrees_with_label_filtering(prog, depth)
+        except sp.IllFormedNetworkError:
+            assert edit is not None
+            with pytest.raises(sp.IllFormedNetworkError):
+                oracles.epp_by_label_filter(prog, State(), depth)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_restricted_pair_walks_agree_with_label_filtering(k):
+    for depth in (0, 1, 4, 6, 3 * k + 1):
+        _agrees_with_label_filtering(_pairs(k), depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_disjoint_unions())
+def test_restrict_keeps_the_traces_of_its_group(prog):
+    # The traces of a group's restriction, up to depth 4, are the program's
+    # traces whose labels all involve the group, reaching the same stores.
+    groups = projection.independent_groups(prog, projection.epp(prog))
+    assert len(groups) >= 2
+    whole = cc.traces({}, prog.main, State(), 4)
+    for group in groups:
+        part = projection.restrict(prog.main, group)
+        assert {(tl, s) for tl, _, s in cc.traces({}, part, State(), 4)} == {
+            (tl, s) for tl, _, s in whole
+            if all(not group.isdisjoint(cc.label_processes(t)) for t in tl)
+        }
+    assert projection.restrict(prog.main, frozenset().union(*groups)) is prog.main
+
+
 def test_groups_follow_interactions_conditionals_and_the_network(monkeypatch):
     parallel = ChorProgram({}, _seq([Com("o1", Lit(0), "p1", "x"), Com("o2", Lit(0), "p2", "y")]))
     assert projection.independent_groups(parallel, projection.epp(parallel)) == [
