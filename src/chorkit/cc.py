@@ -9,7 +9,6 @@ earlier ones (the delay rules), which gives choreographies genuine concurrency.
 from __future__ import annotations
 
 import sys
-import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cache
@@ -62,8 +61,9 @@ class _Node:
         return f"{type(self).__qualname__}({fields})"
 
 
-# The intern table of every hash-consed class: (class, *field values) to a
-# weak reference to the node.  A dead entry stays until `_sweep` drops it.
+# The intern table of every hash-consed class: (class, *field values) to the
+# node.  The table holds its nodes, so an entry stays until `_sweep` finds that
+# nothing else does.
 _TABLE: dict = {}
 _SWEEP_MIN = 256
 _SWEEP_GROWTH = 1.125
@@ -73,22 +73,22 @@ _sweep_at = [_SWEEP_MIN]
 
 
 def _sweep() -> None:
-    """Drop the dead entries of the intern table, newest first.
+    """Drop the entries whose node nothing outside the table holds, newest
+    first.
 
-    A dead entry's key holds its children, and children are interned before
-    their parents (a dead entry found by a constructor is deleted before its
-    new node goes in).  So dropping a parent's entry frees the children it
-    alone held before they are visited, and one pass frees a whole dead term.
-    Keys are popped off their list as they are visited, so the list does not
-    keep them alive, and each key's reference is popped off a list beside it,
-    so a live entry is not looked up.
+    Such a node has two references while it is tested: the table's and the
+    argument's.  Dropping its entry frees the node, and its key once the next
+    key is popped; both hold the node's children, which are interned before
+    their parents and so are tested later.  So one pass frees a whole dropped
+    term.  Keys and nodes are popped off their lists as they are visited, so
+    the lists do not keep them alive, and a node is not looked up.
     """
     table = _TABLE
-    keys, refs = list(table), list(table.values())
-    pop_key, pop_ref = keys.pop, refs.pop
+    keys, nodes = list(table), list(table.values())
+    pop_key, pop_node, refcount = keys.pop, nodes.pop, sys.getrefcount
     while keys:
         key = pop_key()
-        if pop_ref()() is None:
+        if refcount(pop_node()) == 2:
             del table[key]
     _sweep_at[0] = max(_SWEEP_MIN, int(len(table) * _SWEEP_GROWTH))
 
@@ -99,14 +99,11 @@ def _sweep() -> None:
 _NODE_TEMPLATE = """
 def __new__(cls, {params}):
     args = (cls, {params})
-    ref = get(args)
-    if ref is not None:
-        node = ref()
-        if node is not None:
-            return node
-        del table[args]
+    node = get(args)
+    if node is not None:
+        return node
     node = new(cls)
-{assign}    table[args] = Ref(node)
+{assign}    table[args] = node
     if len(table) > sweep_at[0]:
         sweep()
     return node
@@ -132,12 +129,11 @@ def _node(cls=None, *, key=None):
 
     The class becomes a frozen, slotted dataclass whose constructor looks the
     class and its field values up in `_TABLE`, shared by every class, and
-    returns the live node found there.  Structurally equal nodes are
-    therefore the same object, and `==` and `hash` are the identity defaults.
-    The table maps each key to a plain weak reference, with no callback on
-    the node's death: a constructor that finds a dead entry replaces it, and
-    `_sweep` drops the others once the table outgrows the live size the last
-    sweep left by `_SWEEP_GROWTH`.
+    returns the node found there.  Structurally equal nodes are therefore the
+    same object, and `==` and `hash` are the identity defaults.  The table
+    holds its nodes: `_sweep` drops those that nothing else holds once the
+    table outgrows the size the last sweep left by `_SWEEP_GROWTH`, so a
+    dropped node is found again, as the same object, until then.
 
     `dataclass` is asked only for the field metadata (`fields`, `replace`,
     `__match_args__`): the constructor is `_constructor`'s code bound to the
@@ -163,7 +159,6 @@ def _node(cls=None, *, key=None):
         "get": _TABLE.get,
         "table": _TABLE,
         "new": object.__new__,
-        "Ref": weakref.ref,
         "sweep_at": _sweep_at,
         "sweep": _sweep,
         "key": key,

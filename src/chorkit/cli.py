@@ -126,7 +126,30 @@ def _print_report(report, as_json: bool) -> int:
 
 
 def _one_line(term: cc.Choreography, limit: int = 72) -> str:
-    text = " ".join(syntax.render_chor(term).split())
+    """`syntax.render_chor(term)` on one line, cut to `limit` characters.
+
+    Only the words the cut keeps are rendered, walking `term` with an
+    explicit stack, so a deep term needs no recursion.
+    """
+    words: list[str] = []
+    size = -1
+    stack: list = [term]
+    while stack and size <= limit:
+        top = stack.pop()
+        if isinstance(top, str):
+            piece = top
+        elif isinstance(top, cc.Prefix):
+            piece = syntax.render_eta(top.action) + ";"
+            stack.append(top.cont)
+        elif isinstance(top, cc.Cond):
+            piece = f"if {top.pid}.{syntax.render_bexpr(top.guard)} then {{"
+            stack += ["}", top.else_c, "} else {", top.then_c]
+        else:  # end or a call
+            piece = syntax.render_chor(top)
+        for word in piece.split():
+            words.append(word)
+            size += len(word) + 1
+    text = " ".join(words)
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 

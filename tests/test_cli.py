@@ -10,7 +10,7 @@ import pytest
 
 import corpus
 from chorkit import cc, syntax
-from chorkit.cli import main
+from chorkit.cli import _one_line, main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -348,6 +348,38 @@ def test_verify_epp_of_a_3000_interaction_line_ending_in_a_call_succeeds(tmp_pat
         "check: epp-correspondence\nverdict: holds-within-bound\n"
         "stats: 18 states explored, max depth 6\n"
     )
+
+
+def _blamed_line(n: int) -> str:
+    """A conditional that q and r cannot tell apart: n interactions between
+    them in one branch, none in the other."""
+    steps = " ".join(f"q.{i} -> r.x;" for i in range(n))
+    return f"main = if p.x == 0 then {{ {steps} end }} else {{ end }}\n"
+
+
+@pytest.mark.parametrize("n", [300, 1200])
+@pytest.mark.parametrize("command", [["check"], ["project"], ["verify", "epp"]])
+def test_a_deep_blamed_term_is_named_on_one_cut_line(tmp_path, capsys, command, n):
+    # Only the words that the cut keeps are rendered, so the blamed term's
+    # depth does not matter.
+    src = tmp_path / "deep.chor"
+    src.write_text(_blamed_line(n), encoding="utf-8")
+    code = main([*command, str(src)])
+    captured = capsys.readouterr()
+    term = "if p.x == 0 then { q.0 -> r.x; q.1 -> r.x; q.2 -> r.x; q.3 -> r.x; q...."
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "".join(f"cannot project for {p} (in main): {term}\n" for p in "qr")
+
+
+def test_a_term_on_one_line_is_its_whole_rendering_cut():
+    programs = [prog for _, prog in corpus.named_corpus()]
+    programs += corpus.random_programs(20260808, 50)
+    for prog in programs:
+        for term in (prog.main, *(proc.body for proc in prog.procedures.values())):
+            whole = " ".join(syntax.render_chor(term).split())
+            for limit in (10, 40, 72, 1000):
+                want = whole if len(whole) <= limit else whole[: limit - 3] + "..."
+                assert _one_line(term, limit) == want
 
 
 @pytest.mark.parametrize("text,command", [

@@ -1,6 +1,6 @@
 """Hash-consed terms: sharing, unchanged repr, a sort key that orders terms
-exactly as their repr strings do, and an intern table whose sweeps free dead
-terms whole.
+exactly as their repr strings do, and an intern table that holds its nodes
+and whose sweeps free dropped terms whole, and only those.
 
 Also checks that the projection memo leaves the CLI's output unchanged: the
 memo-free projection and amendment in `oracles` must print the same.
@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import sys
 import weakref
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import corpus
 import oracles
 from test_cli import _run_on_samples, _sample_commands
-from chorkit import amendment, cc, projection, sp, syntax
+from chorkit import amendment, cc, projection, sp, syntax, verifier
 from chorkit.cc import (
     BoolLit,
     Call,
@@ -394,7 +395,10 @@ def _nodes(term) -> list:
 
 
 def _dead_entries() -> int:
-    return sum(ref() is None for ref in cc._TABLE.values())
+    """The entries whose node only the table holds.  In this loop such a node
+    has three references: the table's, the loop variable's and the
+    argument's."""
+    return sum(sys.getrefcount(node) == 3 for node in cc._TABLE.values())
 
 
 def _assert_children_come_first() -> None:
@@ -419,10 +423,12 @@ def test_one_sweep_frees_dropped_deep_terms():
     built = len(cc._TABLE)
     roots = [weakref.ref(t) for t in (line.main, chain.main, amended, network.get("a"))]
     del line, chain, network, amended
-    assert [r() for r in roots] == [None] * 4
+    # The table holds the dropped terms until the next sweep.
+    assert None not in [r() for r in roots]
     cc._sweep()
+    assert [r() for r in roots] == [None] * 4
     # A sweep that held the keys it visited would leave their children's
-    # entries behind, dead.
+    # entries behind, held by the table alone.
     assert _dead_entries() == 0
     assert len(cc._TABLE) <= before < built - 10_000
 
@@ -450,26 +456,104 @@ def test_the_table_stays_bounded_over_many_dropped_programs():
     _assert_children_come_first()
 
 
-def test_a_dead_entry_found_again_goes_in_after_its_children():
+def test_a_dropped_node_is_found_again_until_a_sweep():
     cc._sweep()  # leaves room for the nodes below without another sweep
     action = Com("p", Lit(515151), "q", "again")
     key = (Prefix, action, End())
-    Prefix(action, End())  # dies at once; its entry stays
-    assert cc._TABLE[key]() is None
+    dropped = weakref.ref(Prefix(action, End()))  # only the table holds it
+    assert cc._TABLE[key] is dropped() is Prefix(action, End())
+    cc._sweep()
+    assert dropped() is None and key not in cc._TABLE
     newer = Lit(616161)
     again = Prefix(action, End())
     order = list(cc._TABLE)
-    # The entry moved from its old slot, before `newer`'s, to the end.
+    # The new entry goes in last, after `newer`'s and its children's.
     assert order.index((Lit, newer.value)) < order.index(key) == len(order) - 1
-    assert cc._TABLE[key]() is again
+    assert cc._TABLE[key] is again
     _assert_children_come_first()
+
+
+def _by_local(node):
+    return node
+
+
+def _by_list(node):
+    return [node]
+
+
+def _by_field(node):
+    # A node built outside the table, so that only its slot holds `node`.
+    parent = object.__new__(Prefix)
+    Prefix.__dict__["action"].__set__(parent, node)
+    Prefix.__dict__["cont"].__set__(parent, End())
+    return parent
+
+
+def _by_key(node):
+    # A live entry whose node's slot no longer holds `node`: only the entry's
+    # key does.  The slot is put back after the sweep.
+    parent = Prefix(node, End())
+    Prefix.__dict__["action"].__delete__(parent)
+    return parent
+
+
+@pytest.mark.parametrize("hold", [_by_local, _by_list, _by_field, _by_key])
+def test_a_node_held_outside_the_table_survives_a_sweep(hold):
+    name = hold.__name__
+    node = Com("p", Lit(717171), "q", name)
+    holder = hold(node)
+    alive = weakref.ref(node)
+    del node
+    cc._sweep()
+    assert alive() is not None
+    assert Com("p", Lit(717171), "q", name) is alive()
+    if hold is _by_key:
+        Prefix.__dict__["action"].__set__(holder, alive())
+        assert Prefix(alive(), End()) is holder
+
+
+def test_a_node_held_only_by_a_weak_reference_is_freed():
+    alive = weakref.ref(Com("p", Lit(818181), "q", "weak"))
+    assert alive() is not None
+    cc._sweep()
+    assert alive() is None
+
+
+def _outcomes(progs) -> list:
+    """What amendment, projection and the three checks make of each program,
+    as text and dicts, which hold no node."""
+    out = []
+    for prog in progs:
+        amended = amendment.amend_program(prog)
+        out.append(syntax.render_program(amended))
+        out.append(repr(sorted(projection.epp(amended).net.items())))
+        out.append(verifier.check_amend_complete(prog, State(), 4).to_dict())
+        out.append(verifier.check_amend_sound(prog, State(), 4).to_dict())
+        out.append(verifier.check_epp_correspondence(amended, State(), 4).to_dict())
+    return out
+
+
+def test_outcomes_do_not_change_when_every_new_node_sweeps(monkeypatch):
+    progs = [
+        syntax.parse_source((SAMPLES / f"{name}.chor").read_text(encoding="utf-8")).to_program()
+        for name in ("delayed_choice", "blocked_selection", "purchase_safe", "procedure_demo")
+    ]
+    plain = _outcomes(progs)
+    # Every constructor that adds an entry then sweeps the table.
+    monkeypatch.setattr(cc, "_SWEEP_GROWTH", 1.0)
+    monkeypatch.setattr(cc, "_SWEEP_MIN", 0)
+    cc._sweep()
+    dropped = weakref.ref(Com("p", Lit(919191), "q", "swept"))
+    assert _outcomes(progs) == plain
+    assert dropped() is None  # a new node swept the table
 
 
 def test_cli_outputs_do_not_depend_on_node_addresses(capsys):
     commands = _sample_commands()
     first = [_run_on_samples(command, capsys) for command in commands]
-    # The nodes of the first run die, so the second run builds its terms
-    # anew, at other addresses, and sets of nodes iterate in another order.
+    # The sweep frees the nodes of the first run, so the second run builds its
+    # terms anew, at other addresses, and sets of nodes iterate in another
+    # order.
     big = projection.epp(_line(3000))
     del big
     cc._sweep()
