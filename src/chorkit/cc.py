@@ -46,8 +46,8 @@ class _Node:
 
     __slots__ = ()
 
-    # The messages of a frozen dataclass.  Constructors and `sort_key` write
-    # slots through their descriptors or `object.__setattr__`.
+    # The messages of a frozen dataclass.  Constructors write slots through
+    # their descriptors.
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -140,8 +140,8 @@ def _node(cls=None, *, key=None):
     table and the class's slots, and `_Node` gives the repr and makes
     instances frozen.
 
-    A node's sort key is `sort_key`'s structural one, unless `key` is given:
-    then it is `key` called with the field values, when the node is created.
+    Given `key`, a node also has a `_key` slot, which its constructor fills
+    with `key` called with the field values; labels are ordered by it.
     """
     if cls is None:
         return lambda c: _node(c, key=key)
@@ -149,7 +149,7 @@ def _node(cls=None, *, key=None):
     ns = dict(cls.__dict__)
     ns.pop("__dict__", None)
     ns.pop("__weakref__", None)
-    ns["__slots__"] = names + ("_key", "__weakref__")
+    ns["__slots__"] = names + (("_key",) if key is not None else ()) + ("__weakref__",)
     qualname = cls.__qualname__
     cls = type(cls)(cls.__name__, (_Node,), ns)
     cls.__qualname__ = qualname
@@ -162,10 +162,11 @@ def _node(cls=None, *, key=None):
         "sweep_at": _sweep_at,
         "sweep": _sweep,
         "key": key,
-        # Fields are written through their slot descriptors, under the frozen
-        # __setattr__.
-        "set_key": cls.__dict__["_key"].__set__,
     }
+    if key is not None:
+        env["set_key"] = cls.__dict__["_key"].__set__
+    # Fields are written through their slot descriptors, under the frozen
+    # __setattr__.
     for i, n in enumerate(names):
         env[f"set{i}"] = cls.__dict__[n].__set__
     code = _constructor(len(names), key is not None)
@@ -173,45 +174,6 @@ def _node(cls=None, *, key=None):
     code = code.replace(co_varnames=tuple(renamed.get(v, v) for v in code.co_varnames))
     cls.__new__ = FunctionType(code, env)
     return cls
-
-
-# None shares a field with nodes (a missing offer option), so its key is a
-# tuple too, and compares as its repr "None" does against a node's class name.
-_NONE_KEY = ("None",)
-
-
-def _field_key(value: object) -> object:
-    if isinstance(value, _Node):
-        return value._key
-    # Equal reprs share one string.
-    return _NONE_KEY if value is None else sys.intern(repr(value))
-
-
-def sort_key(node: _Node) -> tuple:
-    """The node's sort key: by default its class name followed, per field, by
-    the child node's key or the `repr` of a leaf value.  This orders nodes
-    exactly as their `repr` strings do (no class name is a prefix of another).
-
-    Computed once, on first use, and stored on the node: terms that are never
-    ordered carry no key.  Children are keyed bottom-up with an explicit
-    stack, so deep terms need no recursion.
-    """
-    try:
-        return node._key
-    except AttributeError:
-        pass
-    stack = [node]
-    while stack:
-        top = stack[-1]
-        values = [getattr(top, n) for n in top.__match_args__]
-        todo = [v for v in values if isinstance(v, _Node) and not hasattr(v, "_key")]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        if not hasattr(top, "_key"):
-            object.__setattr__(top, "_key", (type(top).__name__, *map(_field_key, values)))
-    return node._key
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +421,7 @@ def state_text(s: State) -> str:
 # Transition labels
 
 
-# Labels are keyed when made, in the order `label_key` documents rather than
-# in repr order.
+# Labels are keyed when made, in the order `label_key` documents.
 
 
 @_node(key=lambda sender, value, receiver: (0, sender, receiver, value))
@@ -472,8 +433,8 @@ class CommEvent:
     receiver: Pid
 
     def __repr__(self) -> str:
-        # The dataclass repr, with a value of any size: witnesses are chosen
-        # by the repr of their traces.
+        # The dataclass repr, for a value of any size too: a run can take
+        # successors of a literal past the digits `repr` of an int allows.
         return (
             f"CommEvent(sender={self.sender!r}, value={nat_text(self.value)}, "
             f"receiver={self.receiver!r})"

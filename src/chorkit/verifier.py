@@ -95,11 +95,10 @@ class _Ranks:
     a sorted tuple of ranks, so its selections come first and the rest of it
     starts at the first rank of at least 0."""
 
-    __slots__ = ("of", "labels", "sels")
+    __slots__ = ("of", "sels")
 
     def __init__(self) -> None:
         self.of: dict = {}
-        self.labels: dict = {}
         self.sels = 0
 
     def add(self, mk: MultisetKey, t: cc.TransitionLabel) -> MultisetKey:
@@ -112,19 +111,9 @@ class _Ranks:
             else:
                 r = len(self.of) - self.sels
             self.of[t] = r
-            self.labels[r] = t
         out = list(mk)
         insort(out, r)
         return tuple(out)
-
-    def decode(self, mk: MultisetKey) -> tuple:
-        """The labels of `mk` in `cc.label_key` order."""
-        return tuple(sorted((self.labels[r] for r in mk), key=cc.label_key))
-
-    def first(self, entries: Iterable[tuple[MultisetKey, tuple]]) -> tuple:
-        """The first (multiset, trace) entry in the order of the `repr` of its
-        decoded form, which is how witnesses have always been chosen."""
-        return min(entries, key=lambda e: repr((self.decode(e[0]), e[1])))
 
 
 def _level(mk: MultisetKey) -> int:
@@ -172,11 +161,6 @@ def _reach(
     """
     found, _, _ = explore.bfs(space, start, depth, budget, ranks.add)
     return found
-
-
-def _cfg_key(cfg) -> tuple:
-    term, state = cfg
-    return (cc.sort_key(term), state.items())
 
 
 def _deletes_to(
@@ -268,12 +252,12 @@ def check_naive_correspondence(
     def search() -> Optional[Witness]:
         orig = sides.reach(sides.orig, sides.orig_start, depth)
         amended = sides.reach(sides.amended, sides.amended_start, depth_a)
-        for cfg in sorted(orig, key=_cfg_key):
+        for cfg, entries in orig.items():
             index = _index(amended.get(sides.amend_cfg(cfg), ()))
-            missed = [e for e in orig[cfg].items() if _split(e[0])[0] not in index]
+            missed = [e for e in entries.items() if _split(e[0])[0] not in index]
             if missed:
                 return Witness(
-                    sides.ranks.first(missed)[1],
+                    missed[0][1],
                     *cfg,
                     "the amended program cannot reach the amendment of "
                     "this configuration with the same non-selection events",
@@ -306,10 +290,10 @@ def _unmatched(
     sides: _Sides, reached: dict, extend_in: explore.Space, bound: int,
     grow_other, index_of, fits, note: str,
 ) -> Optional[Witness]:
-    """A witness for the first configuration of `reached`, in `_cfg_key`
-    order, with (multiset, trace) entries that no extension in `extend_in`
-    of at most `bound` steps gets matched (`_matched`): the first of them by
-    `_Ranks.first`, with `note`.
+    """A witness for the first configuration of `reached`, in the order the
+    search reached them, with (multiset, trace) entries that no extension in
+    `extend_in` of at most `bound` steps gets matched (`_matched`): the first
+    of them in the order they were found, with `note`.
 
     Matching only gains from deeper searches, so extensions are tried one
     level at a time, `grow_other(k)` growing the other side to what a level-k
@@ -320,9 +304,9 @@ def _unmatched(
     what one search to the bound would do.
     """
     grow_other(0)
-    for cfg in sorted(reached, key=_cfg_key):
+    for cfg, entries in reached.items():
         empty = ((cfg, (), ()),)
-        pending = [e for e in reached[cfg].items() if not _matched(e[0], empty, index_of, fits)]
+        pending = [e for e in entries.items() if not _matched(e[0], empty, index_of, fits)]
         if pending and bound:
             extensions = sides.search(extend_in, cfg)
             for k in range(1, bound + 1):
@@ -334,7 +318,7 @@ def _unmatched(
                 if not pending:
                     break
         if pending:
-            return Witness(sides.ranks.first(pending)[1], *cfg, note)
+            return Witness(pending[0][1], *cfg, note)
     return None
 
 

@@ -316,19 +316,21 @@ def steps(defs, c: cc.Choreography, s: cc.State) -> list:
 
 
 def transition_key(tr) -> tuple:
-    """A total order on transitions: the label's key, then the structural
-    key of the successor term, then the successor store's sorted items."""
-    t, c, s = tr
-    return (cc.label_key(t), cc.sort_key(c), s.items())
+    """The order of one configuration's transitions: by label alone."""
+    return cc.label_key(tr[0])
 
 
 def successors(defs):
     """`cc.successors` over the memo-free `steps`, deduplicated and ordered
-    by the full `transition_key`."""
+    by `transition_key`, after asserting what makes that order total: the
+    labels of one configuration's transitions are pairwise distinct."""
 
     def step(cfg) -> tuple:
         c, s = cfg
-        moves = sorted(set(steps(defs, c, s)), key=transition_key)
+        moves = set(steps(defs, c, s))
+        labels = [t for t, _, _ in moves]
+        assert len(set(labels)) == len(labels), cfg
+        moves = sorted(moves, key=transition_key)
         return tuple((t, (c2, s2)) for t, c2, s2 in moves)
 
     return step
@@ -384,6 +386,12 @@ def is_selection_expansion(base, expanded) -> bool:
     return all(cc.is_selection(t) for t in extra)
 
 
+def failing(entries, fails) -> list:
+    """The traces of the (multiset, trace) `entries` whose multiset `fails`,
+    in order; a witness is the first of them."""
+    return [rep for mk, rep in entries if fails(mk)]
+
+
 class AmendedView(amendment.Amendment):
     """`amendment.Amendment` with no cache shared across terms: each distinct
     term is amended in one call of its own."""
@@ -414,26 +422,28 @@ def naive_correspondence(
         orig = reach(orig_space, (prog.main, state), depth, budget)
         amended_space = Space(successors(view.procedures))
         amended = reach(amended_space, (view.main, state), depth_a, budget)
-        for cfg in sorted(orig, key=verifier._cfg_key):
+        for cfg in orig:
             c1, s1 = cfg
             target = (view.term(c1), s1)
             candidates = amended.get(target, {})
-            for mk, rep in sorted(orig[cfg].items(), key=repr):
-                want = nonsel(mk)
-                if not any(nonsel(amk) == want for amk in candidates):
-                    stats.states_explored = budget.used
-                    return Report(
-                        "naive-correspondence",
-                        COUNTEREXAMPLE,
-                        Witness(
-                            rep,
-                            c1,
-                            s1,
-                            "the amended program cannot reach the amendment of "
-                            "this configuration with the same non-selection events",
-                        ),
-                        stats,
-                    )
+            failed = failing(
+                orig[cfg].items(),
+                lambda mk: not any(nonsel(amk) == nonsel(mk) for amk in candidates),
+            )
+            if failed:
+                stats.states_explored = budget.used
+                return Report(
+                    "naive-correspondence",
+                    COUNTEREXAMPLE,
+                    Witness(
+                        failed[0],
+                        c1,
+                        s1,
+                        "the amended program cannot reach the amendment of "
+                        "this configuration with the same non-selection events",
+                    ),
+                    stats,
+                )
     except cc.BudgetExceeded:
         stats.states_explored = budget.used
         return Report("naive-correspondence", EXHAUSTED, None, stats)
@@ -462,13 +472,13 @@ def amend_complete(
         orig = reach(orig_space, (prog.main, state), depth, budget)
         amended = reach(amended_space, (view.main, state), depth_a, budget)
         ext_cache: dict = {}
-        for cfg in sorted(orig, key=verifier._cfg_key):
+        for cfg in orig:
             if cfg not in ext_cache:
                 ext_cache[cfg] = reach(orig_space, cfg, search_bound, budget)
             extensions = ext_cache[cfg]
-            for mk, rep in sorted(orig[cfg].items(), key=repr):
-                matched = False
-                for cfg2 in sorted(extensions, key=verifier._cfg_key):
+
+            def unmatched(mk) -> bool:
+                for cfg2 in extensions:
                     c2, s2 = cfg2
                     target = (view.term(c2), s2)
                     candidates = amended.get(target)
@@ -477,24 +487,24 @@ def amend_complete(
                     for emk in extensions[cfg2]:
                         full = mkey(mk + emk)
                         if any(is_selection_expansion(full, amk) for amk in candidates):
-                            matched = True
-                            break
-                    if matched:
-                        break
-                if not matched:
-                    stats.states_explored = budget.used
-                    return Report(
-                        "amend-complete",
-                        COUNTEREXAMPLE,
-                        Witness(
-                            rep,
-                            cfg[0],
-                            cfg[1],
-                            "no extension of this run is matched by the amended "
-                            "program up to extra selections and reordering",
-                        ),
-                        stats,
-                    )
+                            return False
+                return True
+
+            failed = failing(orig[cfg].items(), unmatched)
+            if failed:
+                stats.states_explored = budget.used
+                return Report(
+                    "amend-complete",
+                    COUNTEREXAMPLE,
+                    Witness(
+                        failed[0],
+                        cfg[0],
+                        cfg[1],
+                        "no extension of this run is matched by the amended "
+                        "program up to extra selections and reordering",
+                    ),
+                    stats,
+                )
     except cc.BudgetExceeded:
         stats.states_explored = budget.used
         return Report("amend-complete", EXHAUSTED, None, stats)
@@ -526,37 +536,37 @@ def amend_sound(
             index.setdefault(key, []).extend(buckets.keys())
         a_reach = reach(amended_space, (view.main, state), depth, budget)
         ext_cache: dict = {}
-        for cfg in sorted(a_reach, key=verifier._cfg_key):
+        for cfg in a_reach:
             if cfg not in ext_cache:
                 ext_cache[cfg] = reach(amended_space, cfg, e_depth, budget)
             extensions = ext_cache[cfg]
-            for mk, rep in sorted(a_reach[cfg].items(), key=repr):
-                matched = False
-                for cfg2 in sorted(extensions, key=verifier._cfg_key):
+
+            def unmatched(mk) -> bool:
+                for cfg2 in extensions:
                     originals = index.get(cfg2)
                     if not originals:
                         continue
                     for emk in extensions[cfg2]:
                         full = mkey(mk + emk)
                         if any(is_selection_expansion(omk, full) for omk in originals):
-                            matched = True
-                            break
-                    if matched:
-                        break
-                if not matched:
-                    stats.states_explored = budget.used
-                    return Report(
-                        "amend-sound",
-                        COUNTEREXAMPLE,
-                        Witness(
-                            rep,
-                            cfg[0],
-                            cfg[1],
-                            "no extension of this amended run lands on the "
-                            "amendment of a configuration the original reaches",
-                        ),
-                        stats,
-                    )
+                            return False
+                return True
+
+            failed = failing(a_reach[cfg].items(), unmatched)
+            if failed:
+                stats.states_explored = budget.used
+                return Report(
+                    "amend-sound",
+                    COUNTEREXAMPLE,
+                    Witness(
+                        failed[0],
+                        cfg[0],
+                        cfg[1],
+                        "no extension of this amended run lands on the "
+                        "amendment of a configuration the original reaches",
+                    ),
+                    stats,
+                )
     except cc.BudgetExceeded:
         stats.states_explored = budget.used
         return Report("amend-sound", EXHAUSTED, None, stats)

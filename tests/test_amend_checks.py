@@ -4,9 +4,10 @@
 were before label ranks, indexed matching, the memo of entered call bodies and
 extension searches deepened only until every run is matched: multisets are
 label tuples, matching goes through Counters, every entered call body is
-stepped afresh, every extension is searched to the full bound, and the
-entries of a configuration are tried in `repr` order.  The naive check must
-give the same `Report.to_dict()` and `text()`, exhausted runs included.
+stepped afresh, every extension is searched to the full bound, and every
+entry of a configuration is tried, in the order it was found.  The naive
+check must give the same `Report.to_dict()` and `text()`, exhausted runs
+included.
 amend-complete and amend-sound must give the same verdict, witness and
 `max_depth`, with no more states explored (see `assert_deepened`).
 """
@@ -179,7 +180,7 @@ def test_counterexamples_match_the_oracles_under_a_broken_amendment(monkeypatch,
     """The broken amendment is not compositional, so the amendment of a
     reached configuration drifts from where the amended program went: every
     check finds counterexamples, several entries of one configuration fail,
-    and the witness is the first of them in `repr` order."""
+    and the witness is the first of them in the order they were found."""
 
     amend = amendment.amend
 
@@ -188,16 +189,17 @@ def test_counterexamples_match_the_oracles_under_a_broken_amendment(monkeypatch,
         amend(defs, pids, c, None, None, inserted)
         return _break(oracles._amend(defs, pids, c), flip)
 
-    failing: list = []
-    first = verifier._Ranks.first
+    counts: list = []
+    failing = oracles.failing
 
-    def recording_first(ranks, entries):
-        entries = list(entries)
-        failing.append(len(entries))
-        return first(ranks, entries)
+    def counting_failing(entries, fails):
+        failed = failing(entries, fails)
+        if failed:
+            counts.append(len(failed))
+        return failed
 
     monkeypatch.setattr(amendment, "amend", broken_amend)
-    monkeypatch.setattr(verifier._Ranks, "first", recording_first)
+    monkeypatch.setattr(oracles, "failing", counting_failing)
     found = set()
     for name, prog in PROGRAMS:
         for depth, bound in ((4, 3), (3, 2)):
@@ -206,10 +208,11 @@ def test_counterexamples_match_the_oracles_under_a_broken_amendment(monkeypatch,
                     found.add(report["check"])
     assert {"amend-complete", "amend-sound"} <= found
     for depth, bound in ((10, 0), (10, 2), (11, 1)):
-        failing.clear()
+        counts.clear()
         reports = _same(SELECTING_LOOP, depth, bound)[0]
         assert all(r["verdict"] == verifier.COUNTEREXAMPLE for r in reports)
-        assert failing == [2, 2, 2], (depth, bound)
+        # Counted at the oracles' witnesses, which the checks' equal.
+        assert counts == [2, 2, 2], (depth, bound)
 
 
 # A line with no conditional, so amendment inserts no selection anywhere.

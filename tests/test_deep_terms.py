@@ -10,6 +10,8 @@ participant's procedure instances while it projects.  The network check
 Rendering and `projection._merge` still recurse (ROADMAP item 4).  A
 hash-consed tower of conditionals whose branches are one node goes through
 well-formedness, projection and amendment, which enter each conditional once.
+The amendment checks pick witnesses in the order they reached configurations,
+so they run at depth 1 on a 5,000-interaction line too.
 """
 
 from __future__ import annotations
@@ -209,3 +211,23 @@ def test_a_5000_interaction_line_ending_in_a_call():
         while isinstance(b, (sp.Send, sp.Recv)):
             b = b.cont
         assert b == (sp.Call(f"X@{p}") if p in "ab" else sp.End()), p
+
+
+def test_checks_at_depth_1_on_a_5000_interaction_line_ending_apart():
+    """A line of `p -> q` interactions ending in `r.0 -> s.y`, which can fire
+    first.  The start and the configuration it reaches differ only at the
+    bottom of the line, and a witness is picked in the order configurations
+    were reached, so no check compares the two."""
+    c = cc.Prefix(cc.Com("r", cc.Lit(0), "s", "y"), cc.End())
+    for i in reversed(range(5000)):
+        c = cc.Prefix(cc.Com("p", cc.Lit(i % 10), "q", "x"), c)
+    prog = cc.ChorProgram({}, c)
+    checks = (
+        verifier.check_naive_correspondence,
+        verifier.check_amend_complete,
+        verifier.check_amend_sound,
+        verifier.check_intermediate_formulation,
+    )
+    with recursion_limit(DEFAULT_LIMIT):
+        reports = [check(prog, cc.State(), 1) for check in checks]
+    assert [r.verdict for r in reports] == [verifier.HOLDS] * 4

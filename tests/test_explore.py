@@ -100,8 +100,9 @@ def _reach_as_labels(step, start, depth: int, budget) -> dict:
     tuples in `cc.label_key` order, the oracle's keys."""
     ranks = verifier._Ranks()
     found = verifier._reach(explore.Space(step), start, depth, budget, ranks)
+    label = {r: t for t, r in ranks.of.items()}
     return {
-        cfg: {ranks.decode(mk): trace for mk, trace in bucket.items()}
+        cfg: {oracles.mkey(label[r] for r in mk): trace for mk, trace in bucket.items()}
         for cfg, bucket in found.items()
     }
 

@@ -1,6 +1,5 @@
-"""Hash-consed terms: sharing, unchanged repr, a sort key that orders terms
-exactly as their repr strings do, and an intern table that holds its nodes
-and whose sweeps free dropped terms whole, and only those.
+"""Hash-consed terms: sharing, unchanged repr, and an intern table that holds
+its nodes and whose sweeps free dropped terms whole, and only those.
 
 Also checks that the projection memo leaves the CLI's output unchanged: the
 memo-free projection and amendment in `oracles` must print the same.
@@ -9,7 +8,6 @@ memo-free projection and amendment in `oracles` must print the same.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import random
 import sys
 import weakref
@@ -128,23 +126,17 @@ def test_equal_constructions_are_the_same_object(term):
         assert _rebuild(sub) == sub and hash(_rebuild(sub)) == hash(sub)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(chors, behaviours))
-def test_repr_is_the_dataclass_repr(term):
-    assert repr(term) == _dataclass_repr(term)
+# Pairs of terms of one language: `cc.End()` and `sp.End()` print alike.
+terms = st.one_of(chors, exprs, guards)
+pairs = st.one_of(st.tuples(terms, terms), st.tuples(behaviours, behaviours))
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(chors, exprs, guards), st.one_of(chors, exprs, guards))
-def test_generated_terms_order_as_their_reprs(a, b):
-    assert (cc.sort_key(a) < cc.sort_key(b)) == (repr(a) < repr(b))
-    assert (cc.sort_key(a) == cc.sort_key(b)) == (a is b)
-
-
-@settings(max_examples=300, deadline=None)
-@given(behaviours, behaviours)
-def test_generated_behaviours_order_as_their_reprs(a, b):
-    assert (cc.sort_key(a) < cc.sort_key(b)) == (repr(a) < repr(b))
+@given(pairs)
+def test_repr_is_the_dataclass_repr(pair):
+    a, b = pair
+    assert repr(a) == _dataclass_repr(a)
+    assert (repr(a) == repr(b)) == (a is b)
 
 
 def test_replace_with_a_new_field_value_shares_too():
@@ -203,39 +195,6 @@ def test_every_node_class_keeps_the_dataclass_contract():
                 delattr(node, name)
         # Its own docstring, not the one dataclass makes from the signature.
         assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}("), cls
-
-
-def _same_order(terms: list) -> None:
-    assert sorted(terms, key=cc.sort_key) == sorted(terms, key=repr)
-
-
-def test_literals_and_pending_lists_order_as_their_reprs():
-    # Literals compare as decimal strings: "10" < "100" < "9".  A one-element
-    # tuple's repr "('p',)" sorts after "('p', 'q')".
-    lits = [Prefix(Com("p", Lit(n), "q", "x"), End()) for n in (9, 10, 100, 1, 0)]
-    calls = [
-        RunningCall("X", pending, body)
-        for pending in (("p",), ("p", "q"), ("q",), ("q", "p"), ("p", "r"))
-        for body in (End(), Call("X"))
-    ]
-    _same_order(lits)
-    _same_order(calls)
-    _same_order(lits + calls + [Lit(9), Lit(10), Lit(100)])
-    _same_order([sp.Offer("p", left, right) for left, right in itertools.product(
-        (None, sp.End(), sp.Call("X")), repeat=2)])
-
-
-def test_corpus_terms_order_as_their_reprs():
-    terms: list = []
-    for _, prog in _corpus():
-        # Reached terms include entered calls.
-        for _, term, _ in cc.traces(prog.procedures, prog.main, State(), 3):
-            _subterms(term, terms)
-        for proc in prog.procedures.values():
-            _subterms(proc.body, terms)
-    distinct = list({id(t): t for t in terms}.values())
-    assert any(isinstance(t, RunningCall) for t in distinct)
-    _same_order(distinct)
 
 
 def test_sp_enabled_labels_are_unique_on_corpus_networks():
@@ -370,12 +329,6 @@ def test_line400_epp_at_depth_2_holds(tmp_path, capsys):
     code, out, err = _run(capsys, ["verify", "epp", str(path), "--depth", "2"])
     assert code == 0, err
     assert "verdict: holds-within-bound" in out
-
-
-def test_sort_key_of_a_deep_term_needs_no_recursion():
-    term = _line(5000).main
-    key = cc.sort_key(term)
-    assert key[0] == "Prefix" and cc.sort_key(term.cont) is key[2]
 
 
 # ---------------------------------------------------------------------------
