@@ -56,9 +56,25 @@ class _Node:
 
     def __repr__(self) -> str:
         # The dataclass repr, without its guard against cycles, which
-        # hash-consed terms cannot form.
-        fields = ", ".join([f"{n}={getattr(self, n)!r}" for n in self.__match_args__])
-        return f"{type(self).__qualname__}({fields})"
+        # hash-consed terms cannot form.  Nodes printed this way are expanded
+        # off a stack, which holds them and the text still to write, so a
+        # deep term needs no recursion.
+        out = []
+        todo: list = [self]
+        push, node_repr = todo.append, _Node.__repr__
+        while todo:
+            node = todo.pop()
+            if type(node) is str:
+                out.append(node)
+                continue
+            out.append(type(node).__qualname__ + "(")
+            push(")")
+            names = node.__match_args__
+            for i in range(len(names) - 1, -1, -1):
+                v = getattr(node, names[i])
+                push(v if type(v).__repr__ is node_repr else repr(v))
+                push(f", {names[i]}=" if i else f"{names[i]}=")
+        return "".join(out)
 
 
 # The intern table of every hash-consed class: (class, *field values) to the

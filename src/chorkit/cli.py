@@ -312,8 +312,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
-    # Parsing and rendering recurse over terms, so an input nested deeply
-    # enough runs out of stack; it gets one line, not a traceback.
+    # Rendering recurses over terms, and projection and amendment over
+    # nested conditionals, so an input nested deeply enough runs out of
+    # stack; it gets one line, not a traceback.
     try:
         return _dispatch(args)
     except RecursionError:

@@ -163,25 +163,6 @@ def _reach(
     return found
 
 
-def _deletes_to(
-    base: Sequence[cc.TransitionLabel], expanded: Sequence[cc.TransitionLabel]
-) -> bool:
-    """True if deleting selection labels (only) from `expanded` yields `base`,
-    preserving order."""
-    reachable = {0}
-    for t in expanded:
-        nxt = set()
-        for i in reachable:
-            if i < len(base) and base[i] == t:
-                nxt.add(i + 1)
-            if cc.is_selection(t):
-                nxt.add(i)
-        reachable = nxt
-        if not reachable:
-            return False
-    return len(base) in reachable
-
-
 def _checked(
     check: str,
     budget: explore.Budget,
@@ -429,48 +410,47 @@ def check_intermediate_formulation(
 
     For every reachable configuration and every step t it can take, the
     amendment of that configuration must take t as its very first step and
-    then catch up (extensions related by selection insertion only, order
-    preserved).  Fails exactly when a step commutes past a conditional in the
-    original but is blocked behind the inserted selections in the amendment.
+    then catch up, inserting selections only, in order: one search over
+    (original, amended, original steps taken) triples in which the original
+    fires each amended label or, for a selection, may stay put, as a silent
+    step (Milner, *Communication and Concurrency*, 1989).  Fails exactly when
+    a step commutes past a conditional in the original but is blocked behind
+    the inserted selections in the amendment.
     """
     sides = _Sides(prog, state, state_budget)
     orig, amended = sides.orig, sides.amended
     allowance = (search_bound + 1) * (1 + sides.amendment.max_insertions)
 
-    def listed(space: explore.Space, start, bound: int) -> dict:
-        found, _, _ = explore.bfs(space, start, bound, sides.budget, explore.per_trace)
-        return found
+    def step(triple: tuple) -> tuple:
+        o, a, k = triple
+        moves = []
+        for t, a2 in amended.enabled(a):
+            if k < search_bound:
+                moves += [(t, (o2, a2, k + 1)) for u, o2 in orig.enabled(o) if u == t]
+            if cc.is_selection(t):
+                moves.append((t, (o, a2, k)))
+        return tuple(moves)
+
+    triples = explore.Space(step)
+
+    def catches_up(start: tuple) -> bool:
+        found, _, _ = explore.bfs(triples, start, search_bound + allowance, sides.budget,
+                                  explore.per_config)
+        return any(a == sides.amend_cfg(o) for o, a, _ in found)
 
     def search() -> Optional[Witness]:
-        for (c0, s0), prefixes in listed(orig, sides.orig_start, depth).items():
-            prefix = next(iter(prefixes))
-            amended_firsts = amended.enabled((sides.amendment.term(c0), s0))
-            for t, (c1, s1) in orig.enabled((c0, s0)):
-                starts = [a1 for at, a1 in amended_firsts if at == t and a1[1] == s1]
-                witness = Witness(
-                    prefix + (t,),
-                    c1,
-                    s1,
-                    "the amendment of the reached configuration cannot take "
-                    "this step first",
-                )
+        found, _, _ = explore.bfs(orig, sides.orig_start, depth, sides.budget, explore.per_config)
+        for cfg, prefixes in found.items():
+            amended_firsts = amended.enabled(sides.amend_cfg(cfg))
+            for t, (c1, s1) in orig.enabled(cfg):
+                starts = [a1 for u, a1 in amended_firsts if u == t and a1[1] == s1]
+                witness = Witness(prefixes[()] + (t,), c1, s1, "the amendment of the reached "
+                                  "configuration cannot take this step first")
                 if not starts:
                     return witness
-                orig_ext = listed(orig, (c1, s1), search_bound)
-                for a1 in starts:
-                    a_ext = listed(amended, a1, search_bound + allowance)
-                    if any(
-                        _deletes_to(tl, atl)
-                        for (c2, s2), tls in orig_ext.items()
-                        for atl in a_ext.get((sides.amendment.term(c2), s2), ())
-                        for tl in tls
-                    ):
-                        break
-                else:
-                    witness.note = (
-                        "the amendment matches this step but cannot catch up "
-                        "by inserting selections in order"
-                    )
+                if not any(catches_up(((c1, s1), a1, 0)) for a1 in starts):
+                    witness.note = ("the amendment matches this step but cannot catch up "
+                                    "by inserting selections in order")
                     return witness
         return None
 

@@ -161,6 +161,23 @@ def _listed(budget: Budget, defs, c, s, depth: int) -> list:
     return out
 
 
+def deletes_to(base: tuple, expanded: tuple) -> bool:
+    """True if deleting selection labels (only) from `expanded` yields `base`,
+    preserving order."""
+    reachable = {0}
+    for t in expanded:
+        nxt = set()
+        for i in reachable:
+            if i < len(base) and base[i] == t:
+                nxt.add(i + 1)
+            if cc.is_selection(t):
+                nxt.add(i)
+        reachable = nxt
+        if not reachable:
+            return False
+    return len(base) in reachable
+
+
 def intermediate_by_traces(
     prog: cc.ChorProgram,
     state: cc.State | None = None,
@@ -216,7 +233,7 @@ def intermediate_by_traces(
                     for tl, c2, s2 in orig_ext:
                         target = (view.term(c2), s2)
                         for atl in by_cfg.get(target, []):
-                            if verifier._deletes_to(tuple(tl), tuple(atl)):
+                            if deletes_to(tuple(tl), tuple(atl)):
                                 matched = True
                                 break
                         if matched:

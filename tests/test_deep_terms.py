@@ -7,7 +7,9 @@ and entered calls, so a 5,000-interaction line and a 400-level chain of
 conditionals go through them under the default limit; EPP names each
 participant's procedure instances while it projects.  The network check
 `sp.require_wf` walks with an explicit stack and visits shared subterms once.
-Rendering and `projection._merge` still recurse (ROADMAP item 4).  A
+`repr` of a term expands nodes off a stack, so a deep witness prints in a
+`--json` report.  Rendering and `projection._merge` still recurse (ROADMAP
+item 4).  A
 hash-consed tower of conditionals whose branches are one node goes through
 well-formedness, projection and amendment, which enter each conditional once.
 The amendment checks pick witnesses in the order they reached configurations,
@@ -16,6 +18,7 @@ so they run at depth 1 on a 5,000-interaction line too.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -27,7 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_interning import PIDS, _chain, _line, behaviours
-from chorkit import amendment, cc, projection, sp, syntax, verifier
+from test_interning import _dataclass_repr
+from chorkit import amendment, cc, cli, projection, sp, syntax, verifier
 
 DEFAULT_LIMIT = 1000  # CPython's
 
@@ -231,3 +235,39 @@ def test_checks_at_depth_1_on_a_5000_interaction_line_ending_apart():
     with recursion_limit(DEFAULT_LIMIT):
         reports = [check(prog, cc.State(), 1) for check in checks]
     assert [r.verdict for r in reports] == [verifier.HOLDS] * 4
+
+
+def test_repr_of_a_5000_interaction_line():
+    prog = _line(5000)
+    behaviour = projection.epp(prog).net.get("a")
+    with recursion_limit(DEFAULT_LIMIT):
+        text = repr(prog.main)
+        shown = repr(behaviour)
+    ring = "abcd"
+    assert text == "".join(
+        f"Prefix(action=Com(sender={ring[i % 4]!r}, expr=Lit(value={i % 10}), "
+        f"receiver={ring[(i + 1) % 4]!r}, var='x'), cont="
+        for i in range(5000)
+    ) + "End()" + ")" * 5000
+    with recursion_limit(20_000):  # the reference repr recurses once per level
+        assert shown == _dataclass_repr(behaviour)
+
+
+def test_json_report_of_a_deep_witness(tmp_path, capsys):
+    """`--json` prints the witness term, here 3,002 interactions deep, and
+    exits 1 with the counterexample the text form reports."""
+    source = tmp_path / "deep.chor"
+    source.write_text(
+        "main = p.e -> q.x; if r.flag == 0 then { r.e2 -> p.y; "
+        + " ".join(f"a.{i % 10} -> b.x;" for i in range(3000))
+        + " end } else { end }\n"
+    )
+    argv = ["verify", "naive", str(source), "--depth", "1"]
+    with recursion_limit(DEFAULT_LIMIT):
+        codes = [cli.main(argv), cli.main(argv + ["--json"])]
+    text, shown = capsys.readouterr().out.split("\n{", 1)
+    report = json.loads("{" + shown)
+    assert codes == [1, 1]
+    assert report["verdict"] == verifier.COUNTEREXAMPLE
+    assert f"witness trace: {', '.join(report['witness']['trace'])}" in text
+    assert report["witness"]["term"].count("Prefix(") == 3002

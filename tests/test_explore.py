@@ -12,7 +12,8 @@ one `explore.bfs` call keeps within both bounds, and what a plain search
 keeps, in its order, while the level holds nothing back.  The checkers and the
 CLI built on them must print the same, byte for byte, except that
 amend-complete and amend-sound deepen their extension searches only until
-every run is matched, so they explore fewer states
+every run is matched, and the intermediate check catches up by one search
+over triples instead of listing traces, so they explore fewer states
 (`test_amend_checks.assert_deepened`).
 """
 

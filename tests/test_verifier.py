@@ -152,14 +152,17 @@ def test_blocked_selection_fails_strict_but_passes_relaxed_correspondence():
     assert check_amend_complete(prog, State(), 2, 4).verdict == HOLDS
 
 
-def test_intermediate_budget_stops_the_listing_that_outgrows_it():
-    prog = corpus.blocked_selection()
-    full = check_intermediate_formulation(prog, State(), 2, 4)
-    assert full.verdict == COUNTEREXAMPLE
-    for budget in range(1, full.stats.states_explored):
-        report = check_intermediate_formulation(prog, State(), 2, 4, state_budget=budget)
-        assert report.verdict == EXHAUSTED
-        assert report.stats.states_explored == budget + 1
+def test_intermediate_budget_stops_the_search_that_outgrows_it():
+    # blocked_selection fails before any catch-up search; delayed_choice
+    # holds after one for each step.
+    for prog, verdict in ((corpus.blocked_selection(), COUNTEREXAMPLE),
+                          (corpus.delayed_choice(), HOLDS)):
+        full = check_intermediate_formulation(prog, State(), 2, 4)
+        assert full.verdict == verdict
+        for budget in range(1, full.stats.states_explored):
+            report = check_intermediate_formulation(prog, State(), 2, 4, state_budget=budget)
+            assert report.verdict == EXHAUSTED
+            assert report.stats.states_explored == budget + 1
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +411,15 @@ def _budget_charging_runs():
 
 
 def test_max_depth_is_the_declared_bound_under_every_budget():
-    # Every budget from 0 to the conclusive count, where that count is at
-    # most MAX_DEPTH_CAP; only the intermediate check goes past it, on the
-    # corpus programs whose trace listings are long.
+    # Every budget from 0 to the conclusive count, which is at most
+    # MAX_DEPTH_CAP for every check.
     over_cap = []
     for name, run in _budget_charging_runs():
         full = run(MAX_DEPTH_CAP)
         if full.verdict == EXHAUSTED:
-            over_cap.append(name.split("/")[0])
+            over_cap.append(name)
             continue
         for budget in range(full.stats.states_explored + 1):
             report = run(budget)
             assert report.stats.max_depth == full.stats.max_depth, (name, budget)
-    assert set(over_cap) == {"check_intermediate_formulation"}
+    assert over_cap == []
