@@ -165,10 +165,7 @@ def _inline_state(s: cc.State) -> str:
     return cc.state_text(s).replace("\n", ", ")
 
 
-def _cmd_check(args) -> int:
-    prog = _read(args.file, _program)
-    if prog is None:
-        return USAGE
+def _cmd_check(args, prog: cc.ChorProgram) -> int:
     failures = projection.project_failures(prog, cc.require_wf(prog))
     if failures:
         _print_failures(failures)
@@ -177,10 +174,7 @@ def _cmd_check(args) -> int:
     return OK
 
 
-def _cmd_project(args) -> int:
-    prog = _read(args.file, _program)
-    if prog is None:
-        return USAGE
+def _cmd_project(args, prog: cc.ChorProgram) -> int:
     compiled = projection.epp(prog)
     if args.process is not None:
         if args.process not in compiled.processes:
@@ -192,10 +186,7 @@ def _cmd_project(args) -> int:
     return OK
 
 
-def _cmd_amend(args) -> int:
-    prog = _read(args.file, _program)
-    if prog is None:
-        return USAGE
+def _cmd_amend(args, prog: cc.ChorProgram) -> int:
     repaired = amendment.amend_program(prog)
     text = syntax.render_program(repaired)
     if args.output:
@@ -209,10 +200,7 @@ def _cmd_amend(args) -> int:
     return OK
 
 
-def _cmd_run(args) -> int:
-    prog = _read(args.file, _program)
-    if prog is None:
-        return USAGE
+def _cmd_run(args, prog: cc.ChorProgram) -> int:
     state = _state(args.state)
     if state is None:
         return USAGE
@@ -236,21 +224,19 @@ def _cmd_run(args) -> int:
         import random
 
         rng = random.Random(args.seed)
-        c0, s0 = prog.main, state
+        step = cc.successors(prog.procedures)
+        cfg = (prog.main, state)
         for _ in range(args.steps):
-            options = cc._enabled(prog.procedures, c0, s0)
+            options = step(cfg)
             if not options:
                 break
-            t, c0, s0 = options[rng.randrange(len(options))]
+            t, cfg = options[rng.randrange(len(options))]
             print(cc.label_text(t))
-        print(f"final state: {_inline_state(s0)}")
+        print(f"final state: {_inline_state(cfg[1])}")
     return OK
 
 
-def _cmd_verify(args) -> int:
-    prog = _read(args.file, _program)
-    if prog is None:
-        return USAGE
+def _cmd_verify(args, prog: cc.ChorProgram) -> int:
     state = _state(args.state)
     if state is None:
         return USAGE
@@ -265,10 +251,7 @@ def _cmd_verify(args) -> int:
     return _print_report(report, args.json)
 
 
-def _cmd_implements(args) -> int:
-    prog = _read(args.file, _program)
-    if prog is None:
-        return USAGE
+def _cmd_implements(args, prog: cc.ChorProgram) -> int:
     table = _read(args.table, syntax.parse_table_text)
     if table is None:
         return USAGE
@@ -296,8 +279,10 @@ HANDLERS = {
 
 
 def _dispatch(args) -> int:
+    """Run the command on the program its file holds, once it is read."""
     try:
-        return HANDLERS[args.command](args)
+        prog = _read(args.file, _program)
+        return USAGE if prog is None else HANDLERS[args.command](args, prog)
     except cc.IllFormedError as exc:
         print(f"not well-formed: {exc}", file=sys.stderr)
         return FAIL

@@ -465,21 +465,13 @@ class _Subsets:
     order, which is the order in which a breadth-first listing of traces
     meets them.  Each configuration is stepped once, straight through the
     step function, when the set of it alone is first asked for, and charged
-    to `budget` then, but for the start when `start_charged`: another walk
-    from the same start has paid for it.  `step` gives moves in
-    `cc.label_key` order, as `cc.successors` and `sp.successors` do.
+    to `budget` then.  `step` gives moves in `cc.label_key` order, as
+    `cc.successors` and `sp.successors` do.
     """
 
-    def __init__(
-        self,
-        step: explore.Step,
-        start: Hashable,
-        budget: explore.Budget,
-        start_charged: bool = False,
-    ):
+    def __init__(self, step: explore.Step, start: Hashable, budget: explore.Budget):
         self._step = step
         self._charge = budget.charge
-        self._start_charged = start_charged
         self.cfgs = [start]
         self._ids = {start: 0}
         self._succ: dict = {}
@@ -491,8 +483,7 @@ class _Subsets:
         if out is None:
             out = {}
             if len(cfgs) == 1:
-                if cfgs[0] or not self._start_charged:
-                    self._charge()
+                self._charge()
                 for t, cfg in self._step(self.cfgs[cfgs[0]]):
                     j = self._ids.get(cfg)
                     if j is None:
@@ -512,21 +503,17 @@ class _Subsets:
 
 
 def _first_divergence(
-    chor: _Subsets,
-    net: _Subsets,
-    depth: int,
-    budget: explore.Budget,
-    expanded: Optional[set] = None,
+    chor: _Subsets, net: _Subsets, depth: int, budget: explore.Budget
 ) -> Optional[Witness]:
-    """The first label trace, in `cc.label_key` order, that only one side has,
-    with the first configuration it reaches there; a choreography-only trace
-    wins over any network-only one.
+    """The first label trace of at most `depth` labels that only one side
+    has, shortest first and then in `cc.label_key` order, with the first
+    configuration it reaches there; a choreography-only trace wins over any
+    network-only one.
 
     Walks the product of configuration sets reached by the same trace
-    depth-first in pre-order, which visits traces in that order, and charges
-    `budget` once for each product node it expands.  Given `expanded`, the
-    product nodes charged so far, a node is charged the first time it is
-    expanded only.
+    breadth-first, which meets traces in that order, and expands each product
+    node once, at the least depth it is reached, charging `budget` for it.
+    The walk stops at the bound or at a level that reaches no new node.
     """
 
     def witness(path, cfg, note: str) -> Witness:
@@ -536,81 +523,56 @@ def _first_divergence(
             trace.append(t)
         return Witness(tuple(reversed(trace)), cfg[0], cfg[1], note)
 
-    done: dict = {}  # product node -> largest remaining depth fully searched
+    seen = {((0,), (0,))}
+    level = [((0,), (0,), None)]  # (choreography set, network set, reversed trace)
     net_only = None
-    # (choreography set, network set, steps left, reversed trace, leaving)
-    stack = [((0,), (0,), depth, None, False)]
-    while stack:
-        cs, ns, r, path, leaving = stack.pop()
-        if leaving:
-            # Its own subtree only revisits it with fewer steps left.
-            done[(cs, ns)] = r
-            continue
-        if not ns:
-            return witness(
-                path, chor.cfgs[cs[0]], "choreography trace missing from the projection"
-            )
-        if not cs:
-            if net_only is None:
-                net_only = witness(
-                    path, net.cfgs[ns[0]], "projection trace missing from the choreography"
-                )
-            continue
-        if r == 0 or done.get((cs, ns), -1) >= r:
-            continue
-        if expanded is None:
+    for _ in range(depth):
+        nxt = []
+        for cs, ns, path in level:
             budget.charge()
-        elif (cs, ns) not in expanded:
-            expanded.add((cs, ns))
-            budget.charge()
-        stack.append((cs, ns, r, None, True))
-        c_succ = chor.succ(cs)
-        n_succ = net.succ(ns)
-        if c_succ.keys() == n_succ.keys():  # the usual case, already in order
-            labels = reversed(c_succ)
-        else:
-            labels = sorted(c_succ.keys() | n_succ.keys(), key=cc.label_key, reverse=True)
-        for t in labels:
-            stack.append((c_succ.get(t, ()), n_succ.get(t, ()), r - 1, (t, path), False))
+            c_succ = chor.succ(cs)
+            n_succ = net.succ(ns)
+            if c_succ.keys() == n_succ.keys():  # the usual case, already in order
+                labels = c_succ
+            else:
+                labels = sorted(c_succ.keys() | n_succ.keys(), key=cc.label_key)
+            for t in labels:
+                cs2, ns2 = c_succ.get(t, ()), n_succ.get(t, ())
+                if not ns2:
+                    return witness((t, path), chor.cfgs[cs2[0]],
+                                   "choreography trace missing from the projection")
+                if not cs2:
+                    if net_only is None:
+                        net_only = witness((t, path), net.cfgs[ns2[0]],
+                                           "projection trace missing from the choreography")
+                elif (cs2, ns2) not in seen:
+                    seen.add((cs2, ns2))
+                    nxt.append((cs2, ns2, (t, path)))
+        if not nxt:
+            break
+        level = nxt
     return net_only
-
-
-_START = ((0,), (0,))  # the product node of the two start configurations
 
 
 def _epp_walk(
     prog: cc.ChorProgram,
     compiled: sp.SPProgram,
+    parts: Iterable[tuple[cc.Choreography, sp.Network]],
     state: cc.State,
     depth: int,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    groups: Sequence[frozenset] = (),
 ) -> Report:
-    """The EPP check's report from one `_first_divergence` walk of the whole
-    product, or, given `groups`, one per group in order, on the part of the
-    choreography that `projection.restrict` keeps for it and the network cut
-    down to its processes.
-
-    The group walks share one budget, in which their common start, the pair
-    and each side's configuration, counts once, and each walk charges a
-    product node once however often it expands it."""
+    """The EPP check's report from one `_first_divergence` walk per
+    (choreography, network) part, in order, each from `state` on sides of its
+    own, under one budget: the first divergence any of them finds."""
     budget = explore.Budget(state_budget)
     chor_step = cc.successors(prog.procedures)
     net_step = sp.successors(compiled.procedures)
-    if not groups:
-        chor = _Subsets(chor_step, (prog.main, state), budget)
-        net = _Subsets(net_step, (compiled.net, state), budget)
-        return _checked("epp-correspondence", budget, depth,
-                        lambda: _first_divergence(chor, net, depth, budget))
 
     def search() -> Optional[Witness]:
-        for i, group in enumerate(groups):
-            main = projection.restrict(prog.main, group)
-            cut = sp.Network({p: b for p, b in compiled.net.items() if p in group})
-            chor = _Subsets(chor_step, (main, state), budget, start_charged=i > 0)
-            net = _Subsets(net_step, (cut, state), budget, start_charged=i > 0)
-            expanded = {_START} if i > 0 else set()
-            found = _first_divergence(chor, net, depth, budget, expanded)
+        for main, net in parts:
+            found = _first_divergence(_Subsets(chor_step, (main, state), budget),
+                                      _Subsets(net_step, (net, state), budget), depth, budget)
             if found is not None:
                 return found
         return None
@@ -628,28 +590,33 @@ def check_epp_correspondence(
     choreography, up to the bound.
 
     Bounded trace equality is checked on pairs of configuration sets reached
-    by the same trace, so traces are never listed.  The budget is charged once
-    for each pair of sets the walk expands and once for each configuration
-    either side steps, and `states_explored` is what it was charged.
+    by the same trace, so traces are never listed.  Each walk charges the
+    budget once for each pair of sets it expands and once for each
+    configuration either of its sides steps, and `states_explored` is what
+    the budget was charged.
 
     Processes in different `projection.independent_groups` evolve
     independently on both sides.  Trace equivalence is preserved by parallel
     composition (Milner, *Communication and Concurrency*, 1989), so the
     traces agree up to the bound exactly when each group's do, and the check
-    first walks each group alone, on the part of the choreography and of the
-    network that it plays: the sum of the groups' spaces, not their product.
-    Unless those walks hold, the whole product is walked afresh, under the
-    same budget limit, and its report is the check's.
+    first walks each group alone, on the part of the choreography that
+    `projection.restrict` keeps for it and the network cut down to its
+    processes: the sum of the groups' spaces, not their product.  Unless
+    those walks hold, the whole product is walked afresh, under the same
+    budget limit, and its report is the check's.
     """
     compiled = projection.epp(prog)
     sp.require_wf(compiled.net)
     state = state if state is not None else cc.State()
     groups = projection.independent_groups(prog, compiled)
     if groups:
-        report = _epp_walk(prog, compiled, state, depth, state_budget, groups)
+        parts = ((projection.restrict(prog.main, group),
+                  sp.Network({p: b for p, b in compiled.net.items() if p in group}))
+                 for group in groups)
+        report = _epp_walk(prog, compiled, parts, state, depth, state_budget)
         if report.holds:
             return report
-    return _epp_walk(prog, compiled, state, depth, state_budget)
+    return _epp_walk(prog, compiled, [(prog.main, compiled.net)], state, depth, state_budget)
 
 
 def _terminal_analysis(

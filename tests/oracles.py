@@ -602,7 +602,9 @@ def epp_by_traces(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> Report:
     """EPP trace correspondence by listing every (trace, configuration) entry
-    on both sides and comparing the two trace sets."""
+    on both sides and comparing the two trace sets.  The witness is the
+    shortest trace only one side has, the least of those in label order,
+    with the first entry listed for it; a choreography-only trace wins."""
     state = state if state is not None else cc.State()
     problems = cc.wf_violations(prog)
     if problems:
@@ -627,7 +629,7 @@ def epp_by_traces(
     stats.states_explored += len(net_entries)
     chor_traces = {tl for tl, _, _ in chor_entries}
     net_traces = {tl for tl, _, _ in net_entries}
-    key = lambda tl: tuple(cc.label_key(t) for t in tl)
+    key = lambda tl: (len(tl), tuple(cc.label_key(t) for t in tl))
     only_chor = sorted(chor_traces - net_traces, key=key)
     only_net = sorted(net_traces - chor_traces, key=key)
     if only_chor:
@@ -651,63 +653,70 @@ def epp_by_traces(
     return Report("epp-correspondence", HOLDS, None, stats)
 
 
+def _filtered_sets(step, start, budget, mine) -> tuple:
+    """One side's configurations, numbered on first sight, and the function
+    from a tuple of their numbers to label -> the numbers it reaches by the
+    labels `mine` keeps, in first-reached order.  A configuration is charged
+    to `budget` when it is first stepped."""
+    cfgs, moves = [start], {}
+
+    def succ(numbers: tuple) -> dict:
+        out: dict = {}
+        for i in numbers:
+            if i not in moves:
+                budget.charge()
+                moves[i] = []
+                for t, cfg in step(cfgs[i]):
+                    if mine(t):
+                        if cfg not in cfgs:
+                            cfgs.append(cfg)
+                        moves[i].append((t, cfgs.index(cfg)))
+            for t, j in moves[i]:
+                if j not in out.setdefault(t, []):
+                    out[t].append(j)
+        return {t: tuple(js) for t, js in out.items()}
+
+    return cfgs, succ
+
+
 def _divergence_by_label_filter(
-    chor: verifier._Subsets,
-    net: verifier._Subsets,
-    depth: int,
-    budget,
-    group: frozenset | None = None,
-    expanded: set | None = None,
+    chor_step, net_step, starts: tuple, depth: int, budget, group: frozenset | None
 ) -> Witness | None:
     """`verifier._first_divergence` on the whole configurations of both
-    sides, following only the labels of `group`'s processes when it is
-    given, and charging each product node in `expanded` once."""
+    sides, from `starts`, following only the labels of `group`'s processes
+    when it is given, with the trace to each product node kept whole.  Each
+    product node is charged once, at the least depth the walk reaches it,
+    before its sides are stepped."""
 
     def mine(t: cc.TransitionLabel) -> bool:
         # A label's processes are all in one group.
-        return not group.isdisjoint(cc.label_processes(t))
+        return group is None or not group.isdisjoint(cc.label_processes(t))
 
-    def witness(path, cfg, note: str) -> Witness:
-        trace = []
-        while path is not None:
-            t, path = path
-            trace.append(t)
-        return Witness(tuple(reversed(trace)), cfg[0], cfg[1], note)
-
-    done: dict = {}
+    chor_cfgs, chor_succ = _filtered_sets(chor_step, starts[0], budget, mine)
+    net_cfgs, net_succ = _filtered_sets(net_step, starts[1], budget, mine)
+    seen = {((0,), (0,))}
+    level = [((), (0,), (0,))]
     net_only = None
-    stack = [((0,), (0,), depth, None, False)]
-    while stack:
-        cs, ns, r, path, leaving = stack.pop()
-        if leaving:
-            done[(cs, ns)] = r
-            continue
-        if not ns:
-            return witness(
-                path, chor.cfgs[cs[0]], "choreography trace missing from the projection"
-            )
-        if not cs:
-            if net_only is None:
-                net_only = witness(
-                    path, net.cfgs[ns[0]], "projection trace missing from the choreography"
-                )
-            continue
-        if r == 0 or done.get((cs, ns), -1) >= r:
-            continue
-        if expanded is None:
+    for _ in range(depth):
+        nxt = []
+        for tl, cs, ns in level:
             budget.charge()
-        elif (cs, ns) not in expanded:
-            expanded.add((cs, ns))
-            budget.charge()
-        stack.append((cs, ns, r, None, True))
-        c_succ = chor.succ(cs)
-        n_succ = net.succ(ns)
-        if group is not None:
-            c_succ = {t: js for t, js in c_succ.items() if mine(t)}
-            n_succ = {t: js for t, js in n_succ.items() if mine(t)}
-        labels = sorted(c_succ.keys() | n_succ.keys(), key=cc.label_key, reverse=True)
-        for t in labels:
-            stack.append((c_succ.get(t, ()), n_succ.get(t, ()), r - 1, (t, path), False))
+            c_succ, n_succ = chor_succ(cs), net_succ(ns)
+            for t in sorted(c_succ.keys() | n_succ.keys(), key=cc.label_key):
+                cs2, ns2 = c_succ.get(t, ()), n_succ.get(t, ())
+                if not ns2:
+                    cfg = chor_cfgs[cs2[0]]
+                    return Witness(tl + (t,), cfg[0], cfg[1],
+                                   "choreography trace missing from the projection")
+                if not cs2:
+                    if net_only is None:
+                        cfg = net_cfgs[ns2[0]]
+                        net_only = Witness(tl + (t,), cfg[0], cfg[1],
+                                           "projection trace missing from the choreography")
+                elif (cs2, ns2) not in seen:
+                    seen.add((cs2, ns2))
+                    nxt.append((tl + (t,), cs2, ns2))
+        level = nxt
     return net_only
 
 
@@ -719,23 +728,24 @@ def epp_by_label_filter(
 ) -> Report:
     """The EPP check with each of the `projection.independent_groups` walked
     on the whole program: every group's walk steps whole configurations on
-    both sides, over one pair of `verifier._Subsets` all the walks share, and
-    drops the labels of the other groups.  A product node is charged once
-    however many walks expand it.  Unless the group walks hold, the whole
-    product is walked afresh and its report is the check's."""
+    both sides of its own, and drops the labels of the other groups.  Unless
+    the group walks hold, the whole product is walked afresh, with no label
+    dropped, and its report is the check's."""
     compiled = projection.epp(prog)
     sp.require_wf(compiled.net)
     state = state if state is not None else cc.State()
     groups = projection.independent_groups(prog, compiled)
 
-    def walk(groups, expanded) -> Report:
+    def walk(groups) -> Report:
         budget = explore.Budget(state_budget)
-        chor = verifier._Subsets(cc.successors(prog.procedures), (prog.main, state), budget)
-        net = verifier._Subsets(sp.successors(compiled.procedures), (compiled.net, state), budget)
+        chor_step = cc.successors(prog.procedures)
+        net_step = sp.successors(compiled.procedures)
+        starts = ((prog.main, state), (compiled.net, state))
 
         def search() -> Witness | None:
             for group in groups:
-                found = _divergence_by_label_filter(chor, net, depth, budget, group, expanded)
+                found = _divergence_by_label_filter(chor_step, net_step, starts, depth,
+                                                    budget, group)
                 if found is not None:
                     return found
             return None
@@ -743,10 +753,10 @@ def epp_by_label_filter(
         return verifier._checked("epp-correspondence", budget, depth, search)
 
     if groups:
-        report = walk(groups, set())
+        report = walk(groups)
         if report.holds:
             return report
-    return walk([None], None)
+    return walk([None])
 
 
 # ---------------------------------------------------------------------------

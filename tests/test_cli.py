@@ -145,6 +145,24 @@ def test_run_with_seed_is_deterministic(capsys):
     assert "final state" in first
 
 
+def test_a_seeded_run_steps_through_one_relation(monkeypatch, capsys):
+    # The run keeps the transitions of entered call bodies for all its
+    # steps, in the one table of procedures its step function builds.
+    built = []
+
+    class Counted(cc._Entered):
+        __slots__ = ()
+
+        def __init__(self, defs):
+            built.append(defs)
+            super().__init__(defs)
+
+    monkeypatch.setattr(cc, "_Entered", Counted)
+    assert main(["run", _sample("endless_loop.chor"), "--seed", "1", "--steps", "40"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 41
+    assert len(built) == 1
+
+
 def test_verify_naive_finds_counterexample(capsys):
     code = main(["verify", "naive", _sample("delayed_choice.chor"), "--depth", "2"])
     out = capsys.readouterr().out

@@ -2,10 +2,11 @@
 
 `oracles.epp_by_traces` lists every (trace, configuration) entry on both
 sides; `verifier.check_epp_correspondence` walks pairs of configuration sets
-reached by the same trace.  At an unlimited budget their verdicts, witnesses,
-`max_depth` and report texts but for the stats line must be identical.  The
-walk's `states_explored` counts what it charged the budget: one unit per pair
-of sets it expands and one per configuration either side steps.
+reached by the same trace, breadth-first.  At an unlimited budget their
+verdicts, witnesses, `max_depth` and report texts but for the stats line must
+be identical.  The walk's `states_explored` counts what it charged the
+budget: one unit per pair of sets it expands, once each, and one per
+configuration either side steps.
 """
 
 from __future__ import annotations
@@ -101,22 +102,23 @@ def test_corpus_agrees_with_trace_listing():
 
 def _whole(prog, depth, budget=math.inf) -> verifier.Report:
     """The walk of the whole product, which the check falls back on."""
-    return verifier._epp_walk(prog, projection.epp(prog), State(), depth, budget)
+    compiled = projection.epp(prog)
+    return verifier._epp_walk(prog, compiled, [(prog.main, compiled.net)], State(), depth,
+                              budget)
 
 
 # states_explored of the whole walk on `_pairs(k)` at depths 4 to 7.  Each
-# side has 4 ** k configurations, and every path to one is as long as the
-# messages sent, so past the longest run, 3 * k steps, each configuration is
-# stepped once and each pair expanded once: 3 * 4 ** k.
+# side has 4 ** k configurations, and the walk steps each one it reaches
+# before the bound once and expands each pair of them once, so past the
+# longest run, 3 * k steps, it charges 3 * 4 ** k.
 PAIRS_EXPLORED = {1: [12, 12, 12, 12], 2: [30, 39, 45, 48], 3: [60, 96, 132, 162]}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_independent_pairs_agree_with_trace_listing(k):
-    # The check walks each pair alone from the start: the start pair and
-    # the start configurations once, and per pair three more pairs and three
-    # more configurations on each side, 3 + 9 * k at any depth of at least 4,
-    # one more than the longest run.
+    # The check walks each pair alone, on sides of its own: four pairs of
+    # configurations and four configurations on each side, 12 * k at any
+    # depth of at least 4, one more than the longest run.
     explored, whole = [], []
     for depth in range(4, 8):
         record = _same(_pairs(k), depth)
@@ -125,7 +127,7 @@ def test_independent_pairs_agree_with_trace_listing(k):
         report = _whole(_pairs(k), depth)
         assert report.verdict == verifier.HOLDS
         whole.append(report.stats.states_explored)
-    assert explored == [3 + 9 * k] * 4
+    assert explored == [12 * k] * 4
     assert whole == PAIRS_EXPLORED[k]
 
 
@@ -133,15 +135,22 @@ def test_eight_pairs_at_depth_24_hold_within_100_units():
     # The whole walk charges 196,605 units: 3 * 4 ** 8, less the last pair,
     # which the bound reaches with no step left, and its configurations.
     report = verifier.check_epp_correspondence(_pairs(8), State(), 24)
-    assert (report.verdict, report.stats.states_explored) == (verifier.HOLDS, 3 + 9 * 8)
+    assert (report.verdict, report.stats.states_explored) == (verifier.HOLDS, 12 * 8)
 
 
 def test_endless_loop_at_depth_2000_agrees_with_trace_listing():
     # One configuration on each side, stepped once, and the pair of them
-    # expanded at every depth: its subtree is never done before the bound.
+    # expanded once: its only successor is itself, so the walk stops there.
     record = _same(corpus.endless_loop(), 2000)
     assert record["verdict"] == verifier.HOLDS
-    assert record["stats"]["states_explored"] == 2002
+    assert record["stats"]["states_explored"] == 3
+
+
+def test_endless_loop_holds_at_depth_a_million_in_three_units():
+    # The walk stops at the first level that reaches no new pair, whatever
+    # the bound; a walk that expanded the pair once per depth ran out here.
+    report = verifier.check_epp_correspondence(corpus.endless_loop(), State(), 10**6)
+    assert (report.verdict, report.stats.states_explored) == (verifier.HOLDS, 3)
 
 
 @settings(max_examples=80, deadline=None)
@@ -258,15 +267,17 @@ def _loop(main: cc.Choreography) -> ChorProgram:
 
 def test_divergence_after_a_repeated_configuration_pair(monkeypatch):
     # z's internal step stays enabled while the loop goes round, and sorts
-    # after every loop label, so the first divergent trace runs the loop up
-    # to the bound and passes the same pair of configurations again and again.
+    # after every loop label, so the traces in label order run the loop and
+    # pass the same pair of configurations again and again.  A pair that
+    # repeats has the same successors, so the shortest divergent trace takes
+    # z's step first.
     g = cc.BoolLit(True)
     prog = _loop(cc.Cond("z", g, cc.Call("L"), cc.Call("L")))
     with monkeypatch.context() as m:
         _patch_epp(m, _nth(sp.Cond, lambda b: sp.End(), 0))  # z does nothing
         record = _same(prog, 9)
     assert record["witness"]["note"] == "choreography trace missing from the projection"
-    assert len(record["witness"]["trace"]) == 9
+    assert record["witness"]["trace"] == ["tau z"]
     real = projection.epp
     extra = sp.Cond(g, sp.End(), sp.End())
     monkeypatch.setattr(
@@ -276,7 +287,7 @@ def test_divergence_after_a_repeated_configuration_pair(monkeypatch):
     )
     record = _same(_loop(cc.Call("L")), 9)
     assert record["witness"]["note"] == "projection trace missing from the choreography"
-    assert len(record["witness"]["trace"]) == 9
+    assert record["witness"]["trace"] == ["tau z"]
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +341,9 @@ def _list_entries(step, start, depth: int) -> list:
 
 
 def _first_only(entries: list, others: list, note: str):
-    key = lambda tl: tuple(cc.label_key(t) for t in tl)
+    """The shortest trace of `entries` that `others` lack, the least of those
+    in label order, with the first configuration listed for it."""
+    key = lambda tl: (len(tl), tuple(cc.label_key(t) for t in tl))
     only = sorted({tl for tl, _ in entries} - {tl for tl, _ in others}, key=key)
     if not only:
         return None
@@ -442,10 +455,11 @@ def test_self_addressed_network_is_rejected_whatever_the_budget(monkeypatch):
 #
 # `projection.independent_groups` splits the processes of a procedure-free
 # program and of its network into groups that never interact, and the check
-# walks each group's labels alone before it falls back on the whole product
-# walk.  The whole walk is the oracle: where it holds, the check holds having
-# charged no more; a counterexample or an exhausted search is its report,
-# byte for byte.
+# walks each group alone, on sides of its own, before it falls back on the
+# whole product walk.  The whole walk is the oracle: where it holds, the check
+# holds having charged no more than it, but for the start pair and the two
+# start configurations of each group after the first; otherwise the whole
+# walk's report is the check's, byte for byte.
 
 GROUP_PIDS = (("a", "b", "c"), ("d", "e", "f"), ("g", "h", "i"))
 
@@ -496,29 +510,24 @@ EDITS = {**MUTATIONS, "couple": (sp.Send, _couple)}
 
 def _agrees_with_the_whole_walk(prog, depth) -> verifier.Report:
     """The check's report at an unlimited budget, once it agrees with the
-    whole walk there and at every budget up to one over the whole walk's
-    count, and keeps `_within`'s contract."""
+    whole walk there and at every budget up to one over the larger count:
+    a budget that the group walks fit gives their report, and any other
+    gives the whole walk's under that budget."""
     whole = _whole(prog, depth)
     got = verifier.check_epp_correspondence(prog, State(), depth, math.inf)
     assert (got.verdict, got.witness) == (whole.verdict, whole.witness)
     assert _without_stats(got.text()) == _without_stats(whole.text())
     if got.holds:
-        assert got.stats.states_explored <= whole.stats.states_explored
+        groups = len(projection.independent_groups(prog, projection.epp(prog)))
+        starts = 3 * max(groups - 1, 0)
+        assert got.stats.states_explored <= whole.stats.states_explored + starts
     else:
         assert (got.to_dict(), got.text()) == (whole.to_dict(), whole.text())
-    for budget in range(whole.stats.states_explored + 2):
+    for budget in range(max(whole.stats.states_explored, got.stats.states_explored) + 2):
         report = verifier.check_epp_correspondence(prog, State(), depth, budget)
         oracle = _whole(prog, depth, budget)
-        if report.holds:
-            assert oracle.verdict != verifier.COUNTEREXAMPLE
-        else:
-            assert (report.to_dict(), report.text()) == (oracle.to_dict(), oracle.text())
-        if budget >= got.stats.states_explored:
-            assert report.to_dict() == got.to_dict()
-        else:
-            assert (report.verdict, report.witness, report.stats) == (
-                verifier.EXHAUSTED, None, verifier.SearchStats(budget + 1, depth)
-            )
+        want = got if got.holds and budget >= got.stats.states_explored else oracle
+        assert (report.to_dict(), report.text()) == (want.to_dict(), want.text())
     return got
 
 
@@ -540,13 +549,15 @@ def test_disjoint_unions_agree_with_the_whole_walk(prog, depth, edit, n):
 
 def test_holds_counts_never_exceed_the_whole_walks():
     # parallel_orders sends two independent orders: the check walks each
-    # alone, and past depth 2 the whole walk also expands the pair after
-    # both and steps its configurations.
+    # alone, from a start pair and two start configurations of its own, so
+    # at depth 1 it charges 3 units more than the whole walk; past depth 2
+    # the whole walk also expands the pair after both orders and steps its
+    # configurations, and charges as much as the group walks.
     source = (SAMPLES / "parallel_orders.chor").read_text(encoding="utf-8")
     prog = syntax.parse_source(source).to_program()
     counts = [(_agrees_with_the_whole_walk(prog, depth).stats.states_explored,
                _whole(prog, depth).stats.states_explored) for depth in range(4)]
-    assert counts == [(0, 0), (3, 3), (9, 9), (9, 12)]
+    assert counts == [(0, 0), (6, 3), (12, 9), (12, 12)]
     for k, depths in ((2, range(8)), (3, [7])):
         for depth in depths:
             assert _agrees_with_the_whole_walk(_pairs(k), depth).holds
@@ -623,7 +634,7 @@ def test_groups_follow_interactions_conditionals_and_the_network(monkeypatch):
     prog = ChorProgram({}, _seq([Com("a", Lit(1), "b", "x"), Com("b", Lit(2), "c", "x")], alone))
     groups = projection.independent_groups(prog, projection.epp(prog))
     assert groups == [frozenset("abc"), frozenset("d")]
-    assert _agrees_with_the_whole_walk(prog, 4).stats.states_explored == 12
+    assert _agrees_with_the_whole_walk(prog, 4).stats.states_explored == 15
     nested = ChorProgram({}, cc.Cond("p", guard, alone, End()))
     assert projection.independent_groups(nested, sp.SPProgram({}, sp.Network())) == []
     # One group, procedures, or a network that couples the groups: no split.
@@ -664,6 +675,62 @@ def test_epp_check_lists_no_traces(monkeypatch):
     for name, prog in _candidates():
         report = verifier.check_epp_correspondence(prog, State(), 5)
         assert report.verdict == verifier.HOLDS, name
+
+
+class _Logged:
+    """One side of a walk, with the configuration sets the walk asks it to
+    step, in order; its own lookups of single configurations go unlogged."""
+
+    def __init__(self, side: verifier._Subsets):
+        self.side, self.cfgs, self.asked = side, side.cfgs, []
+
+    def succ(self, cfgs: tuple) -> dict:
+        self.asked.append(cfgs)
+        return self.side.succ(cfgs)
+
+
+def _expanded_once(monkeypatch, prog, depth: int) -> int:
+    """How many product nodes the check's walks and the whole product walk
+    expand, once no walk has expanded any of them twice."""
+    walks = []
+    real = verifier._first_divergence
+
+    def logged(chor, net, depth, budget):
+        walks.append((_Logged(chor), _Logged(net)))
+        return real(*walks[-1], depth, budget)
+
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "_first_divergence", logged)
+        verifier.check_epp_correspondence(prog, State(), depth)
+        _whole(prog, depth)
+    expanded = 0
+    for chor, net in walks:
+        nodes = list(zip(chor.asked, net.asked, strict=True))
+        assert len(set(nodes)) == len(nodes)
+        expanded += len(nodes)
+    return expanded
+
+
+def test_every_product_node_is_expanded_at_most_once(monkeypatch):
+    expanded = sum(_expanded_once(monkeypatch, prog, 5) for _, prog in _candidates())
+    assert expanded > 300
+    # Past the longest run, 3 * k steps, the group walks expand 4 pairs per
+    # pair of processes, and the whole walk one per configuration of the
+    # product, 4 ** k.
+    for k in (1, 3):
+        assert _expanded_once(monkeypatch, _pairs(k), 10) == 4 * k + 4**k
+    assert _expanded_once(monkeypatch, corpus.endless_loop(), 10**6) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_programs(), _disjoint_unions()), st.integers(0, 6))
+def test_generated_walks_expand_each_product_node_at_most_once(prog, depth):
+    if cc.wf_violations(prog):
+        return
+    if not projection.projectable_program(prog):
+        prog = amendment.amend_program(prog)
+    with pytest.MonkeyPatch.context() as m:
+        _expanded_once(m, prog, depth)
 
 
 def _run(capsys, argv) -> tuple:
