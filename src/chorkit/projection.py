@@ -20,25 +20,46 @@ class _Undefined(Exception):
 
 
 def _merge(b1: sp.Behaviour, b2: sp.Behaviour) -> sp.Behaviour:
-    if b1 is b2:
-        # Behaviours are hash-consed, and merging one with itself gives it back.
-        return b1
-    if type(b1) is not type(b2):
-        raise _Undefined
+    """`merge`, raising _Undefined where it gives None.
+
+    The run of `Send`, `Recv` and `Choose` prefixes the two behaviours share
+    is walked with a loop down to the first pair that is no such prefix, and
+    the merged run is built on the way back up.  A run therefore takes no
+    stack frame per prefix, and only conditionals and offers recurse, as in
+    `_bproj`."""
+    run = []  # (constructor, head fields) of each shared prefix, outermost first
+    # Behaviours are hash-consed, and merging one with itself gives it back.
+    while b1 is not b2:
+        kind = type(b1)
+        if kind is not type(b2):
+            raise _Undefined
+        if kind is sp.Send:
+            head = (b1.dst, b1.expr)
+            if head != (b2.dst, b2.expr):
+                raise _Undefined
+        elif kind is sp.Recv:
+            head = (b1.src, b1.var)
+            if head != (b2.src, b2.var):
+                raise _Undefined
+        elif kind is sp.Choose:
+            head = (b1.dst, b1.label)
+            if head != (b2.dst, b2.label):
+                raise _Undefined
+        else:
+            b1 = _merge_branching(b1, b2)
+            break
+        run.append((kind, head))
+        b1, b2 = b1.cont, b2.cont
+    while run:
+        kind, head = run.pop()
+        b1 = kind(*head, b1)
+    return b1
+
+
+def _merge_branching(b1: sp.Behaviour, b2: sp.Behaviour) -> sp.Behaviour:
+    """The merge of two distinct behaviours of one type that is no prefix."""
     if isinstance(b1, sp.End):
         return b1
-    if isinstance(b1, sp.Send):
-        if (b1.dst, b1.expr) != (b2.dst, b2.expr):
-            raise _Undefined
-        return sp.Send(b1.dst, b1.expr, _merge(b1.cont, b2.cont))
-    if isinstance(b1, sp.Recv):
-        if (b1.src, b1.var) != (b2.src, b2.var):
-            raise _Undefined
-        return sp.Recv(b1.src, b1.var, _merge(b1.cont, b2.cont))
-    if isinstance(b1, sp.Choose):
-        if (b1.dst, b1.label) != (b2.dst, b2.label):
-            raise _Undefined
-        return sp.Choose(b1.dst, b1.label, _merge(b1.cont, b2.cont))
     if isinstance(b1, sp.Cond):
         if b1.guard != b2.guard:
             raise _Undefined
@@ -72,7 +93,7 @@ def merge(b1: sp.Behaviour, b2: sp.Behaviour) -> Optional[sp.Behaviour]:
     """Combine two candidate behaviours for one process, None when impossible.
 
     Branch offers on the same partner combine slot-wise; every other
-    constructor must match exactly and merging recurses into continuations.
+    constructor must match exactly, and continuations are merged in turn.
     """
     try:
         return _merge(b1, b2)

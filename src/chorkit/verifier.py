@@ -189,13 +189,25 @@ def _checked(
 class _Sides:
     """What an amendment check compares: the program, once it is found
     well-formed, and its amendment, each with its one-step relation and start
-    configuration, and the budget and label ranks all their searches share."""
+    configuration, and the budget and label ranks all their searches share.
+
+    When amendment leaves every procedure body as it was, both sides step
+    through one memoised relation, `amended is orig`, so a configuration both
+    reach is stepped once.  This is exact: `cc.successors(defs)` is a function
+    of the definitions and the configuration alone, amendment keeps each
+    procedure's pids and the very same body where it needs no selection, and
+    the budget is charged per search entry, not per step, so no verdict,
+    witness or count of states explored moves."""
 
     def __init__(self, prog: cc.ChorProgram, state: cc.State | None, state_budget: int):
         state = state if state is not None else cc.State()
         self.amendment = amendment.Amendment(prog)
         self.orig = explore.Space(cc.successors(prog.procedures))
-        self.amended = explore.Space(cc.successors(self.amendment.procedures))
+        procs = self.amendment.procedures
+        if all(procs[n].body is p.body for n, p in prog.procedures.items()):
+            self.amended = self.orig
+        else:
+            self.amended = explore.Space(cc.successors(procs))
         self.orig_start = (prog.main, state)
         self.amended_start = (self.amendment.main, state)
         self.budget = explore.Budget(state_budget)

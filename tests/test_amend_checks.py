@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -367,6 +368,103 @@ def test_states_explored_are_pinned_and_steps_match_the_memo_free_oracle(monkeyp
                 deepest = max(deepest, _nesting(cfg[0]))
     # Entered calls nest 33 deep in the configurations within the bound.
     assert deepest == 33
+
+
+# ---------------------------------------------------------------------------
+# One step relation for both sides, where amendment leaves the procedures alone
+
+
+SIDED = [new for _, new, _ in CHECKS] + [verifier.check_intermediate_formulation]
+
+
+def _bodies_unchanged(prog: ChorProgram) -> bool:
+    """Whether amendment renders every procedure body as it was."""
+    amended = amendment.amend_program(prog)
+    return all(
+        syntax.render_chor(amended.procedures[name].body) == syntax.render_chor(proc.body)
+        for name, proc in prog.procedures.items()
+    )
+
+
+def _changed_bodies() -> list[ChorProgram]:
+    """Generated programs with a procedure whose body amendment changes."""
+    progs = corpus.random_programs(1, 200) + corpus.random_programs(2, 200)
+    return [prog for prog in progs if not _bodies_unchanged(prog)]
+
+
+def test_shared_and_separate_step_relations_give_the_same_reports(monkeypatch):
+    """The naive, amend-complete, amend-sound and intermediate checks give
+    the same `to_dict()` through one step relation for both sides as through
+    one per side, forced here, on the corpus plain and amended, the samples,
+    and generated programs whose procedure bodies amendment changes; the two
+    sides share their relation exactly when amendment leaves every body
+    alone."""
+    progs = [prog for _, prog in PROGRAMS]
+    progs += [amendment.amend_program(prog) for _, prog in PROGRAMS[:60]]
+    progs += _changed_bodies()
+    shared = 0
+    for prog in progs:
+        sides = verifier._Sides(prog, None, 1)
+        assert (sides.amended is sides.orig) == _bodies_unchanged(prog)
+        shared += sides.amended is sides.orig
+    assert (len(progs), shared) == (154, 128)
+
+    def reports() -> list:
+        return [
+            _report(check, prog, depth, bound, math.inf)[0]
+            for prog in progs
+            for depth, bound in ((2, 2), (4, 3), (6, 6))
+            for check in SIDED
+        ]
+
+    got = reports()
+    init = verifier._Sides.__init__
+
+    def separate(self, prog, state, state_budget):
+        init(self, prog, state, state_budget)
+        self.amended = explore.Space(cc.successors(self.amendment.procedures))
+
+    monkeypatch.setattr(verifier._Sides, "__init__", separate)
+    assert got == reports()
+
+
+# Calls of the step function by amend-complete at (6, 6), and its states
+# explored: a relation per side made 10 and 11 calls.
+STEPS_PINNED = {"purchase_safe": (5, 10), "delayed_choice": (9, 13)}
+
+
+def test_step_calls_are_pinned_and_no_configuration_is_stepped_twice(monkeypatch):
+    """Step calls are a machine-independent count.  Where amendment leaves
+    the procedure bodies alone, a check steps each configuration at most
+    once, however many of its searches on either side reach it."""
+    stepped: Counter = Counter()
+    successors = cc.successors
+
+    def counting_successors(defs):
+        step = successors(defs)
+
+        def counted(cfg):
+            stepped[cfg] += 1
+            return step(cfg)
+
+        return counted
+
+    monkeypatch.setattr(cc, "successors", counting_successors)
+    named = dict(corpus.named_corpus())
+    for name, pinned in STEPS_PINNED.items():
+        stepped.clear()
+        report = verifier.check_amend_complete(named[name], State(), 6, 6)
+        assert (sum(stepped.values()), report.stats.states_explored) == pinned, name
+    checked = 0
+    for name, prog in PROGRAMS:
+        if not _bodies_unchanged(prog):
+            continue
+        for check in SIDED:
+            stepped.clear()
+            _report(check, prog, 4, 3, math.inf)
+            assert max(stepped.values()) == 1, (name, check.__name__)
+            checked += 1
+    assert checked == 4 * (len(PROGRAMS) - 2)
 
 
 def test_amend_sound_reaches_depth_ten_on_random_04():

@@ -8,9 +8,10 @@ conditionals go through them under the default limit; EPP names each
 participant's procedure instances while it projects.  The network check
 `sp.require_wf` walks with an explicit stack and visits shared subterms once.
 `repr` of a term expands nodes off a stack, so a deep witness prints in a
-`--json` report.  Rendering and `projection._merge` still recurse (ROADMAP
-item 4).  A
-hash-consed tower of conditionals whose branches are one node goes through
+`--json` report.  Merging walks the run of prefixes two behaviours share
+with a loop too, so the branches of a conditional may share 5,000
+interactions.  Rendering still recurses (ROADMAP item 7).  A hash-consed
+tower of conditionals whose branches are one node goes through
 well-formedness, projection and amendment, which enter each conditional once.
 The amendment checks pick witnesses in the order they reached configurations,
 so they run at depth 1 on a 5,000-interaction line too.
@@ -29,6 +30,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from test_interning import PIDS, _chain, _line, behaviours
 from test_interning import _dataclass_repr
 from chorkit import amendment, cc, cli, projection, sp, syntax, verifier
@@ -271,3 +273,83 @@ def test_json_report_of_a_deep_witness(tmp_path, capsys):
     assert report["verdict"] == verifier.COUNTEREXAMPLE
     assert f"witness trace: {', '.join(report['witness']['trace'])}" in text
     assert report["witness"]["term"].count("Prefix(") == 3002
+
+
+def _shared_run(n: int, then_end: cc.Choreography, else_end: cc.Choreography) -> cc.ChorProgram:
+    """A conditional p decides whose branches share n interactions between q
+    and r, then end in `then_end` and `else_end`."""
+    def branch(c: cc.Choreography) -> cc.Choreography:
+        for i in reversed(range(n)):
+            c = cc.Prefix(cc.Com("q", cc.Lit(i % 10), "r", "x"), c)
+        return c
+
+    guard = cc.Eq(cc.Ref("x"), cc.Lit(0))
+    return cc.ChorProgram({}, cc.Cond("p", guard, branch(then_end), branch(else_end)))
+
+
+def _last_send(v: int) -> cc.Choreography:
+    return cc.Prefix(cc.Com("r", cc.Lit(v), "q", "z"), cc.End())
+
+
+def _last_selection(label: cc.Label) -> cc.Choreography:
+    return cc.Prefix(cc.Sel("p", "r", label), cc.End())
+
+
+def test_merging_branches_that_share_5000_interactions():
+    """r cannot tell apart branches that differ only in its own last send,
+    while a last selection from p lets it; the merge is the recursive
+    definition's."""
+    differ = _shared_run(5000, _last_send(1), _last_send(2))
+    selects = _shared_run(5000, _last_selection(cc.Label.LEFT), _last_selection(cc.Label.RIGHT))
+    memo: dict = {}
+    pairs = [
+        tuple(projection.bproj({}, branch, "r", memo) for branch in (c.then_c, c.else_c))
+        for c in (differ.main, selects.main)
+    ]
+    with recursion_limit(DEFAULT_LIMIT):
+        merged = [projection.merge(*pair) for pair in pairs]
+        failures = [projection.project_failures(prog) for prog in (differ, selects)]
+    assert merged[0] is None
+    assert failures == [[projection.ProjectionFailure("r", differ.main, "main")], []]
+    with recursion_limit(20_000):  # the reference merge recurses once per prefix
+        want = oracles._merge(*pairs[1])
+    assert merged[1] is want
+    b = merged[1]
+    for _ in range(5000):
+        b = b.cont
+    assert b == sp.Offer("p", sp.End(), sp.End())
+
+
+def _merge_source(then_last: str, else_last: str) -> str:
+    run = " ".join(f"q.{i % 10} -> r.x;" for i in range(1500))
+    return (f"main = if p.x == 0 then {{ {run} {then_last} end }}"
+            f" else {{ {run} {else_last} end }}\n")
+
+
+def test_the_cli_on_branches_that_share_1500_interactions(tmp_path, capsys):
+    """`check` and `verify epp` name r's failure when the branches differ in
+    r's last send, and pass when they differ only in p's last selection to
+    r; rendering the projection or the amendment still recurses once per
+    prefix."""
+    differ = tmp_path / "differ.chor"
+    differ.write_text(_merge_source("r.1 -> q.z;", "r.2 -> q.z;"), encoding="utf-8")
+    selects = tmp_path / "selects.chor"
+    selects.write_text(_merge_source("p -> r[left];", "p -> r[right];"), encoding="utf-8")
+    runs = [
+        (["check", str(differ)], 1),
+        (["verify", "epp", str(differ)], 1),
+        (["check", str(selects)], 0),
+        (["verify", "epp", str(selects), "--depth", "3"], 0),
+        (["project", str(selects)], 2),
+        (["amend", str(selects)], 2),
+    ]
+    with recursion_limit(DEFAULT_LIMIT):
+        codes = [cli.main(argv) for argv, _ in runs]
+    captured = capsys.readouterr()
+    assert codes == [code for _, code in runs]
+    term = "if p.x == 0 then { q.0 -> r.x; q.1 -> r.x; q.2 -> r.x; q.3 -> r.x; q...."
+    failure = f"cannot project for r (in main): {term}\n"
+    deep = f"error: {selects}: nested too deeply to process\n"
+    assert captured.err == failure * 2 + deep * 2
+    assert "ok: well-formed and projectable" in captured.out
+    assert "verdict: holds-within-bound" in captured.out
