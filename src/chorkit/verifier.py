@@ -446,9 +446,14 @@ def check_intermediate_formulation(
     triples = explore.Space(step)
 
     def catches_up(start: tuple) -> bool:
-        found, _, _ = explore.bfs(triples, start, search_bound + allowance, sides.budget,
-                                  explore.per_config)
-        return any(a == sides.amend_cfg(o) for o, a, _ in found)
+        # Grown a level at a time, to the first level with a caught-up triple.
+        search = explore.Search(triples, start, sides.budget, explore.per_config)
+        for level in range(search_bound + allowance + 1):
+            if any(a == sides.amend_cfg(o) for (o, a, _), _, _ in search.grow(level)):
+                return True
+            if search.closed:
+                return False
+        return False
 
     def search() -> Optional[Witness]:
         found, _, _ = explore.bfs(orig, sides.orig_start, depth, sides.budget, explore.per_config)
@@ -514,6 +519,9 @@ class _Subsets:
         return out
 
 
+_NET_ONLY = "projection trace missing from the choreography"
+
+
 def _first_divergence(
     chor: _Subsets, net: _Subsets, depth: int, budget: explore.Budget
 ) -> Optional[Witness]:
@@ -555,8 +563,7 @@ def _first_divergence(
                                    "choreography trace missing from the projection")
                 if not cs2:
                     if net_only is None:
-                        net_only = witness((t, path), net.cfgs[ns2[0]],
-                                           "projection trace missing from the choreography")
+                        net_only = witness((t, path), net.cfgs[ns2[0]], _NET_ONLY)
                 elif (cs2, ns2) not in seen:
                     seen.add((cs2, ns2))
                     nxt.append((cs2, ns2, (t, path)))
@@ -564,32 +571,6 @@ def _first_divergence(
             break
         level = nxt
     return net_only
-
-
-def _epp_walk(
-    prog: cc.ChorProgram,
-    compiled: sp.SPProgram,
-    parts: Iterable[tuple[cc.Choreography, sp.Network]],
-    state: cc.State,
-    depth: int,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> Report:
-    """The EPP check's report from one `_first_divergence` walk per
-    (choreography, network) part, in order, each from `state` on sides of its
-    own, under one budget: the first divergence any of them finds."""
-    budget = explore.Budget(state_budget)
-    chor_step = cc.successors(prog.procedures)
-    net_step = sp.successors(compiled.procedures)
-
-    def search() -> Optional[Witness]:
-        for main, net in parts:
-            found = _first_divergence(_Subsets(chor_step, (main, state), budget),
-                                      _Subsets(net_step, (net, state), budget), depth, budget)
-            if found is not None:
-                return found
-        return None
-
-    return _checked("epp-correspondence", budget, depth, search)
 
 
 def check_epp_correspondence(
@@ -609,26 +590,48 @@ def check_epp_correspondence(
 
     Processes in different `projection.independent_groups` evolve
     independently on both sides.  Trace equivalence is preserved by parallel
-    composition (Milner, *Communication and Concurrency*, 1989), so the
-    traces agree up to the bound exactly when each group's do, and the check
-    first walks each group alone, on the part of the choreography that
-    `projection.restrict` keeps for it and the network cut down to its
-    processes: the sum of the groups' spaces, not their product.  Unless
-    those walks hold, the whole product is walked afresh, under the same
-    budget limit, and its report is the check's.
+    composition (Milner, *Communication and Concurrency*, 1989), so the check
+    walks each group alone, to the bound, on the part of the choreography
+    that `projection.restrict` keeps for it and the network cut down to its
+    processes: the sum of the groups' spaces, not their product.  With no
+    split, the whole program is the one part.
+
+    The witness is exact: project a divergent trace onto the group of its
+    last label, and the result is a divergence of the same kind that is no
+    longer.  So the whole walk's witness, the least divergence, choreography-
+    only before network-only and then by length and label keys, is the least
+    of the groups'.  Its configuration is the first of the set the trace
+    reaches on the diverging side of the whole program, replayed on fresh
+    sides under an unlimited budget of their own, so a counterexample found
+    is never reported as resource-exhausted.
     """
     compiled = projection.epp(prog)
     sp.require_wf(compiled.net)
     state = state if state is not None else cc.State()
-    groups = projection.independent_groups(prog, compiled)
-    if groups:
-        parts = ((projection.restrict(prog.main, group),
-                  sp.Network({p: b for p, b in compiled.net.items() if p in group}))
-                 for group in groups)
-        report = _epp_walk(prog, compiled, parts, state, depth, state_budget)
-        if report.holds:
-            return report
-    return _epp_walk(prog, compiled, [(prog.main, compiled.net)], state, depth, state_budget)
+    groups = projection.independent_groups(prog, compiled)  # [] or two or more
+    parts = ((projection.restrict(prog.main, group),
+              sp.Network({p: b for p, b in compiled.net.items() if p in group}))
+             for group in groups) if groups else [(prog.main, compiled.net)]
+    budget = explore.Budget(state_budget)
+    chor_step, net_step = cc.successors(prog.procedures), sp.successors(compiled.procedures)
+
+    def sides(main: cc.Choreography, net: sp.Network, budget: explore.Budget) -> tuple:
+        return _Subsets(chor_step, (main, state), budget), _Subsets(net_step, (net, state), budget)
+
+    def search() -> Optional[Witness]:
+        found = [w for main, net in parts
+                 if (w := _first_divergence(*sides(main, net, budget), depth, budget)) is not None]
+        least = min(found, default=None, key=lambda w: (
+            w.note == _NET_ONLY, len(w.trace), [cc.label_key(t) for t in w.trace]))
+        if least is not None and groups:
+            chor, net = sides(prog.main, compiled.net, explore.Budget())
+            cs = ns = (0,)
+            for t in least.trace:
+                cs, ns = chor.succ(cs).get(t, ()), net.succ(ns).get(t, ())
+            least.term, least.state = chor.cfgs[cs[0]] if cs else net.cfgs[ns[0]]
+        return least
+
+    return _checked("epp-correspondence", budget, depth, search)
 
 
 def _terminal_analysis(

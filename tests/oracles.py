@@ -728,35 +728,47 @@ def epp_by_label_filter(
 ) -> Report:
     """The EPP check with each of the `projection.independent_groups` walked
     on the whole program: every group's walk steps whole configurations on
-    both sides of its own, and drops the labels of the other groups.  Unless
-    the group walks hold, the whole product is walked afresh, with no label
-    dropped, and its report is the check's."""
+    both sides of its own, and drops the labels of the other groups.  With no
+    split, one walk drops no label.  The witness is the least of the walks',
+    a choreography-only one before any network-only one, then by length and
+    label keys; its configuration is whole already."""
     compiled = projection.epp(prog)
     sp.require_wf(compiled.net)
     state = state if state is not None else cc.State()
-    groups = projection.independent_groups(prog, compiled)
+    groups = projection.independent_groups(prog, compiled) or [None]
+    budget = explore.Budget(state_budget)
+    chor_step = cc.successors(prog.procedures)
+    net_step = sp.successors(compiled.procedures)
+    starts = ((prog.main, state), (compiled.net, state))
 
-    def walk(groups) -> Report:
-        budget = explore.Budget(state_budget)
-        chor_step = cc.successors(prog.procedures)
-        net_step = sp.successors(compiled.procedures)
-        starts = ((prog.main, state), (compiled.net, state))
+    def key(w: Witness) -> tuple:
+        net_only = w.note == "projection trace missing from the choreography"
+        return net_only, len(w.trace), [cc.label_key(t) for t in w.trace]
 
-        def search() -> Witness | None:
-            for group in groups:
-                found = _divergence_by_label_filter(chor_step, net_step, starts, depth,
-                                                    budget, group)
-                if found is not None:
-                    return found
-            return None
+    def search() -> Witness | None:
+        found = [_divergence_by_label_filter(chor_step, net_step, starts, depth, budget, group)
+                 for group in groups]
+        return min((w for w in found if w is not None), key=key, default=None)
 
-        return verifier._checked("epp-correspondence", budget, depth, search)
+    return verifier._checked("epp-correspondence", budget, depth, search)
 
-    if groups:
-        report = walk(groups)
-        if report.holds:
-            return report
-    return walk([None])
+
+def epp_whole_walk(
+    prog: cc.ChorProgram,
+    state: cc.State | None = None,
+    depth: int = DEFAULT_DEPTH,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> Report:
+    """The EPP check as one `verifier._first_divergence` walk of the whole
+    product, with no split into independent groups."""
+    compiled = projection.epp(prog)
+    sp.require_wf(compiled.net)
+    state = state if state is not None else cc.State()
+    budget = explore.Budget(state_budget)
+    chor = verifier._Subsets(cc.successors(prog.procedures), (prog.main, state), budget)
+    net = verifier._Subsets(sp.successors(compiled.procedures), (compiled.net, state), budget)
+    return verifier._checked("epp-correspondence", budget, depth,
+                             lambda: verifier._first_divergence(chor, net, depth, budget))
 
 
 # ---------------------------------------------------------------------------

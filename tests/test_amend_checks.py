@@ -31,6 +31,7 @@ import corpus
 import oracles
 from chorkit import amendment, cc, explore, syntax, verifier
 from chorkit.cc import ChorProgram, State
+from test_epp_product import _pairs
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 ACCEPTANCE_SEED = 20260808
@@ -534,3 +535,16 @@ def test_intermediate_holds_on_random_04_to_06_at_depth_six():
             report = verifier.check_intermediate_formulation(prog, State(), 6, 6)
             assert report.verdict == verifier.HOLDS, i
             assert report.stats.states_explored < 10_000, i
+
+
+def test_intermediate_catch_ups_stop_at_their_first_caught_up_level():
+    """Each catch-up search grows a level at a time and stops at the first
+    level with a caught-up triple.  On k independent pairs at depth 3k,
+    searches run to the full bound charged 1,843, 22,468 and 242,434 units
+    for k = 3 to 5 and ran out of the default budget at k = 6."""
+    got = [verifier.check_intermediate_formulation(_pairs(k), State(), 3 * k)
+           for k in (3, 4, 5, 6)]
+    assert [(r.verdict, r.stats.states_explored) for r in got] == [
+        (verifier.HOLDS, 208), (verifier.HOLDS, 1024), (verifier.HOLDS, 4864),
+        (verifier.HOLDS, 22528),
+    ]

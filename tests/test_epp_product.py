@@ -101,10 +101,8 @@ def test_corpus_agrees_with_trace_listing():
 
 
 def _whole(prog, depth, budget=math.inf) -> verifier.Report:
-    """The walk of the whole product, which the check falls back on."""
-    compiled = projection.epp(prog)
-    return verifier._epp_walk(prog, compiled, [(prog.main, compiled.net)], State(), depth,
-                              budget)
+    """The walk of the whole product, with no split into groups."""
+    return oracles.epp_whole_walk(prog, State(), depth, budget)
 
 
 # states_explored of the whole walk on `_pairs(k)` at depths 4 to 7.  Each
@@ -455,11 +453,11 @@ def test_self_addressed_network_is_rejected_whatever_the_budget(monkeypatch):
 #
 # `projection.independent_groups` splits the processes of a procedure-free
 # program and of its network into groups that never interact, and the check
-# walks each group alone, on sides of its own, before it falls back on the
-# whole product walk.  The whole walk is the oracle: where it holds, the check
-# holds having charged no more than it, but for the start pair and the two
-# start configurations of each group after the first; otherwise the whole
-# walk's report is the check's, byte for byte.
+# walks each group alone, on sides of its own, to the bound, and reports the
+# least of their witnesses.  The whole walk is the oracle: the check's verdict
+# and witness are its own wherever both conclude, and where it holds, the
+# check has charged no more than it, but for the start pair and the two start
+# configurations of each group after the first.
 
 GROUP_PIDS = (("a", "b", "c"), ("d", "e", "f"), ("g", "h", "i"))
 
@@ -509,25 +507,30 @@ EDITS = {**MUTATIONS, "couple": (sp.Send, _couple)}
 
 
 def _agrees_with_the_whole_walk(prog, depth) -> verifier.Report:
-    """The check's report at an unlimited budget, once it agrees with the
-    whole walk there and at every budget up to one over the larger count:
-    a budget that the group walks fit gives their report, and any other
-    gives the whole walk's under that budget."""
-    whole = _whole(prog, depth)
+    """The check's report at an unlimited budget, once its verdict and
+    witness are the whole walk's wherever both conclude, and its count is
+    exact: every budget below it runs out one unit over, and every other
+    gives the same report."""
     got = verifier.check_epp_correspondence(prog, State(), depth, math.inf)
+    whole = _whole(prog, depth)
     assert (got.verdict, got.witness) == (whole.verdict, whole.witness)
     assert _without_stats(got.text()) == _without_stats(whole.text())
     if got.holds:
         groups = len(projection.independent_groups(prog, projection.epp(prog)))
         starts = 3 * max(groups - 1, 0)
         assert got.stats.states_explored <= whole.stats.states_explored + starts
-    else:
-        assert (got.to_dict(), got.text()) == (whole.to_dict(), whole.text())
-    for budget in range(max(whole.stats.states_explored, got.stats.states_explored) + 2):
+    used = got.stats.states_explored
+    for budget in range(used + 2):
         report = verifier.check_epp_correspondence(prog, State(), depth, budget)
+        if budget < used:
+            assert (report.verdict, report.witness, report.stats) == (
+                verifier.EXHAUSTED, None, verifier.SearchStats(budget + 1, depth)
+            )
+        else:
+            assert (report.to_dict(), report.text()) == (got.to_dict(), got.text())
         oracle = _whole(prog, depth, budget)
-        want = got if got.holds and budget >= got.stats.states_explored else oracle
-        assert (report.to_dict(), report.text()) == (want.to_dict(), want.text())
+        if verifier.EXHAUSTED not in (report.verdict, oracle.verdict):
+            assert (report.verdict, report.witness) == (oracle.verdict, oracle.witness)
     return got
 
 
@@ -561,6 +564,82 @@ def test_holds_counts_never_exceed_the_whole_walks():
     for k, depths in ((2, range(8)), (3, [7])):
         for depth in depths:
             assert _agrees_with_the_whole_walk(_pairs(k), depth).holds
+
+
+def _break(monkeypatch, edits: dict) -> None:
+    """Rewrite the projected behaviour of each process in `edits` with its
+    edit, as `_nth` makes them."""
+    real = projection.epp
+
+    def epp(prog):
+        compiled = real(prog)
+        net = compiled.net
+        for p, edit in edits.items():
+            net = net.set(p, _rewrite(net.get(p), edit, [0]))
+        return sp.SPProgram(compiled.procedures, net)
+
+    monkeypatch.setattr(projection, "epp", epp)
+
+
+def _line_and_pairs(n: int) -> ChorProgram:
+    """Ten independent pairs of processes: a0 and b0 exchange n messages in
+    turn, a0 first, and each other pair exchanges three, as in `_pairs`."""
+    etas = [Com("a0", Lit(i), "b0", "x") if i % 2 == 0 else Com("b0", Lit(i), "a0", "x")
+            for i in range(n)]
+    for j in range(1, 10):
+        a, b = f"a{j}", f"b{j}"
+        etas += [Com(a, Lit(j), b, "x"), Com(b, Lit(j + 1), a, "y"), Com(a, Lit(j + 2), b, "z")]
+    return ChorProgram({}, _seq(etas))
+
+
+@pytest.mark.parametrize("n, units", [(12, 144), (16, 156)])
+def test_a_broken_line_among_ten_pairs_is_a_counterexample_under_1000_units(
+    monkeypatch, n, units
+):
+    # b0's last send carries another value.  Walking the whole product again
+    # for its witness charged 493,119 units at n = 12 and ran out of the
+    # default budget at n = 16; the group walks find it in a few hundred.
+    send_value = MUTATIONS["send-value"][1]
+    _break(monkeypatch, {"b0": _nth(sp.Send, send_value, n // 2 - 1)})
+    prog = _line_and_pairs(n)
+    report = verifier.check_epp_correspondence(prog, State(), n)
+    assert (report.verdict, report.stats.states_explored) == (verifier.COUNTEREXAMPLE, units)
+    assert report.witness == oracles.epp_by_label_filter(prog, State(), n).witness
+    assert report.witness.note == "choreography trace missing from the projection"
+    assert len(report.witness.trace) == n
+
+
+def test_label_order_picks_between_divergences_of_equal_length(monkeypatch):
+    # The group of a and d is walked first, as its least process is a, but
+    # b's message sorts before d's, so the second group's witness is least.
+    prog = ChorProgram({}, _seq([Com("d", Lit(0), "a", "x"), Com("b", Lit(0), "c", "x")]))
+    send_value = MUTATIONS["send-value"][1]
+    _break(monkeypatch, {p: _nth(sp.Send, send_value, 0) for p in "db"})
+    assert projection.independent_groups(prog, projection.epp(prog)) == [
+        frozenset("ad"), frozenset("bc")
+    ]
+    report = _agrees_with_the_whole_walk(prog, 3)
+    assert [cc.label_text(t) for t in report.witness.trace] == ["b -> c : 0"]
+    assert report.witness.note == "choreography trace missing from the projection"
+    _agrees_with_label_filtering(prog, 3)
+
+
+def test_a_longer_choreography_only_divergence_beats_a_network_only_one(monkeypatch):
+    # a takes an internal step after its message, a network-only trace of
+    # two labels in the first group; c's second send carries another value,
+    # a choreography-only trace of three in the second.
+    prog = ChorProgram({}, _seq([Com("a", Lit(0), "b", "x"), Com("c", Lit(0), "d", "x"),
+                                 Com("d", Lit(1), "c", "y"), Com("c", Lit(2), "d", "z")]))
+    _break(monkeypatch, {"a": _nth(*MUTATIONS["trailing-tau"], 0),
+                         "c": _nth(sp.Send, MUTATIONS["send-value"][1], 1)})
+    assert len(projection.independent_groups(prog, projection.epp(prog))) == 2
+    for depth in (2, 4):
+        report = _agrees_with_the_whole_walk(prog, depth)
+        _agrees_with_label_filtering(prog, depth)
+    assert [cc.label_text(t) for t in report.witness.trace] == [
+        "c -> d : 0", "d -> c : 1", "c -> d : 2"
+    ]
+    assert report.witness.note == "choreography trace missing from the projection"
 
 
 def _agrees_with_label_filtering(prog, depth) -> None:

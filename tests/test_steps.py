@@ -173,9 +173,7 @@ def test_network_steps_match_the_oracle_where_the_epp_check_goes(monkeypatch):
     # The whole product walk, which steps every configuration the check can
     # reach: the check itself walks independent processes apart.
     for prog, depth in checks:
-        compiled = projection.epp(prog)
-        report = verifier._epp_walk(prog, compiled, [(prog.main, compiled.net)], State(), depth)
-        assert report.verdict == verifier.HOLDS
+        assert oracles.epp_whole_walk(prog, State(), depth).verdict == verifier.HOLDS
     monkeypatch.undo()
     assert len(stepped) > 600
     for defs, n, s in stepped:
