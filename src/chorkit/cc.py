@@ -505,14 +505,18 @@ def is_selection(t: TransitionLabel) -> bool:
 
 
 def eval_expr(e: Expr, s: State, p: Pid) -> int:
-    """Evaluate an expression at process p.  Total and deterministic."""
+    """Evaluate an expression at process p.  Total and deterministic.  A
+    tower of `succ` is counted with a loop, so it may be any height."""
     if isinstance(e, Lit):
         return e.value
     if isinstance(e, Ref):
         return s.get(p, e.name)
-    if isinstance(e, Succ):
-        return eval_expr(e.arg, s, p) + 1
-    raise TypeError(f"not an expression: {e!r}")
+    height = 0
+    while isinstance(e, Succ):
+        e, height = e.arg, height + 1
+    if not height:
+        raise TypeError(f"not an expression: {e!r}")
+    return eval_expr(e, s, p) + height
 
 
 def eval_bexpr(b: BExpr, s: State, p: Pid) -> bool:

@@ -297,9 +297,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
-    # Rendering recurses over terms, and projection and amendment over
-    # nested conditionals, so an input nested deeply enough runs out of
-    # stack; it gets one line, not a traceback.
+    # Projection and amendment recurse over nested conditionals, and
+    # `syntax.render_chor`, which `amend` prints with, over prefixes, so an
+    # input nested deeply enough runs out of stack; it gets one line, not a
+    # traceback.  Parsing, expressions and behaviours are walked in loops.
     try:
         return _dispatch(args)
     except RecursionError:

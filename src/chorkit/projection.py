@@ -204,7 +204,15 @@ def blame(
     r: cc.Pid,
     memo: Memo | None = None,
 ) -> Optional[cc.Choreography]:
-    """The innermost conditional whose branch merge fails when projecting on r."""
+    """The innermost conditional whose branch merge fails when projecting on r.
+
+    A prefix projects to an action, or to nothing, before its continuation's
+    projection, so it never fails and never changes which conditional is
+    blamed.  The leading run of prefixes is therefore skipped, and only the
+    term that ends it is projected: a long line costs one step per prefix,
+    not a behaviour built per process."""
+    while isinstance(c, cc.Prefix):
+        c = c.cont
     try:
         _bproj(defs, c, r, {} if memo is None else memo)
         return None
@@ -248,7 +256,10 @@ def project_failures(
     prog: cc.ChorProgram, names: frozenset | None = None
 ) -> list[ProjectionFailure]:
     """Every (term, process) pair at which EPP of the program is undefined;
-    `names`, when given, are the program's `cc.process_names`."""
+    `names`, when given, are the program's `cc.process_names`.
+
+    Each site is searched with `blame`, so a run of prefixes leading `main`
+    or a body, which cannot fail, builds no behaviour."""
     memo: Memo = {}
     failures: list[ProjectionFailure] = []
     for p in sorted(cc.process_names(prog) if names is None else names):

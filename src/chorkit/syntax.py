@@ -17,7 +17,8 @@ NAT is a run of decimal digits (what `int` reads: '٣' is one, '²' is not).
 NAME, pid and var are names: a letter or '_', then letters, digits and '_';
 the words of the grammar are reserved.  Tokens may be separated by any
 whitespace, and '#' starts a comment that runs to the end of the line.
-Parsing is a loop, so a source may nest to any depth; rendering recurses.
+Parsing is a loop, so a source may nest to any depth.  Behaviours and
+`succ` towers render in loops too; `render_chor` recurses once per prefix.
 
 Entered procedure calls are runtime-only and have no surface form.  Initial
 state files hold lines "p.x = 3", of names p and x, each pair once; table
@@ -375,7 +376,12 @@ def render_expr(e: cc.Expr) -> str:
         return str(e.value)
     if isinstance(e, cc.Ref):
         return e.name
-    return f"succ({render_expr(e.arg)})"
+    height = 0  # a tower of `succ` is counted with a loop
+    while isinstance(e, cc.Succ):
+        e, height = e.arg, height + 1
+    if not height:
+        raise TypeError(f"not an expression: {e!r}")
+    return "succ(" * height + render_expr(e) + ")" * height
 
 
 def render_bexpr(b: cc.BExpr) -> str:
@@ -431,29 +437,43 @@ def render_program(prog: cc.ChorProgram) -> str:
 
 
 def render_behaviour(b: sp.Behaviour) -> str:
-    if isinstance(b, sp.End):
-        return "end"
-    if isinstance(b, sp.Send):
-        return f"{b.dst}!{render_expr(b.expr)}; {render_behaviour(b.cont)}"
-    if isinstance(b, sp.Recv):
-        return f"{b.src}?{b.var}; {render_behaviour(b.cont)}"
-    if isinstance(b, sp.Choose):
-        return f"{b.dst}+{b.label.value}; {render_behaviour(b.cont)}"
-    if isinstance(b, sp.Offer):
-        slots = []
-        if b.left is not None:
-            slots.append(f"left: {render_behaviour(b.left)}")
-        if b.right is not None:
-            slots.append(f"right: {render_behaviour(b.right)}")
-        return f"{b.src} & {{ {', '.join(slots)} }}"
-    if isinstance(b, sp.Cond):
-        return (
-            f"if {render_bexpr(b.guard)} then {{ {render_behaviour(b.then_b)} }}"
-            f" else {{ {render_behaviour(b.else_b)} }}"
-        )
-    if isinstance(b, sp.Call):
-        return f"call {b.name}"
-    raise TypeError(f"not a behaviour: {b!r}")
+    """A behaviour in surface syntax.  One loop pops an explicit stack of
+    behaviours still to render and literal text still to write, and appends
+    to one list joined once, so a behaviour of any length or depth takes no
+    stack frame and no copy of its text per action."""
+    out: list[str] = []
+    stack: list = [b]
+    while stack:
+        b = stack.pop()
+        kind = type(b)
+        if kind is str:
+            out.append(b)
+        elif kind is sp.Send:
+            out.append(f"{b.dst}!{render_expr(b.expr)}; ")
+            stack.append(b.cont)
+        elif kind is sp.Recv:
+            out.append(f"{b.src}?{b.var}; ")
+            stack.append(b.cont)
+        elif kind is sp.Choose:
+            out.append(f"{b.dst}+{b.label.value}; ")
+            stack.append(b.cont)
+        elif kind is sp.End:
+            out.append("end")
+        elif kind is sp.Call:
+            out.append(f"call {b.name}")
+        elif kind is sp.Offer:
+            out.append(f"{b.src} & {{ ")
+            stack.append(" }")
+            if b.right is not None:
+                stack += (b.right, "right: " if b.left is None else ", right: ")
+            if b.left is not None:
+                stack += (b.left, "left: ")
+        elif kind is sp.Cond:
+            out.append(f"if {render_bexpr(b.guard)} then {{ ")
+            stack += (" }", b.else_b, " } else { ", b.then_b)
+        else:
+            raise TypeError(f"not a behaviour: {b!r}")
+    return "".join(out)
 
 
 def render_network(n: sp.Network) -> str:

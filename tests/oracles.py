@@ -971,3 +971,48 @@ def max_insertions(prog: cc.ChorProgram) -> int:
         return 0
 
     return max(most(c) for c in (prog.main, *(p.body for p in prog.procedures.values())))
+
+
+# ---------------------------------------------------------------------------
+# Rendering with one recursive f-string per node, as `syntax` used to
+
+
+def render_expr(e: cc.Expr) -> str:
+    if isinstance(e, cc.Lit):
+        return str(e.value)
+    if isinstance(e, cc.Ref):
+        return e.name
+    return f"succ({render_expr(e.arg)})"
+
+
+def render_bexpr(b: cc.BExpr) -> str:
+    if isinstance(b, cc.BoolLit):
+        return "true" if b.value else "false"
+    op = "==" if isinstance(b, cc.Eq) else "<="
+    return f"{render_expr(b.left)} {op} {render_expr(b.right)}"
+
+
+def render_behaviour(b: sp.Behaviour) -> str:
+    if isinstance(b, sp.End):
+        return "end"
+    if isinstance(b, sp.Send):
+        return f"{b.dst}!{render_expr(b.expr)}; {render_behaviour(b.cont)}"
+    if isinstance(b, sp.Recv):
+        return f"{b.src}?{b.var}; {render_behaviour(b.cont)}"
+    if isinstance(b, sp.Choose):
+        return f"{b.dst}+{b.label.value}; {render_behaviour(b.cont)}"
+    if isinstance(b, sp.Offer):
+        slots = []
+        if b.left is not None:
+            slots.append(f"left: {render_behaviour(b.left)}")
+        if b.right is not None:
+            slots.append(f"right: {render_behaviour(b.right)}")
+        return f"{b.src} & {{ {', '.join(slots)} }}"
+    if isinstance(b, sp.Cond):
+        return (
+            f"if {render_bexpr(b.guard)} then {{ {render_behaviour(b.then_b)} }}"
+            f" else {{ {render_behaviour(b.else_b)} }}"
+        )
+    if isinstance(b, sp.Call):
+        return f"call {b.name}"
+    raise TypeError(f"not a behaviour: {b!r}")

@@ -10,7 +10,10 @@ participant's procedure instances while it projects.  The network check
 `repr` of a term expands nodes off a stack, so a deep witness prints in a
 `--json` report.  Merging walks the run of prefixes two behaviours share
 with a loop too, so the branches of a conditional may share 5,000
-interactions.  Rendering still recurses (ROADMAP item 7).  A hash-consed
+interactions.  The projection failure search skips each site's leading run
+of prefixes.  Behaviours render off an explicit stack, and a tower of `succ`
+is evaluated and rendered by counting its layers in a loop; rendering a
+choreography still recurses once per prefix (ROADMAP item 7).  A hash-consed
 tower of conditionals whose branches are one node goes through
 well-formedness, projection and amendment, which enter each conditional once.
 The amendment checks pick witnesses in the order they reached configurations,
@@ -71,6 +74,74 @@ def test_a_5000_interaction_line():
     # Each process of the ring takes part in two of every four interactions.
     assert {p: _actions(network.net.get(p)) for p in "abcd"} == dict.fromkeys("abcd", 2500)
     assert amended.main is prog.main
+
+
+def test_the_failure_search_projects_only_the_end_of_a_5000_interaction_line(monkeypatch):
+    """A prefix never fails, so `project_failures` projects each process
+    from the term that ends the line, once, and from nothing above it."""
+    prog = _line(5000)
+    calls = []
+    project = projection._bproj
+
+    def spy(defs, c, r, memo, instances=False):
+        calls.append((c, r))
+        return project(defs, c, r, memo, instances)
+
+    monkeypatch.setattr(projection, "_bproj", spy)
+    with recursion_limit(DEFAULT_LIMIT):
+        assert projection.project_failures(prog) == []
+    assert calls == [(cc.End(), p) for p in "abcd"]
+
+
+def test_rendering_a_5000_action_behaviour():
+    """Sends, receives, selections and single-option offers, 5,000 deep, then
+    a conditional and an offer of two options; the loop renders what the
+    recursive oracle renders."""
+    b = sp.Cond(cc.Eq(cc.Ref("x"), cc.Lit(0)), sp.Call("X"),
+                sp.Offer("q", sp.End(), sp.Recv("q", "y", sp.End())))
+    for i in reversed(range(5000)):
+        kind = i % 5
+        if kind == 0:
+            b = sp.Send("q", cc.Lit(i % 10), b)
+        elif kind == 1:
+            b = sp.Recv("q", "x", b)
+        elif kind == 2:
+            b = sp.Choose("q", cc.Label.RIGHT, b)
+        elif kind == 3:
+            b = sp.Offer("q", b, None)
+        else:
+            b = sp.Offer("q", None, b)
+    network = projection.epp(_line(5000)).net
+    with recursion_limit(DEFAULT_LIMIT):
+        text = syntax.render_behaviour(b)
+        shown = syntax.render_network(network)
+    with recursion_limit(20_000):  # the oracle recurses once per action
+        assert text == oracles.render_behaviour(b)
+        assert shown.splitlines() == [
+            f"{p}[ {oracles.render_behaviour(network.get(p))} ]" for p in "abcd"]
+    assert text.startswith("q!0; q?x; q+right; q & { left: q & { right: q!5; ")
+    assert text.endswith("if x == 0 then { call X } else { q & { left: end, right: q?y; end } }"
+                         + " }" * 2000)
+
+
+def test_a_5000_high_succ_tower(tmp_path, capsys):
+    """One interaction sends a tower of 5,000 `succ`: every command takes it
+    under the default limit, and a run computes 5,000."""
+    tower = "succ(" * 5000 + "0" + ")" * 5000
+    source = tmp_path / "tower.chor"
+    source.write_text(f"main = p.{tower} -> q.x; end\n", encoding="utf-8")
+    commands = [["check"], ["project"], ["amend"], ["run", "--all"], ["run", "--seed", "1"],
+                ["verify", "epp"], ["verify", "naive"], ["verify", "amend-complete"]]
+    with recursion_limit(DEFAULT_LIMIT):
+        e = syntax.parse_source(source.read_text(encoding="utf-8")).main.action.expr
+        assert cc.eval_expr(e, cc.State(), "p") == 5000
+        assert syntax.render_expr(e) == tower
+        codes = [cli.main([*command, str(source)]) for command in commands]
+    captured = capsys.readouterr()
+    assert (codes, captured.err) == ([0] * 8, "")
+    assert f"p[ q!{tower}; end ]\nq[ p?x; end ]\n" in captured.out
+    assert f"main =\n  p.{tower} -> q.x;\n  end\n" in captured.out
+    assert captured.out.count("final state: q.x = 5000\n") == 2
 
 
 def test_a_400_level_chain():
@@ -329,8 +400,8 @@ def _merge_source(then_last: str, else_last: str) -> str:
 def test_the_cli_on_branches_that_share_1500_interactions(tmp_path, capsys):
     """`check` and `verify epp` name r's failure when the branches differ in
     r's last send, and pass when they differ only in p's last selection to
-    r; rendering the projection or the amendment still recurses once per
-    prefix."""
+    r.  `project` renders r's 1,500 receives and its offer in a loop;
+    rendering the amendment still recurses once per prefix."""
     differ = tmp_path / "differ.chor"
     differ.write_text(_merge_source("r.1 -> q.z;", "r.2 -> q.z;"), encoding="utf-8")
     selects = tmp_path / "selects.chor"
@@ -340,7 +411,7 @@ def test_the_cli_on_branches_that_share_1500_interactions(tmp_path, capsys):
         (["verify", "epp", str(differ)], 1),
         (["check", str(selects)], 0),
         (["verify", "epp", str(selects), "--depth", "3"], 0),
-        (["project", str(selects)], 2),
+        (["project", str(selects)], 0),
         (["amend", str(selects)], 2),
     ]
     with recursion_limit(DEFAULT_LIMIT):
@@ -350,6 +421,8 @@ def test_the_cli_on_branches_that_share_1500_interactions(tmp_path, capsys):
     term = "if p.x == 0 then { q.0 -> r.x; q.1 -> r.x; q.2 -> r.x; q.3 -> r.x; q...."
     failure = f"cannot project for r (in main): {term}\n"
     deep = f"error: {selects}: nested too deeply to process\n"
-    assert captured.err == failure * 2 + deep * 2
+    assert captured.err == failure * 2 + deep
     assert "ok: well-formed and projectable" in captured.out
     assert "verdict: holds-within-bound" in captured.out
+    receives = "q?x; " * 1500
+    assert f"\nr[ {receives}p & {{ left: end, right: end }} ]\n" in captured.out

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
-from chorkit import cc, sp, syntax
+import oracles
+from chorkit import amendment, cc, projection, sp, syntax
 from chorkit.cc import Com, End, Le, Lit, Prefix, Ref, State
 from chorkit.syntax import ParseError, parse_source, parse_state_text, parse_table_text
+from test_interning import ACCEPTANCE_SEED, behaviours, exprs
 from test_parse_golden import WHITESPACE
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -160,6 +162,55 @@ def test_render_behaviour_forms():
     b = sp.Offer("p", sp.Recv("p", "x", sp.End()), None)
     assert syntax.render_behaviour(b) == "p & { left: p?x; end }"
     assert syntax.render_behaviour(sp.Call("X@p")) == "call X@p"
+
+
+def test_render_behaviour_offers_with_one_option_and_with_none():
+    recv = sp.Recv("p", "x", sp.End())
+    shown = {
+        sp.Offer("p", recv, None): "p & { left: p?x; end }",
+        sp.Offer("p", None, recv): "p & { right: p?x; end }",
+        sp.Offer("p", None, None): "p & {  }",
+        sp.Offer("p", recv, sp.Call("X")): "p & { left: p?x; end, right: call X }",
+    }
+    for b, text in shown.items():
+        assert syntax.render_behaviour(b) == text == oracles.render_behaviour(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(behaviours)
+def test_render_behaviour_matches_the_recursive_oracle(b):
+    assert syntax.render_behaviour(b) == oracles.render_behaviour(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exprs)
+def test_render_expr_matches_the_recursive_oracle(e):
+    assert syntax.render_expr(e) == oracles.render_expr(e)
+
+
+def test_render_behaviour_matches_the_oracle_on_every_projection():
+    """Every behaviour EPP gives for a sample or corpus program, plain and
+    amended, renders as the recursive oracle renders it."""
+    progs = [parse_source(path.read_text(encoding="utf-8")).to_program()
+             for path in sorted(SAMPLES.glob("*.chor"))]
+    progs += [prog for _, prog in corpus.named_corpus()]
+    progs += corpus.random_programs(ACCEPTANCE_SEED, 50)
+    rendered = 0
+    for prog in progs:
+        try:
+            amended = amendment.amend_program(prog)
+        except cc.IllFormedError:
+            continue
+        for version in (prog, amended):
+            try:
+                compiled = projection.epp(version)
+            except projection.UnprojectableError:
+                continue
+            bodies = [b for _, b in compiled.net.items()] + list(compiled.procedures.values())
+            for b in bodies:
+                assert syntax.render_behaviour(b) == oracles.render_behaviour(b)
+            rendered += len(bodies)
+    assert rendered > 300
 
 
 def test_render_is_deterministic():
