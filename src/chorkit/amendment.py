@@ -4,11 +4,16 @@ Wherever a conditional leaves some process unable to tell which branch was
 taken, selections from the deciding process are inserted at the head of both
 branches (left for then, right for else).  The output is projectable for every
 process the repair was asked to cover.
+
+It also keeps the label multisets the checks match in (`Ranks`, `split`,
+`level`), on which the selection-expansion test `is_selection_expansion` runs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from bisect import bisect_left, insort
+from functools import reduce
+from typing import Mapping, Sequence
 
 from . import cc, sp
 from .projection import Memo, projectable
@@ -169,14 +174,45 @@ def amend_program(prog: cc.ChorProgram) -> cc.ChorProgram:
     return cc.ChorProgram(amended.procedures, amended.main)
 
 
-def _split_selections(labels: Iterable[cc.TransitionLabel]) -> tuple[tuple, tuple]:
-    """A multiset of labels as its non-selection part and its selection part,
-    each a tuple of label keys in order."""
-    rest: list = []
-    sels: list = []
-    for t in labels:
-        (sels if cc.is_selection(t) else rest).append(cc.label_key(t))
-    return tuple(sorted(rest)), tuple(sorted(sels))
+MultisetKey = tuple  # label ranks, sorted
+
+
+class Ranks:
+    """A numbering of transition labels on first sight: selections count down
+    from -1, every other label up from 0.  A multiset of labels is a sorted
+    tuple of ranks, so its selections come first and the rest of it starts at
+    the first rank of at least 0."""
+
+    __slots__ = ("of", "sels")
+
+    def __init__(self) -> None:
+        self.of: dict = {}
+        self.sels = 0
+
+    def add(self, mk: MultisetKey, t: cc.TransitionLabel) -> MultisetKey:
+        """`mk` with one more `t`: the tag of the multiset-keyed search."""
+        r = self.of.get(t)
+        if r is None:
+            if cc.is_selection(t):
+                self.sels += 1
+                r = -self.sels
+            else:
+                r = len(self.of) - self.sels
+            self.of[t] = r
+        out = list(mk)
+        insort(out, r)
+        return tuple(out)
+
+
+def level(mk: MultisetKey) -> int:
+    """How many labels of `mk` are not selections."""
+    return len(mk) - bisect_left(mk, 0)
+
+
+def split(mk: MultisetKey) -> tuple[MultisetKey, MultisetKey]:
+    """`mk` as its non-selection part and its selection part."""
+    i = bisect_left(mk, 0)
+    return mk[i:], mk[:i]
 
 
 def sub_multiset(small: Sequence, big: Sequence) -> bool:
@@ -205,6 +241,7 @@ def is_selection_expansion(
     Equivalently: both have the same non-selection part, and the selections of
     `base` are a sub-multiset of those of `expanded`.
     """
-    base_rest, base_sels = _split_selections(base)
-    rest, sels = _split_selections(expanded)
+    ranks = Ranks()
+    base_rest, base_sels = split(reduce(ranks.add, base, ()))
+    rest, sels = split(reduce(ranks.add, expanded, ()))
     return base_rest == rest and sub_multiset(base_sels, sels)

@@ -255,7 +255,10 @@ def _cmd_implements(args, prog: cc.ChorProgram) -> int:
     table = _read(args.table, syntax.parse_table_text)
     if table is None:
         return USAGE
-    inputs = [p for p in args.inputs.split(",") if p]
+    inputs = args.inputs.split(",")
+    if "" in inputs:
+        print(f"error: --inputs {args.inputs!r} names an empty process", file=sys.stderr)
+        return USAGE
     from . import verifier
 
     try:

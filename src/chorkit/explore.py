@@ -1,14 +1,16 @@
 """Bounded breadth-first exploration of a labelled transition system.
 
-Every bounded search in chorkit runs here: from one start configuration, over
-a memoised one-step relation, for at most `depth` steps, charging a budget
-once per entry found.  Searches differ only in which ways of reaching a
-configuration they keep apart, and that is the tag: the trace itself, the
-multiset of its labels, or nothing at all.  A search can be deepened a level
-at a time and stopped as soon as its caller has seen enough, and it can count
-only some labels against a second bound, as weak transitions do.  This module
-knows nothing of choreographies or networks; configurations are any hashable
-values.
+Every bounded search in chorkit runs here but the EPP check's: from one start
+configuration, over a memoised one-step relation, for at most `depth` steps,
+charging a budget once per entry found.  (`verifier._first_divergence` walks
+pairs of configuration sets breadth-first in a loop of its own, and
+`verifier._Subsets` steps configurations through the step functions, not a
+`Space`.)  Searches differ only in which ways of reaching a configuration they
+keep apart, and that is the tag: the trace itself, the multiset of its labels,
+or nothing at all.  A search can be deepened a level at a time and stopped as
+soon as its caller has seen enough, and it can count only some labels against
+a second bound, as weak transitions do.  This module knows nothing of
+choreographies or networks; configurations are any hashable values.
 """
 
 from __future__ import annotations

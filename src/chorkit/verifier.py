@@ -8,7 +8,6 @@ an actual firing sequence so they can be fed back through the semantics.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
@@ -86,63 +85,23 @@ class Report:
         return "\n".join(lines)
 
 
-MultisetKey = tuple  # label ranks, sorted
-
-
-class _Ranks:
-    """One check's numbering of transition labels, on first sight: selections
-    count down from -1, every other label up from 0.  A multiset of labels is
-    a sorted tuple of ranks, so its selections come first and the rest of it
-    starts at the first rank of at least 0."""
-
-    __slots__ = ("of", "sels")
-
-    def __init__(self) -> None:
-        self.of: dict = {}
-        self.sels = 0
-
-    def add(self, mk: MultisetKey, t: cc.TransitionLabel) -> MultisetKey:
-        """`mk` with one more `t`: the tag of the multiset-keyed search."""
-        r = self.of.get(t)
-        if r is None:
-            if cc.is_selection(t):
-                self.sels += 1
-                r = -self.sels
-            else:
-                r = len(self.of) - self.sels
-            self.of[t] = r
-        out = list(mk)
-        insort(out, r)
-        return tuple(out)
-
-
-def _level(mk: MultisetKey) -> int:
-    """How many labels of `mk` are not selections."""
-    return len(mk) - bisect_left(mk, 0)
-
-
-def _split(mk: MultisetKey) -> tuple[MultisetKey, MultisetKey]:
-    """`mk` as its non-selection part and its selection part."""
-    i = bisect_left(mk, 0)
-    return mk[i:], mk[:i]
-
-
-def _index(mks: Iterable[MultisetKey], out: dict | None = None) -> dict:
-    """Multisets by their non-selection part: {rest: {selection parts}}.
-
-    With the split, `amendment.is_selection_expansion(base, exp)` is one
-    lookup of base's rest in exp's index (or the other way round) and a
-    sub-multiset test of the selection parts.
-    """
-    out = {} if out is None else out
-    for mk in mks:
-        rest, sels = _split(mk)
-        found = out.get(rest)
-        if found is None:
-            out[rest] = {sels}
+def _index(entries: Iterable, indexes: dict, key=None) -> None:
+    """Add the multisets of search `entries`, (configuration, multiset, trace)
+    triples, to `indexes`: {key(configuration): {non-selection part:
+    {selection parts}}}, so that a selection-expansion match (`_matched`) is
+    one lookup and a `sub_multiset` test of the selection parts."""
+    for cfg, mk, _ in entries:
+        k = cfg if key is None else key(cfg)
+        rest, sels = amendment.split(mk)
+        index = indexes.get(k)
+        if index is None:
+            indexes[k] = {rest: {sels}}
         else:
-            found.add(sels)
-    return out
+            found = index.get(rest)
+            if found is None:
+                index[rest] = {sels}
+            else:
+                found.add(sels)
 
 
 def _reach(
@@ -150,8 +109,8 @@ def _reach(
     start: Hashable,
     depth: int,
     budget: explore.Budget,
-    ranks: _Ranks,
-) -> dict[Hashable, dict[MultisetKey, tuple]]:
+    ranks: amendment.Ranks,
+) -> dict[Hashable, dict[amendment.MultisetKey, tuple]]:
     """Bounded reachability keyed by the multiset of fired labels, in the
     ranks of `ranks`.
 
@@ -211,7 +170,7 @@ class _Sides:
         self.orig_start = (prog.main, state)
         self.amended_start = (self.amendment.main, state)
         self.budget = explore.Budget(state_budget)
-        self.ranks = _Ranks()
+        self.ranks = amendment.Ranks()
 
     def amend_cfg(self, cfg: tuple) -> tuple:
         """`cfg` with its term amended."""
@@ -245,22 +204,20 @@ def check_naive_correspondence(
     def search() -> Optional[Witness]:
         orig = sides.reach(sides.orig, sides.orig_start, depth)
         amended = sides.reach(sides.amended, sides.amended_start, depth_a)
-        for cfg, entries in orig.items():
-            index = _index(amended.get(sides.amend_cfg(cfg), ()))
-            missed = [e for e in entries.items() if _split(e[0])[0] not in index]
-            if missed:
-                return Witness(
-                    missed[0][1],
-                    *cfg,
-                    "the amended program cannot reach the amendment of "
-                    "this configuration with the same non-selection events",
-                )
-        return None
+        indexes: dict = {}
+        _index(((cfg, mk, t) for cfg, found in amended.items() for mk, t in found.items()),
+               indexes)
+        return _unmatched(
+            sides, orig, sides.orig, 0, lambda k: None,
+            lambda cfg: indexes.get(sides.amend_cfg(cfg)), lambda sels, other: True,
+            "the amended program cannot reach the amendment of "
+            "this configuration with the same non-selection events",
+        )
 
     return _checked("naive-correspondence", sides.budget, depth_a, search)
 
 
-def _matched(mk: MultisetKey, extensions: Iterable, index_of, fits) -> bool:
+def _matched(mk: amendment.MultisetKey, extensions: Iterable, index_of, fits) -> bool:
     """Whether `mk` followed by some extension is matched on the other side.
 
     `extensions` are (configuration, multiset, trace) entries of an extension
@@ -272,7 +229,7 @@ def _matched(mk: MultisetKey, extensions: Iterable, index_of, fits) -> bool:
         index = index_of(cfg2)
         if not index:
             continue
-        rest, sels = _split(tuple(sorted(mk + emk)) if emk else mk)
+        rest, sels = amendment.split(tuple(sorted(mk + emk)) if emk else mk)
         others = index.get(rest)
         if others is not None and (sels in others or any(fits(sels, o) for o in others)):
             return True
@@ -292,9 +249,9 @@ def _unmatched(
     level at a time, `grow_other(k)` growing the other side to what a level-k
     extension can match, and an entry is dropped once matched.  Most
     configurations are done at level 0, the empty extension, before an
-    extension search starts.  At `bound`, where the other side must be grown
-    in full, the entries left are tried against every extension, which is
-    what one search to the bound would do.
+    extension search starts; naive stops there, with `bound` 0.  At `bound`,
+    where the other side must be grown in full, the entries left are tried
+    against every extension, which is what one search to the bound would do.
     """
     grow_other(0)
     for cfg, entries in reached.items():
@@ -313,18 +270,6 @@ def _unmatched(
         if pending:
             return Witness(pending[0][1], *cfg, note)
     return None
-
-
-def _index_entries(entries: list, indexes: dict, key) -> None:
-    """Add the multisets of the other side's new search `entries` to
-    `indexes`, the `_index` of each `key(configuration)`."""
-    for cfg, mk, _ in entries:
-        k = key(cfg)
-        indexes[k] = _index((mk,), indexes.get(k))
-
-
-def _covers(sels: MultisetKey, other: MultisetKey) -> bool:
-    return amendment.sub_multiset(other, sels)
 
 
 def check_amend_complete(
@@ -349,7 +294,7 @@ def check_amend_complete(
     def search() -> Optional[Witness]:
         orig = sides.reach(sides.orig, sides.orig_start, depth)
         amended = explore.Search(
-            sides.amended, sides.amended_start, sides.budget, sides.ranks.add, _level
+            sides.amended, sides.amended_start, sides.budget, sides.ranks.add, amendment.level
         )
         indexes: dict = {}
 
@@ -358,7 +303,7 @@ def check_amend_complete(
             # extension, at most depth + k, and amendment gives each of them
             # at most max_insertions selections, as in depth_a.
             depth_k = min((depth + k) * (1 + insertions), depth_a)
-            _index_entries(amended.grow(depth_k, depth + k), indexes, lambda cfg: cfg)
+            _index(amended.grow(depth_k, depth + k), indexes)
 
         return _unmatched(
             sides, orig, sides.orig, search_bound, grow_amended,
@@ -398,11 +343,12 @@ def check_amend_sound(
             # A match fires the non-selection labels of the amended run and its
             # level-k extension and only some of their selections, so it is
             # no longer than depth + k.
-            _index_entries(orig.grow(depth + k), indexes, sides.amend_cfg)
+            _index(orig.grow(depth + k), indexes, sides.amend_cfg)
 
         a_reach = sides.reach(sides.amended, sides.amended_start, depth)
         return _unmatched(
-            sides, a_reach, sides.amended, e_depth, grow_orig, indexes.get, _covers,
+            sides, a_reach, sides.amended, e_depth, grow_orig, indexes.get,
+            lambda sels, other: amendment.sub_multiset(other, sels),
             "no extension of this amended run lands on the "
             "amendment of a configuration the original reaches",
         )

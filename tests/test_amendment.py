@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 
 import corpus
-from chorkit import amendment, cc, projection
+from chorkit import amendment, cc, projection, verifier
 from chorkit.amendment import (
     Amendment,
     add_selections,
@@ -277,3 +278,34 @@ def test_expansion_is_reflexive_and_transitive_at_small_sizes():
             for c in small:
                 if is_selection_expansion(b, c):
                     assert is_selection_expansion(a, c)
+
+
+def _matched_by_the_checks(mk: tuple, other: tuple, fits) -> bool:
+    """`verifier._matched` of the multiset `mk` at the empty extension, looked
+    up in the `verifier._index` of the other side's one multiset `other`."""
+    indexes: dict = {}
+    verifier._index([("cfg", other, ())], indexes)
+    return verifier._matched(mk, [("cfg", (), ())], indexes.get, fits)
+
+
+def test_the_checks_match_agrees_with_brute_force_both_ways_round():
+    # amend-complete indexes the expanded (amended) side and looks up the
+    # base's run with `sub_multiset(base selections, other)`; amend-sound
+    # indexes the base (original) side and looks up the expanded run with the
+    # fit reversed.  Labels are numbered in the order a check meets them,
+    # which may be either side first.
+    def reversed_fit(sels: tuple, other: tuple) -> bool:
+        return amendment.sub_multiset(other, sels)
+
+    sequences = list(_all_sequences(4))
+    for base in sequences:
+        for expanded in sequences:
+            want = _derivable(base, expanded)
+            for first, second in ((base, expanded), (expanded, base)):
+                ranks = amendment.Ranks()
+                keys = {tl: functools.reduce(ranks.add, tl, ()) for tl in (first, second)}
+                got = (
+                    _matched_by_the_checks(keys[base], keys[expanded], amendment.sub_multiset),
+                    _matched_by_the_checks(keys[expanded], keys[base], reversed_fit),
+                )
+                assert got == (want, want), (base, expanded)

@@ -283,13 +283,16 @@ def test_implements_wrong_table_fails(tmp_path, capsys):
 
 
 def test_implements_rejects_processes_it_cannot_use(capsys):
-    # An unknown process used to give a made-up counterexample, and an input
-    # named twice lost its first value.
+    # An unknown process used to give a made-up counterexample, an input
+    # named twice lost its first value, and an empty name was dropped.
     cases = [
         ("successor_fn", "zz", "q", "the program has no process zz"),
         ("successor_fn", "p", "zz", "the program has no process zz"),
         ("equality_fn", "p,zz", "r", "the program has no process zz"),
         ("equality_fn", "p,p", "r", "input process p is named twice"),
+        ("equality_fn", "p,,q", "r", "--inputs 'p,,q' names an empty process"),
+        ("equality_fn", ",p,q,", "r", "--inputs ',p,q,' names an empty process"),
+        ("equality_fn", "p,q,", "r", "--inputs 'p,q,' names an empty process"),
     ]
     for name, inputs, output, message in cases:
         code = main(["implements", _sample(f"{name}.chor"), "--table", _sample(f"{name}.table"),

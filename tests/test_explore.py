@@ -99,7 +99,7 @@ def _terminal(result) -> tuple:
 def _reach_as_labels(step, start, depth: int, budget) -> dict:
     """`verifier._reach` with its multisets of ranks read back as label
     tuples in `cc.label_key` order, the oracle's keys."""
-    ranks = verifier._Ranks()
+    ranks = amendment.Ranks()
     found = verifier._reach(explore.Space(step), start, depth, budget, ranks)
     label = {r: t for t, r in ranks.of.items()}
     return {

@@ -103,6 +103,15 @@ def test_only_amendment_amends():
     assert _sites(_constructs("needs_selection")) == {"amendment.amend"}
 
 
+def test_only_amendment_builds_and_splits_label_multisets():
+    # The checks keep label multisets in one format: `amendment.Ranks` builds
+    # them, `split` and `level` read off their selection part, and
+    # `is_selection_expansion` runs on the same pieces.
+    assert _sites(_constructs("insort")) == {"amendment.Ranks"}
+    assert _sites(_constructs("bisect_left")) == {"amendment.split", "amendment.level"}
+    assert _sites(_constructs("Ranks")) == {"amendment.is_selection_expansion", "verifier._Sides"}
+
+
 README = PACKAGE.parent.parent / "README.md"
 
 
